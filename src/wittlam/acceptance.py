@@ -53,27 +53,28 @@ def _run(number, name, target, body):
 
 def suite_1(seed=0):
     """Universal polynomials: integrality and the six axioms on the
-    binomial lambda-ring of the integers."""
+    binomial lambda-ring of the integers, for n <= 12 and mn <= 12."""
+    top = 12
 
     def body(failures):
-        for n in range(1, 7):
+        for n in range(1, top + 1):
             if not universal_P(n).is_integral():
                 failures.append(f"P_{n} not integral")
-        for m in range(1, 7):
-            for n in range(1, 6 // m + 1):
-                if not universal_Pcomp(m, n).is_integral():
+        for m in range(1, top + 1):
+            for n in range(1, top // m + 1):
+                if not universal_Pcomp(m, n, bound=top).is_integral():
                     failures.append(f"P_({m},{n}) not integral")
         one = Fraction(1)
         C = binom_fraction
         for r in range(-4, 5):
             if C(r, 0) != 1 or C(r, 1) != r:
                 failures.append(f"lambda^0/lambda^1 fail at {r}")
-            for n in range(2, 7):
+            for n in range(2, top + 1):
                 if C(1, n) != 0:
                     failures.append(f"lambda^{n}(1) != 0")
         for r in range(-4, 5):
             for s in range(-4, 5):
-                for n in range(1, 7):
+                for n in range(1, top + 1):
                     total = sum(C(r, i) * C(s, n - i) for i in range(n + 1))
                     if C(r + s, n) != total:
                         failures.append(f"additivity fails at {(r, s, n)}")
@@ -84,11 +85,11 @@ def suite_1(seed=0):
                     if C(r * s, n) != universal_P(n).evaluate(vals, one):
                         failures.append(f"product fails at {(r, s, n)}")
         for r in range(-4, 5):
-            for m in range(1, 7):
-                for n in range(1, 6 // m + 1):
+            for m in range(1, top + 1):
+                for n in range(1, top // m + 1):
                     vals = {f"a{k}": C(r, k) for k in range(1, m * n + 1)}
                     lhs = C(C(r, n), m)
-                    if lhs != universal_Pcomp(m, n).evaluate(vals, one):
+                    if lhs != universal_Pcomp(m, n, bound=top).evaluate(vals, one):
                         failures.append(f"composition fails at {(r, m, n)}")
 
     return _run(1, "universal polynomials", 60, body)

@@ -1,26 +1,29 @@
 """Multivariate polynomial engine and symmetric-function machinery.
 
 The centrepiece is the computation of the universal polynomials P_n and
-P_{m,n} that govern products and compositions of lambda-operations:
+P_{m,n} that govern products and compositions of lambda-operations.
+Both are built from identities indexed by partitions, never by expanding
+in explicit variables (Macdonald, *Symmetric Functions and Hall
+Polynomials*, ch. I):
 
-  * P_n(a_1..a_n; b_1..b_n) is obtained by expanding e_n of the n^2
-    pairwise products x_i*y_j and rewriting the result in the elementary
-    symmetric polynomials of the x's (-> a's) and of the y's (-> b's).
-  * P_{m,n}(a_1..a_{mn}) is the coefficient of t^m in the product of
-    (1 + t*prod_{i in S} x_i) over all n-element subsets S of {1..mn},
-    rewritten in e_1..e_{mn}.
+  * P_n(a_1..a_n; b_1..b_n) = e_n[x*y] is, by the dual Cauchy identity
+    (4.3'), sum_{lambda |- n} s_lambda(x) s_lambda'(y), and each Schur
+    function is a dual Jacobi-Trudi determinant (3.5) in the a's or b's.
+  * P_{m,n}(a_1..a_{mn}) = e_m[e_n] comes from Newton's identities (§2)
+    applied to the power sums p_i[e_n] = e_n[p_i], which the expansion
+    e_n = sum_{rho |- n} eps_rho z_rho^{-1} p_rho and p_rho[p_i] = p_{i*rho}
+    (§8) give in terms of p_k(a), themselves from Newton's identities.
 
 Both have integer coefficients; this is asserted whenever one is cached.
 Polynomials are sparse dicts from exponent tuples to int/Fraction
-coefficients; the term-level loops are delegated to the kernel module
-(compiled extension when built, pure Python otherwise).
+coefficients ("term dicts"); zero coefficients are never stored.
 """
 
-import random
 import threading
 from fractions import Fraction
+from math import factorial
+from operator import add as _add
 
-from . import kernel
 from .errors import BoundExceededError, IntegralityError, SymmetryError
 
 DEFAULT_PCOMP_BOUND = 6
@@ -30,6 +33,97 @@ def _norm_coeff(c):
     if isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
     return c
+
+
+# ---------------------------------------------------------------------------
+# term-dict helpers
+# ---------------------------------------------------------------------------
+
+
+def _mul(a, b):
+    """Product of two term dicts over the same variable list."""
+    out = {}
+    if not a or not b:
+        return out
+    if len(b) > len(a):
+        a, b = b, a
+    for eb, cb in b.items():
+        for ea, ca in a.items():
+            ec = tuple(map(_add, ea, eb))
+            c = out.get(ec)
+            if c is None:
+                out[ec] = ca * cb
+            else:
+                c = c + ca * cb
+                if c:
+                    out[ec] = c
+                else:
+                    del out[ec]
+    return out
+
+
+def _add_into(dst, src, scale=1):
+    """In-place dst += scale*src; returns dst with zeros dropped.
+
+    dst and src must be distinct dicts.
+    """
+    if not src or scale == 0:
+        return dst
+    if scale == 1:
+        for e, c0 in src.items():
+            c = dst.get(e)
+            if c is None:
+                dst[e] = c0
+            else:
+                c = c + c0
+                if c:
+                    dst[e] = c
+                else:
+                    del dst[e]
+    else:
+        for e, c0 in src.items():
+            c = dst.get(e)
+            if c is None:
+                dst[e] = scale * c0
+            else:
+                c = c + scale * c0
+                if c:
+                    dst[e] = c
+                else:
+                    del dst[e]
+    return dst
+
+
+def _mul_monomial(a, expo, coeff):
+    """a * coeff*x^expo as a fresh dict; coeff must be nonzero."""
+    out = {}
+    if not coeff:
+        return out
+    for e, c in a.items():
+        out[tuple(map(_add, e, expo))] = c * coeff
+    return out
+
+
+def _scaled(a, scale):
+    """scale*a as a fresh dict."""
+    if not scale:
+        return {}
+    return {e: scale * c for e, c in a.items()}
+
+
+def _power(a, k, nvars):
+    """a**k by binary powering; k >= 0."""
+    result = {(0,) * nvars: 1}
+    if k == 0:
+        return result
+    base = a
+    while True:
+        if k & 1:
+            result = _mul(result, base)
+        k >>= 1
+        if not k:
+            return result
+        base = _mul(base, base)
 
 
 class MPoly:
@@ -127,7 +221,7 @@ class MPoly:
         if other is None:
             return NotImplemented
         out = dict(self.terms)
-        kernel.add_into(out, other.terms)
+        _add_into(out, other.terms)
         return MPoly(self.vars, out)
 
     __radd__ = __add__
@@ -137,29 +231,29 @@ class MPoly:
         if other is None:
             return NotImplemented
         out = dict(self.terms)
-        kernel.add_into(out, other.terms, -1)
+        _add_into(out, other.terms, -1)
         return MPoly(self.vars, out)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return MPoly(self.vars, kernel.scaled(self.terms, -1))
+        return MPoly(self.vars, _scaled(self.terms, -1))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return MPoly(self.vars, kernel.scaled(self.terms, other))
+            return MPoly(self.vars, _scaled(self.terms, other))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return MPoly(self.vars, kernel.mul(self.terms, other.terms))
+        return MPoly(self.vars, _mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        return MPoly(self.vars, kernel.power(self.terms, k, len(self.vars)))
+        return MPoly(self.vars, _power(self.terms, k, len(self.vars)))
 
     def scalar_div(self, n):
         """Divide every coefficient by the nonzero scalar n."""
@@ -343,7 +437,7 @@ def _esym_positional(m, k):
         unit[i] = 1
         unit = tuple(unit)
         for j in range(min(i + 1, k), 0, -1):
-            kernel.add_into(levels[j], kernel.mul_monomial(levels[j - 1], unit, 1))
+            _add_into(levels[j], _mul_monomial(levels[j - 1], unit, 1))
     with _esym_lock:
         for j, lv in enumerate(levels):
             _esym_cache.setdefault((m, j), lv)
@@ -374,32 +468,25 @@ def _eprod_expansion(m, mu):
         prev = list(mu)
         prev[j] -= 1
         prev = _eprod_expansion(m, tuple(prev))
-        out = kernel.mul(prev, _esym_positional(m, j + 1))
+        out = _mul(prev, _esym_positional(m, j + 1))
     with _eprod_lock:
         return _eprod_cache.setdefault(key, out)
 
 
-def is_symmetric(f, sym_vars=None, samples=20, seed=0):
+def is_symmetric(f, sym_vars=None):
     """Check invariance of f under permutations of sym_vars.
 
-    Up to 8 variables this checks all adjacent transpositions, which is a
-    complete test; beyond that a fixed pseudorandom sample of
-    transpositions is used.
+    Checks the k-1 adjacent transpositions, which generate the symmetric
+    group S_k, so the test is complete at every size.
     """
     sym_vars = tuple(sym_vars) if sym_vars is not None else f.vars
     pos = [f.vars.index(v) for v in sym_vars]
-    k = len(pos)
-    if k <= 1:
-        return True
-    if k <= 8:
-        pairs = [(pos[i], pos[i + 1]) for i in range(k - 1)]
-    else:
-        rng = random.Random(seed)
-        pairs = [tuple(sorted(rng.sample(pos, 2))) for _ in range(samples)]
-    return all(f.swap_positions(i, j) == f for i, j in pairs)
+    return all(
+        f.swap_positions(i, j) == f for i, j in zip(pos, pos[1:])
+    )
 
 
-def express_in_elementary(f, sym_vars=None, e_names=None, check=True):
+def express_in_elementary(f, sym_vars=None, e_names=None):
     """Rewrite f in the elementary symmetric polynomials of sym_vars.
 
     Returns g with g(e_1,...,e_k, <inert vars>) = f; g is unique by the
@@ -408,6 +495,11 @@ def express_in_elementary(f, sym_vars=None, e_names=None, check=True):
     the classical one: repeatedly cancel the lex-leading monomial, whose
     exponent is weakly decreasing by symmetry, against the matching
     product of elementary symmetric polynomials.
+
+    The reduction also decides symmetry: each step removes the leading
+    term and adds only lex-smaller terms of the same degree, so it either
+    ends at zero or meets a non-dominant leading term, which raises
+    SymmetryError.
     """
     sym_vars = tuple(sym_vars) if sym_vars is not None else f.vars
     k = len(sym_vars)
@@ -422,10 +514,6 @@ def express_in_elementary(f, sym_vars=None, e_names=None, check=True):
     inert_names = tuple(f.vars[i] for i in inert_pos)
     if set(e_names) & set(inert_names):
         raise ValueError("output names collide with inert variables")
-    if check and not is_symmetric(f, sym_vars):
-        raise SymmetryError(
-            f"polynomial is not symmetric in {sym_vars}"
-        )
 
     slices = {}
     for e, c in f.terms.items():
@@ -446,7 +534,7 @@ def express_in_elementary(f, sym_vars=None, e_names=None, check=True):
                 alpha[i] - (alpha[i + 1] if i + 1 < k else 0) for i in range(k)
             )
             out[mu + inert_expo] = c
-            kernel.add_into(work, _eprod_expansion(k, mu), -c)
+            _add_into(work, _eprod_expansion(k, mu), -c)
     return MPoly(e_names + inert_names, out)
 
 
@@ -500,14 +588,72 @@ def _bvars(n):
     return tuple(f"b{i}" for i in range(1, n + 1))
 
 
+def _partitions(n, largest=None):
+    """The partitions of n with parts <= largest, as weakly decreasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    largest = n if largest is None else min(n, largest)
+    for k in range(largest, 0, -1):
+        for rest in _partitions(n - k, k):
+            yield (k,) + rest
+
+
+def _conjugate(lam):
+    """The conjugate partition lam', whose parts are the column lengths."""
+    return tuple(sum(1 for part in lam if part > j) for j in range(lam[0]))
+
+
+def _units(nvars):
+    """Exponent tuples of 1, e_1, ..., e_nvars over e_1..e_nvars."""
+    return [
+        tuple(int(v == k) for v in range(1, nvars + 1)) for k in range(nvars + 1)
+    ]
+
+
+def _e_det(lam, nvars):
+    """det(e_{lam_i - i + j}) over e_1..e_nvars as a term dict.
+
+    By dual Jacobi-Trudi this is the Schur function of the partition
+    conjugate to lam.  Every entry is 0, 1 or a single variable, so the
+    determinant is expanded along rows, memoised on the set of columns
+    the rows above have used.  Entries need lam_1 + len(lam) - 1 <= nvars.
+    """
+    r = len(lam)
+    units = _units(nvars)
+    memo = {}
+
+    def expand(used, i):
+        if i == r:
+            return {units[0]: 1}
+        got = memo.get(used)
+        if got is not None:
+            return got
+        out = {}
+        sign = 1
+        for j in range(r):
+            if used >> j & 1:
+                continue
+            k = lam[i] - i + j
+            if k >= 0:
+                minor = expand(used | 1 << j, i + 1)
+                _add_into(out, _mul_monomial(minor, units[k], sign))
+            sign = -sign
+        memo[used] = out
+        return out
+
+    return expand(0, 0)
+
+
 def universal_P(n, cache=None):
     """P_n(a_1..a_n; b_1..b_n), the lambda-ring product polynomial.
 
-    Computed by expanding e_n of the grid products x_i*y_j and rewriting
-    in the two alphabets' elementary symmetric polynomials.  The y-side
-    rewriting happens on the fly: the row identity
-    prod_j (1 + x_i y_j t) = sum_k x_i^k e_k(y) t^k lets the expansion be
-    accumulated directly over monomials in x_1..x_n and b_k = e_k(y).
+    P_n is e_n of the n^2 products x_i*y_j rewritten in a_k = e_k(x) and
+    b_k = e_k(y).  The dual Cauchy identity (Macdonald I (4.3'))
+    prod (1 + x_i y_j) = sum_lambda s_lambda(x) s_lambda'(y) and dual
+    Jacobi-Trudi s_lambda = det(e_{lambda'_i - i + j}) (I (3.5)) give
+
+        P_n = sum_{lambda |- n} det(a_{lambda'_i-i+j}) * det(b_{lambda_i-i+j}).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -516,36 +662,44 @@ def universal_P(n, cache=None):
     if got is not None:
         return got
 
-    nv = 2 * n  # positions 0..n-1 hold x_i, positions n..2n-1 hold b_k
-    levels = [{(0,) * nv: 1}] + [{} for _ in range(n)]
-    for i in range(n):  # row x_i
-        contrib = []
-        for k in range(1, n + 1):
-            unit = [0] * nv
-            unit[i] = k
-            unit[n + k - 1] = 1
-            contrib.append(tuple(unit))
-        for m in range(n, 0, -1):
-            for k in range(1, m + 1):
-                kernel.add_into(
-                    levels[m], kernel.mul_monomial(levels[m - k], contrib[k - 1], 1)
-                )
-    xs = tuple(f"x{i}" for i in range(1, n + 1))
-    F = MPoly(xs + _bvars(n), levels[n])
-    g = express_in_elementary(F, sym_vars=xs, e_names=_avars(n))
-    g = g.reorder(_avars(n) + _bvars(n))
-    return cache.put_P(n, g)
+    out = {}
+    for lam in _partitions(n):
+        b_side = _e_det(lam, n)
+        for ea, ca in _e_det(_conjugate(lam), n).items():
+            _add_into(out, {ea + eb: ca * cb for eb, cb in b_side.items()})
+    return cache.put_P(n, MPoly(_avars(n) + _bvars(n), out))
+
+
+def _power_sums(K):
+    """p_1..p_K in a_k = e_k (k <= K) as term dicts, index 0 unused.
+
+    Newton's identities (Macdonald I (2.11')):
+    p_k = sum_{r<k} (-1)^{r-1} e_r p_{k-r} + (-1)^{k-1} k e_k.
+    """
+    units = _units(K)
+    p = [None]
+    for k in range(1, K + 1):
+        pk = {units[k]: k if k % 2 else -k}
+        for r in range(1, k):
+            _add_into(pk, _mul_monomial(p[k - r], units[r], 1 if r % 2 else -1))
+        p.append(pk)
+    return p
 
 
 def universal_Pcomp(m, n, bound=DEFAULT_PCOMP_BOUND, cache=None):
     """P_{m,n}(a_1..a_{mn}), the lambda-ring composition polynomial.
 
-    This is e_m of the C(mn, n) products x_S over n-element subsets S,
-    expressed in e_1..e_{mn}.  Rather than expanding that product
-    directly, the power sums of the x_S are computed first,
-    p_i = e_n(x_1^i, ..., x_K^i), rewritten in the e-basis, and Newton's
-    identity j*e_j = sum (-1)^{i-1} e_{j-i} p_i then builds e_m of the
-    subset products entirely inside Z[a_1..a_K].
+    This is e_m of the C(mn, n) products x_S over n-element subsets S of
+    x_1..x_K (K = mn), expressed in a_k = e_k(x).  The power sums of the
+    x_S are the plethysms p_i[e_n] = e_n[p_i]; with
+    e_n = sum_{rho |- n} eps_rho z_rho^{-1} p_rho (Macdonald I (2.14')) and
+    p_rho[p_i] = p_{i*rho} (I §8) they are
+
+        p_i[e_n] = sum_{rho |- n} eps_rho z_rho^{-1} prod_j p_{i*rho_j},
+
+    with each p_k(a) from Newton's identities.  Newton's identity
+    j*e_j = sum (-1)^{i-1} e_{j-i} p_i then builds e_m of the subset
+    products entirely inside Z[a_1..a_K].
     """
     if m < 1 or n < 1:
         raise ValueError("m, n must be >= 1")
@@ -559,15 +713,25 @@ def universal_Pcomp(m, n, bound=DEFAULT_PCOMP_BOUND, cache=None):
     if got is not None:
         return got
 
-    xs = tuple(f"x{i}" for i in range(1, K + 1))
     av = _avars(K)
+    p = _power_sums(K)
+    # n!/z_rho is the size of the conjugacy class of cycle type rho
+    classes = []
+    for rho in _partitions(n):
+        z = 1
+        for part in set(rho):
+            mult = rho.count(part)
+            z *= part ** mult * factorial(mult)
+        classes.append((rho, (-1) ** (n - len(rho)) * (factorial(n) // z)))
     psums = []
     for i in range(1, m + 1):
-        base = _esym_positional(K, n)
-        powered = {tuple(v * i for v in e): c for e, c in base.items()}
-        psums.append(
-            express_in_elementary(MPoly(xs, powered), e_names=av, check=False)
-        )
+        acc = {}
+        for rho, size in classes:
+            term = {(0,) * K: size}
+            for part in rho:
+                term = _mul(term, p[i * part])
+            _add_into(acc, term)
+        psums.append(MPoly(av, acc).scalar_div(factorial(n)))
     E = [MPoly.one(av)]
     for j in range(1, m + 1):
         acc = MPoly.zero(av)

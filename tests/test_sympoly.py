@@ -1,20 +1,24 @@
 """Symmetric-function engine and the universal polynomials.
 
 The oracles here are deliberately primitive: a self-contained dict-based
-polynomial multiplier (independent of the kernel), brute-force expansions
-of e_n over explicit subsets, and the classical bisymmetric reduction
-coded from scratch.  The library's fast routes must reproduce them
-exactly.
+polynomial multiplier (independent of the library's term helpers),
+brute-force expansions of e_n over explicit subsets, the classical
+bisymmetric reduction coded independently, the explicit-variable routes
+that expand in x_1..x_K and reduce with express_in_elementary, and
+substitution of integer roots.  The library's partition-indexed routes
+must reproduce them exactly.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 
 from wittlam.errors import BoundExceededError, SymmetryError
 from wittlam.ground import binom_fraction
-from wittlam.sympoly import (MPoly, elementary_symmetric,
+from wittlam.sympoly import (MPoly, _add_into, _mul, elementary_symmetric,
                              express_in_elementary, format_terms, is_symmetric,
                              parse_poly, universal_P, universal_Pcomp)
 
@@ -120,6 +124,62 @@ def brute_universal_Pcomp(m, n):
     return naive_express(em, K)
 
 
+def explicit_universal_P(n):
+    """Expand e_n of the grid products x_i*y_j over x_1..x_n and b_k = e_k(y),
+    then rewrite the x side in a_k = e_k(x).
+
+    The y side is rewritten on the fly by the row identity
+    prod_j (1 + x_i y_j t) = sum_k x_i^k b_k t^k.
+    """
+    xs = tuple(f"x{i}" for i in range(1, n + 1))
+    av = tuple(f"a{i}" for i in range(1, n + 1))
+    bv = tuple(f"b{i}" for i in range(1, n + 1))
+    vs = xs + bv
+    levels = [MPoly.one(vs)] + [MPoly.zero(vs)] * n
+    for i in range(n):
+        row = []
+        for k in range(1, n + 1):
+            e = [0] * (2 * n)
+            e[i] = k
+            e[n + k - 1] = 1
+            row.append(MPoly(vs, {tuple(e): 1}))
+        for m in range(n, 0, -1):
+            for k in range(1, m + 1):
+                levels[m] = levels[m] + levels[m - k] * row[k - 1]
+    g = express_in_elementary(levels[n], sym_vars=xs, e_names=av)
+    return g.reorder(av + bv)
+
+
+def explicit_universal_Pcomp(m, n):
+    """Power sums p_i = e_n(x_1^i, ..., x_K^i) of the subset products,
+    rewritten in a_k = e_k(x), then Newton's identity for e_m."""
+    K = m * n
+    xs = tuple(f"x{i}" for i in range(1, K + 1))
+    av = tuple(f"a{i}" for i in range(1, K + 1))
+    base = elementary_symmetric(n, xs).terms
+    psums = []
+    for i in range(1, m + 1):
+        powered = {tuple(v * i for v in e): c for e, c in base.items()}
+        psums.append(express_in_elementary(MPoly(xs, powered), e_names=av))
+    E = [MPoly.one(av)]
+    for j in range(1, m + 1):
+        acc = MPoly.zero(av)
+        for i in range(1, j + 1):
+            term = E[j - i] * psums[i - 1]
+            acc = acc + term if i % 2 else acc - term
+        E.append(acc.scalar_div(j))
+    return E[m]
+
+
+def esym_values(values, top):
+    """e_0..e_top of a list of integers, from prod (1 + v t)."""
+    e = [1] + [0] * top
+    for v in values:
+        for k in range(top, 0, -1):
+            e[k] += v * e[k - 1]
+    return e
+
+
 # -- elementary symmetric and the reduction ----------------------------------
 
 
@@ -174,6 +234,13 @@ def test_express_rejects_asymmetric():
         express_in_elementary(f)
 
 
+@pytest.mark.parametrize("k,index", [(16, 1), (20, 5)])
+def test_is_symmetric_is_complete_above_eight_variables(k, index):
+    xs = tuple(f"x{i}" for i in range(1, k + 1))
+    assert not is_symmetric(MPoly.gen(xs, xs[index]))
+    assert is_symmetric(elementary_symmetric(2, xs))
+
+
 # -- universal polynomials ----------------------------------------------------
 
 
@@ -192,6 +259,47 @@ def test_universal_P_matches_bruteforce(n):
     expect = brute_universal_P(n)
     got = universal_P(n)
     assert got.terms == expect
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_universal_P_matches_explicit_route(n):
+    expect = explicit_universal_P(n)
+    got = universal_P(n)
+    assert got.vars == expect.vars
+    assert got.terms == expect.terms
+
+
+@pytest.mark.parametrize(
+    "m,n", [(m, n) for m in range(1, 9) for n in range(1, 8 // m + 1)]
+)
+def test_universal_Pcomp_matches_explicit_route(m, n):
+    expect = explicit_universal_Pcomp(m, n)
+    got = universal_Pcomp(m, n, bound=8)
+    assert got.vars == expect.vars
+    assert got.terms == expect.terms
+
+
+def test_universal_polys_at_integer_roots():
+    # a_k = e_k(x), b_k = e_k(y): P_n gives e_n of the n^2 products x_i*y_j
+    # and P_(m,n) gives e_m of the C(mn, n) products over n-subsets of x
+    rng = random.Random(0)
+    pool = (-3, -2, -1, 1, 2, 3)
+    for n in range(1, 13):
+        x = [rng.choice(pool) for _ in range(n)]
+        y = [rng.choice(pool) for _ in range(n)]
+        ex, ey = esym_values(x, n), esym_values(y, n)
+        vals = {f"a{k}": ex[k] for k in range(1, n + 1)}
+        vals.update({f"b{k}": ey[k] for k in range(1, n + 1)})
+        lhs = esym_values([u * v for u in x for v in y], n)[n]
+        assert universal_P(n).evaluate(vals, 1) == lhs, n
+    for m in range(1, 17):
+        for n in range(1, 16 // m + 1):
+            x = [rng.choice(pool) for _ in range(m * n)]
+            ex = esym_values(x, m * n)
+            vals = {f"a{k}": ex[k] for k in range(1, m * n + 1)}
+            lhs = esym_values([prod(sub) for sub in combinations(x, n)], m)[m]
+            got = universal_Pcomp(m, n, bound=16).evaluate(vals, 1)
+            assert got == lhs, (m, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -266,6 +374,16 @@ def test_cache_is_thread_safe():
 
 
 # -- MPoly basics ---------------------------------------------------------------
+
+
+def test_zero_coefficients_are_dropped():
+    a = {(1,): 1}
+    b = {(0,): 1, (1,): -1}
+    # (x) * (1 - x) then add x^2 back in: the x^2 slot must vanish, not store 0
+    prod = _mul(a, b)
+    assert prod == {(1,): 1, (2,): -1}
+    _add_into(prod, {(2,): 1})
+    assert prod == {(1,): 1}
 
 
 def test_mpoly_arith():
