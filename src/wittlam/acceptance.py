@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+from .errors import InputError
 from .ground import GroundRing, XAdicIdeal, binom_fraction
 from .lambda_witt import (WittVec, coalgebra_check, exp_iso, exp_iso_inv,
                           filtration_member, ghost, lambda_add, lambda_mul,
@@ -333,6 +334,11 @@ ALL_SUITES = (
 
 
 def run_all(seed=0, numbers=None):
+    unknown = sorted(set(numbers or ()) - set(range(1, len(ALL_SUITES) + 1)))
+    if unknown:
+        raise InputError(
+            f"unknown suite number(s) {unknown}; suites are 1..{len(ALL_SUITES)}"
+        )
     results = []
     for k, suite in enumerate(ALL_SUITES, start=1):
         if numbers and k not in numbers:

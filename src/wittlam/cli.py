@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import acceptance
-from .errors import WittlamError
+from .errors import InputError, WittlamError
 from .ground import parse_ring
 from .lambda_witt import (LambdaElem, WittVec, coalgebra_check, exp_iso,
                           exp_iso_inv, ghost, lambda_add, lambda_mul,
@@ -21,7 +21,7 @@ from .series import TruncSeries
 from .structures import (Carrier, LambdaStructure, axiom_check,
                          dual_iso_test, make_dual_structure,
                          make_family_structure, newton_lambda, validate)
-from .sympoly import DEFAULT_PCOMP_BOUND
+from .sympoly import DEFAULT_PCOMP_BOUND, parse_fraction
 from .universal import (HomAssignment, hom_from_structure, relation_w,
                         roundtrip_check, structure_from_hom)
 
@@ -51,25 +51,30 @@ def _parse_coeffs(text):
     return [c.strip() for c in text.split(",")]
 
 
+def _truncation(args, default, least):
+    """-N if given, else the default; below `least` raises InputError."""
+    n = default if args.N is None else args.N
+    if n < least:
+        raise InputError(f"truncation N={n} must be at least {least}")
+    return n
+
+
 def _witt_from_args(args, field):
     ring = parse_ring(args.ring)
     coeffs = _parse_coeffs(getattr(args, field))
-    n = args.N or len(coeffs)
-    return WittVec(ring, coeffs, n)
+    return WittVec(ring, coeffs, _truncation(args, len(coeffs), 1))
 
 
 def _lambda_from_args(args, field):
     ring = parse_ring(args.ring)
     coeffs = _parse_coeffs(getattr(args, field))
-    n = args.N or len(coeffs)
-    return LambdaElem(ring, coeffs, n)
+    return LambdaElem(ring, coeffs, _truncation(args, len(coeffs), 1))
 
 
 def _series_from_args(args, field, ring=None):
     ring = ring or parse_ring(args.ring)
     coeffs = _parse_coeffs(getattr(args, field))
-    n = args.N or (len(coeffs) - 1)
-    return TruncSeries(ring, coeffs, n)
+    return TruncSeries(ring, coeffs, _truncation(args, len(coeffs) - 1, 0))
 
 
 def _parse_prime_map(text):
@@ -246,9 +251,7 @@ def cmd_lubin(args):
     ring = parse_ring(args.ring)
     f = _series_from_args(args, "f", ring)
     g = _series_from_args(args, "g", ring)
-    from fractions import Fraction
-
-    problem = CommutingProblem(f, g, Fraction(args.c))
+    problem = CommutingProblem(f, g, parse_fraction(args.c))
     h = lubin_solve(problem)
     _emit(args, ",".join(h.coeff_strings()))
     return 0
@@ -269,8 +272,8 @@ def cmd_selftest(args):
     numbers = None
     if args.suites:
         numbers = {int(s) for s in args.suites.split(",")}
-    print(f"selftest: seed={args.seed}")
     results = acceptance.run_all(seed=args.seed, numbers=numbers)
+    print(f"selftest: seed={args.seed}")
     for r in results:
         print(r.line())
         for f in r.failures:

@@ -5,6 +5,10 @@ class WittlamError(Exception):
     """Base class for all library errors."""
 
 
+class InputError(WittlamError, ValueError):
+    """Input text or an argument is malformed or out of range."""
+
+
 class RingMismatchError(WittlamError):
     """Operands belong to different rings or truncations."""
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import (ExactDivisionError, MembershipError, RingMismatchError,
                      UnsupportedIdealError, UnsupportedRingError)
-from .sympoly import MPoly, parse_poly
+from .sympoly import MPoly, parse_fraction, parse_poly
 
 ExactRational = Fraction
 
@@ -97,6 +97,8 @@ class PrimeSet:
         return p not in self.primes
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, PrimeSet)
             and self.kind == other.kind
@@ -197,6 +199,8 @@ class GroundRing:
         return GroundRing.dual(self.base.fraction_field())
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, GroundRing)
             and self.kind == other.kind
@@ -434,7 +438,7 @@ class GroundRing:
     def parse_payload(self, text):
         text = text.strip()
         if self.kind == ZLOC:
-            return Fraction(text)
+            return parse_fraction(text)
         if self.kind == QPOLY:
             return parse_poly(text, self.variables)
         if "eps" in text:

@@ -2,18 +2,28 @@
 
 LambdaElem represents 1 + a_1 t + ... + a_N t^N (the leading 1 implicit);
 WittVec represents (a_1, ..., a_N).  Both take their coefficients from a
-"domain": a GroundRing or a SeriesRing.  Witt arithmetic solves the ghost
-equations degree by degree (all supported domains are torsionfree); the
-same solver run over Q[a_1.., b_1..] yields the universal sum/product
-polynomials, whose integrality is asserted, for evaluation over any
-domain.
+"domain": a GroundRing or a SeriesRing.  Every supported domain is
+torsion-free, so the ghost map (power sums) is injective on both functors
+and turns their ring operations into coordinatewise ones (Hazewinkel,
+"Witt vectors. Part 1", arXiv:0804.3888, sections 9-16):
+
+  * Witt arithmetic adds or multiplies ghost components and solves the
+    ghost equations degree by degree;
+  * Lambda(A) works in the power sums p_n of f = prod (1 + x_k t): the
+    product multiplies them, p_n(f * g) = p_n(f) p_n(g), and lambda^i has
+    ghost_j(lambda^i f) = e_i(x_k^j), where the x_k^j have power sums
+    p_j, p_2j, ...  Both directions between coefficients and power sums
+    are Newton's identities (Macdonald, Symmetric Functions, I §2 (2.11')).
+
+Every division by an integer goes through the domain's exact `div_int`;
+a failure raises IntegralityError.  The universal polynomials P_n and
+P_{m,n} are not used here: they are what the tests and `axiom_check`
+check these routes against.
 """
 
-import threading
-
-from .errors import BoundExceededError, IntegralityError, RingMismatchError
-from .ground import GroundRing
-from .sympoly import DEFAULT_PCOMP_BOUND, MPoly, universal_P, universal_Pcomp
+from .errors import (BoundExceededError, ExactDivisionError, IntegralityError,
+                     RingMismatchError)
+from .sympoly import DEFAULT_PCOMP_BOUND
 
 
 class _Vector:
@@ -115,27 +125,65 @@ def lambda_neg(f):
     return LambdaElem(f.domain, out, f.trunc)
 
 
+def _power_sums(a, M):
+    """p_1..p_M of f = 1 + sum a_i t^i, i.e. of the roots x_k of
+    f = prod (1 + x_k t), by Newton's identities
+    p_n = sum_{i<n} (-1)^{i-1} a_i p_{n-i} + (-1)^{n-1} n a_n."""
+    p = []
+    for n in range(1, M + 1):
+        acc = a[n - 1] * (n if n % 2 else -n)
+        for i in range(1, n):
+            term = a[i - 1] * p[n - i - 1]
+            acc = acc + term if i % 2 else acc - term
+        p.append(acc)
+    return p
+
+
+def _from_power_sums(domain, q):
+    """The coefficients c_1..c_M whose power sums are q_1..q_M, by
+    n c_n = sum_{i<=n} (-1)^{i-1} c_{n-i} q_i with c_0 = 1.
+
+    Each division by n is exact when q are the power sums of an element of
+    Lambda(A); a failed division raises IntegralityError.
+    """
+    c = []
+    for n in range(1, len(q) + 1):
+        acc = q[n - 1] if n % 2 else -q[n - 1]
+        for i in range(1, n):
+            term = c[n - i - 1] * q[i - 1]
+            acc = acc + term if i % 2 else acc - term
+        try:
+            c.append(domain.div_int(acc, n))
+        except ExactDivisionError as exc:
+            raise IntegralityError(
+                f"power-sum inversion failed at degree {n}: {exc}"
+            ) from exc
+    return c
+
+
 def lambda_mul(f, g):
-    """Product in Lambda(A): c_i = P_i(a_1..a_i; b_1..b_i)."""
+    """Product in Lambda(A) in ghost coordinates: the power sums multiply,
+    p_n(f * g) = p_n(f) p_n(g), and Newton's identities turn the product's
+    power sums back into coefficients.  The result is c_i = P_i(a; b)."""
     f._check(g)
-    one = f.domain.one()
-    out = []
-    for i in range(1, f.trunc + 1):
-        P = universal_P(i)
-        values = {}
-        for k in range(1, i + 1):
-            values[f"a{k}"] = f.a[k - 1]
-            values[f"b{k}"] = g.a[k - 1]
-        out.append(P.evaluate(values, one))
-    return LambdaElem(f.domain, out, f.trunc)
+    N = f.trunc
+    q = [x * y for x, y in zip(_power_sums(f.a, N), _power_sums(g.a, N))]
+    return LambdaElem(f.domain, _from_power_sums(f.domain, q), N)
 
 
 def lambda_op(i, f, out_trunc=None, bound=DEFAULT_PCOMP_BOUND):
     """lambda^i on Lambda(A): coefficient j is P_{j,i}(a_1..a_{ij}).
 
-    The output truncation is capped by what is computable: coefficient j
-    needs a_1..a_{ij} (so ij <= N) and the composition polynomial P_{j,i}
-    (so ij <= bound).  Coefficients beyond the cap are not computed; the
+    Computed in ghost coordinates: for f = prod (1 + x_k t),
+    ghost_j(lambda^i f) = e_i(x_k^j), the i-th coefficient of the series
+    whose power sums are p_j, p_2j, ..., p_ij (that series is psi^j f),
+    and Newton's identities turn the ghosts back into coefficients.  Every
+    intermediate value lies in A, so every division is exact and checked.
+
+    The output truncation is capped: coefficient j needs a_1..a_{ij}
+    (so ij <= N), and `bound` is a size budget on ij (ij <= bound).  No
+    universal polynomial is built, so the budget only limits the size of
+    the answer.  Coefficients beyond the cap are not computed; the
     returned element's truncation says how far the result goes.
     """
     if i < 1:
@@ -151,13 +199,11 @@ def lambda_op(i, f, out_trunc=None, bound=DEFAULT_PCOMP_BOUND):
                 f"(requested {out_trunc}; N={f.trunc}, bound={bound})"
             )
         cap = out_trunc
-    one = f.domain.one()
-    out = []
-    for j in range(1, cap + 1):
-        P = universal_Pcomp(j, i, bound=bound)
-        values = {f"a{k}": f.a[k - 1] for k in range(1, j * i + 1)}
-        out.append(P.evaluate(values, one))
-    return LambdaElem(f.domain, out, cap)
+    dom = f.domain
+    p = _power_sums(f.a, cap * i)
+    ghosts = [_from_power_sums(dom, p[j - 1:j * i:j])[i - 1]
+              for j in range(1, cap + 1)]
+    return LambdaElem(dom, _from_power_sums(dom, ghosts), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -223,62 +269,16 @@ def _ghost_solve(domain, targets, trunc):
     return WittVec(domain, c, trunc)
 
 
-def witt_add(a, b, method="ghost"):
+def witt_add(a, b):
     a._check(b)
-    if method == "universal":
-        return _witt_eval_universal("add", a, b)
     targets = [ghost(n, a) + ghost(n, b) for n in range(1, a.trunc + 1)]
     return _ghost_solve(a.domain, targets, a.trunc)
 
 
-def witt_mul(a, b, method="ghost"):
+def witt_mul(a, b):
     a._check(b)
-    if method == "universal":
-        return _witt_eval_universal("mul", a, b)
     targets = [ghost(n, a) * ghost(n, b) for n in range(1, a.trunc + 1)]
     return _ghost_solve(a.domain, targets, a.trunc)
-
-
-_witt_table_lock = threading.Lock()
-_witt_tables = {}
-
-
-def witt_universal_polys(op, trunc):
-    """Universal sum/product polynomials for Witt coordinates 1..N.
-
-    Produced by the symbolic ghost solve over Q[a_1..a_N, b_1..b_N];
-    every coefficient must come out an integer.
-    """
-    key = (op, trunc)
-    with _witt_table_lock:
-        got = _witt_tables.get(key)
-    if got is not None:
-        return got
-    names = tuple(f"a{i}" for i in range(1, trunc + 1)) + tuple(
-        f"b{i}" for i in range(1, trunc + 1)
-    )
-    ring = GroundRing.rational_poly(names)
-    gens = [ring.element(MPoly.gen(names, v)) for v in names]
-    a = WittVec(ring, gens[:trunc], trunc)
-    b = WittVec(ring, gens[trunc:], trunc)
-    c = witt_add(a, b) if op == "add" else witt_mul(a, b)
-    polys = []
-    for elem in c.a:
-        if not elem.payload.is_integral():
-            raise IntegralityError(f"universal Witt {op} polynomial not integral")
-        polys.append(elem.payload)
-    with _witt_table_lock:
-        return _witt_tables.setdefault(key, polys)
-
-
-def _witt_eval_universal(op, a, b):
-    polys = witt_universal_polys(op, a.trunc)
-    one = a.domain.one()
-    values = {}
-    for k in range(1, a.trunc + 1):
-        values[f"a{k}"] = a.a[k - 1]
-        values[f"b{k}"] = b.a[k - 1]
-    return WittVec(a.domain, [p.evaluate(values, one) for p in polys], a.trunc)
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,8 @@ class SeriesRing:
         self.xfilt = xfilt
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, SeriesRing)
             and self.ground == other.ground

@@ -24,7 +24,8 @@ from fractions import Fraction
 from math import factorial
 from operator import add as _add
 
-from .errors import BoundExceededError, IntegralityError, SymmetryError
+from .errors import (BoundExceededError, InputError, IntegralityError,
+                     SymmetryError)
 
 DEFAULT_PCOMP_BOUND = 6
 
@@ -374,6 +375,15 @@ def format_terms(terms, variables):
     return " ".join(bits)
 
 
+def parse_fraction(text):
+    """A rational scalar such as ``-3`` or ``5/6``; malformed text and a zero
+    denominator raise InputError."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad scalar {text!r}") from exc
+
+
 def parse_poly(text, variables):
     """Parse the canonical text form back into an MPoly.
 
@@ -401,7 +411,7 @@ def parse_poly(text, variables):
             if not factor:
                 continue
             if factor[0].isdigit():
-                coeff *= Fraction(factor)
+                coeff *= parse_fraction(factor)
                 continue
             if "^" in factor:
                 name, _, k = factor.partition("^")

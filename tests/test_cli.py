@@ -189,3 +189,35 @@ def test_selftest_subset(capsys):
     assert code == 0
     assert "suite 5" in out and out.count("PASS") == 1
     assert "seed=0" in out
+
+
+def test_zero_denominator_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "witt", "add", "--a", "1,2", "--b", "1/0,0")
+    assert (code, out) == (2, "")
+    assert "bad scalar '1/0'" in err
+    code, _, err = run(capsys, "lubin", "solve", "--f", "0,2,1", "--g", "0,2,1",
+                       "--c", "1/0")
+    assert code == 2 and "bad scalar" in err
+
+
+def test_unknown_suite_number_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "selftest", "--suites", "9")
+    assert (code, out) == (2, "")
+    assert "unknown suite" in err
+
+
+def test_truncation_zero_and_negative_are_usage_errors(capsys):
+    code, out, err = run(capsys, "lambda", "mul", "--f", "2,0", "--g", "1,0",
+                         "-N", "0")
+    assert (code, out) == (2, "")
+    assert "N=0" in err
+    code, out, err = run(capsys, "lambda", "op", "--i", "2", "--f", "3,1,4,1",
+                         "-N", "-3")
+    assert (code, out) == (2, "")
+    code, out, _ = run(capsys, "lubin", "solve", "--f", "0,2,1", "--g", "0,2,1",
+                       "--c", "3", "-N", "-1")
+    assert (code, out) == (2, "")
+    # an explicit -N is honoured, not treated as unset
+    code, out, _ = run(capsys, "witt", "add", "--a", "1,0", "--b", "1,0",
+                       "-N", "1")
+    assert (code, out) == (0, "2")

@@ -6,22 +6,30 @@ Two independent oracles anchor the conventions:
     (-1)^{n-1} [t E'(t)/E(t)]_n where E(a) = prod (1 + a_i t^i) is built
     by naive list multiplication;
   * E-transport: Witt sums/products must map to series products and
-    P_n-products computed on the Lambda side.
+    power-sum products computed on the Lambda side.
+
+The universal polynomials anchor the Lambda side: lambda_mul and lambda_op
+must agree with term-by-term evaluation of P_n and P_{m,n}, and the Witt
+ghost solve with its symbolic run over Q[a.., b..].
 """
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wittlam.ground import GroundRing, PrimeIdeal, XAdicIdeal
-from wittlam.lambda_witt import (LambdaElem, WittVec, exp_iso, exp_iso_inv,
-                                 filtration_member, ghost, lambda_add,
-                                 lambda_mul, lambda_neg, lambda_one, lambda_op,
-                                 lambda_zero, witt_add, witt_mul,
-                                 witt_universal_polys)
+from wittlam.errors import IntegralityError
+from wittlam.ground import DUAL, QPOLY, GroundRing, PrimeIdeal, XAdicIdeal
+from wittlam.lambda_witt import (LambdaElem, WittVec, _from_power_sums,
+                                 exp_iso, exp_iso_inv, filtration_member,
+                                 ghost, lambda_add, lambda_mul, lambda_neg,
+                                 lambda_one, lambda_op, lambda_zero, witt_add,
+                                 witt_mul)
 from wittlam.series import SeriesRing
-from wittlam.sympoly import MPoly
+from wittlam.sympoly import MPoly, universal_P, universal_Pcomp
 
 Z = GroundRing.integers()
 Q = GroundRing.rationals()
@@ -63,6 +71,58 @@ def ghost_oracle(coords, n):
         inv[k] = -sum(E[j] * inv[k - j] for j in range(1, k + 1))
     val = series_mul(tEp, inv)[n]
     return -val if n % 2 == 0 else val
+
+
+@functools.cache
+def witt_universal_oracle(op, trunc):
+    """Universal Witt sum/product polynomials for coordinates 1..N, from the
+    symbolic ghost solve over Q[a_1..a_N, b_1..b_N]; every coefficient
+    must come out an integer."""
+    names = tuple(f"a{i}" for i in range(1, trunc + 1)) + tuple(
+        f"b{i}" for i in range(1, trunc + 1)
+    )
+    ring = GroundRing.rational_poly(names)
+    gens = [ring.element(MPoly.gen(names, v)) for v in names]
+    a = WittVec(ring, gens[:trunc], trunc)
+    b = WittVec(ring, gens[trunc:], trunc)
+    c = witt_add(a, b) if op == "add" else witt_mul(a, b)
+    polys = tuple(elem.payload for elem in c.a)
+    assert all(p.is_integral() for p in polys), f"Witt {op} not integral"
+    return polys
+
+
+def witt_eval_oracle(op, a, b):
+    """Witt sum or product by evaluating the universal polynomials."""
+    one = a.domain.one()
+    values = {}
+    for k in range(1, a.trunc + 1):
+        values[f"a{k}"] = a.a[k - 1]
+        values[f"b{k}"] = b.a[k - 1]
+    polys = witt_universal_oracle(op, a.trunc)
+    return WittVec(a.domain, [p.evaluate(values, one) for p in polys], a.trunc)
+
+
+def lambda_mul_oracle(f, g):
+    """Product in Lambda(A) by evaluating P_1..P_N term by term."""
+    one = f.domain.one()
+    out = []
+    for i in range(1, f.trunc + 1):
+        values = {}
+        for k in range(1, i + 1):
+            values[f"a{k}"] = f.a[k - 1]
+            values[f"b{k}"] = g.a[k - 1]
+        out.append(universal_P(i).evaluate(values, one))
+    return LambdaElem(f.domain, out, f.trunc)
+
+
+def lambda_op_oracle(i, f, cap, bound):
+    """lambda^i by evaluating P_{j,i}(a_1..a_{ij}) for j <= cap."""
+    one = f.domain.one()
+    out = []
+    for j in range(1, cap + 1):
+        values = {f"a{k}": f.a[k - 1] for k in range(1, i * j + 1)}
+        out.append(universal_Pcomp(j, i, bound=bound).evaluate(values, one))
+    return LambdaElem(f.domain, out, cap)
 
 
 def W(coords, trunc=None, ring=Z):
@@ -130,6 +190,83 @@ def test_lambda_op():
 
     with pytest.raises(BoundExceededError):
         lambda_op(2, f, out_trunc=5)
+
+
+def _random_scalar(rng, dom):
+    """A seeded element of one of the domains used by the agreement tests."""
+    if isinstance(dom, SeriesRing):
+        return dom.coerce([rng.randint(-3, 3) for _ in range(dom.trunc + 1)])
+    if dom.kind == DUAL:
+        return dom.coerce((rng.randint(-4, 4), rng.randint(-4, 4)))
+    if dom.kind == QPOLY:
+        y = dom.element(MPoly.gen(dom.variables, "y1"))
+        return y * rng.randint(-3, 3) + rng.randint(-3, 3)
+    if dom.inverted.inverts(2):
+        return dom.coerce(Fraction(rng.randint(-9, 9), 2 ** rng.randint(0, 2)))
+    return dom.from_int(rng.randint(-5, 5))
+
+
+AGREEMENT_DOMAINS = [
+    GroundRing.integers(),
+    GroundRing.localized([2]),
+    GroundRing.dual(GroundRing.integers()),
+    GroundRing.rational_poly(("y1",)),
+    SeriesRing(GroundRing.integers(), 4),
+]
+
+
+@pytest.mark.parametrize("dom", AGREEMENT_DOMAINS, ids=str)
+def test_lambda_mul_agrees_with_universal_P(dom):
+    rng = random.Random(f"lambda_mul:{dom}")
+    for N in range(1, 10):
+        f = LambdaElem(dom, [_random_scalar(rng, dom) for _ in range(N)], N)
+        g = LambdaElem(dom, [_random_scalar(rng, dom) for _ in range(N)], N)
+        assert lambda_mul(f, g) == lambda_mul_oracle(f, g), (N, str(f), str(g))
+
+
+@pytest.mark.parametrize("dom", AGREEMENT_DOMAINS, ids=str)
+def test_lambda_op_agrees_with_universal_Pcomp(dom):
+    rng = random.Random(f"lambda_op:{dom}")
+    f = LambdaElem(dom, [_random_scalar(rng, dom) for _ in range(12)], 12)
+    for i in range(2, 13):
+        got = lambda_op(i, f, bound=12)
+        assert got.trunc == 12 // i
+        assert got == lambda_op_oracle(i, f, 12 // i, 12), i
+
+
+def test_power_sum_inversion_checks_exactness():
+    # power sums (1, 0) belong to 1 + t + t^2/2: c_2 = 1/2 is not in Z
+    with pytest.raises(IntegralityError):
+        _from_power_sums(Z, [Z.from_int(1), Z.from_int(0)])
+    c = _from_power_sums(Q, [Q.from_int(1), Q.from_int(0)])
+    assert [x.payload for x in c] == [1, Fraction(1, 2)]
+
+
+_small = st.integers(-4, 4)
+
+
+@st.composite
+def _lambda_triples(draw):
+    dom = draw(st.sampled_from([Z, GroundRing.dual(Z)]))
+    N = draw(st.integers(1, 8))
+    scalar = _small if dom is Z else st.tuples(_small, _small)
+    return tuple(
+        LambdaElem(dom, draw(st.lists(scalar, min_size=N, max_size=N)), N)
+        for _ in range(3)
+    )
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(_lambda_triples())
+def test_lambda_ring_laws_property(fgh):
+    f, g, h = fgh
+    one = lambda_one(f.domain, f.trunc)
+    assert lambda_mul(f, g) == lambda_mul(g, f)
+    assert lambda_mul(lambda_mul(f, g), h) == lambda_mul(f, lambda_mul(g, h))
+    assert lambda_mul(f, lambda_add(g, h)) == lambda_add(
+        lambda_mul(f, g), lambda_mul(f, h)
+    )
+    assert lambda_mul(f, one) == f
 
 
 # -- ghosts and Witt arithmetic ----------------------------------------------------
@@ -202,14 +339,14 @@ def test_ghost_naturality_symbolic():
 
 
 def test_witt_universal_polys_agree_with_ghost_solve():
-    polys = witt_universal_polys("add", 4)
+    polys = witt_universal_oracle("add", 4)
     assert all(p.is_integral() for p in polys)
     rng = random.Random(4)
     for _ in range(10):
         a = W([rng.randint(-6, 6) for _ in range(4)])
         b = W([rng.randint(-6, 6) for _ in range(4)])
-        assert witt_add(a, b) == witt_add(a, b, method="universal")
-        assert witt_mul(a, b) == witt_mul(a, b, method="universal")
+        assert witt_add(a, b) == witt_eval_oracle("add", a, b)
+        assert witt_mul(a, b) == witt_eval_oracle("mul", a, b)
 
 
 # -- exponential isomorphism ---------------------------------------------------------
@@ -297,7 +434,7 @@ def test_vector_json():
 
 
 def test_witt_arithmetic_over_dual_numbers():
-    # the ghost solve divides by n componentwise; the universal table
+    # the ghost solve divides by n componentwise; the universal polynomials
     # must agree route-for-route
     D = GroundRing.dual(Z)
     rng = random.Random(9)
@@ -307,8 +444,8 @@ def test_witt_arithmetic_over_dual_numbers():
         b = WittVec(D, [(rng.randint(-3, 3), rng.randint(-3, 3))
                         for _ in range(4)], 4)
         s = witt_add(a, b)
-        assert s == witt_add(a, b, method="universal")
-        assert witt_mul(a, b) == witt_mul(a, b, method="universal")
+        assert s == witt_eval_oracle("add", a, b)
+        assert witt_mul(a, b) == witt_eval_oracle("mul", a, b)
         for n in range(1, 5):
             assert ghost(n, s) == ghost(n, a) + ghost(n, b)
 
