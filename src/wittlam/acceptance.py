@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, WilkersonError
 from .ground import GroundRing, XAdicIdeal, binom_fraction
 from .lambda_witt import (WittVec, coalgebra_check, exp_iso, exp_iso_inv,
                           filtration_member, ghost, lambda_add, lambda_mul,
@@ -217,8 +217,12 @@ def suite_5(seed=0):
         try:
             make_dual_structure(Z, {2: 3, 3: 3, 5: 5, 7: 7})
             failures.append("non-2-divisible a_2 = 3 was not rejected")
-        except Exception:
+        except WilkersonError:
             pass
+        except Exception as exc:
+            failures.append(
+                f"a_2 = 3 raised {type(exc).__name__}, not WilkersonError: {exc}"
+            )
 
     return _run(5, "dual-number classification", 10, body)
 

@@ -345,6 +345,20 @@ class GroundRing:
             return (a, b)
         return x * y
 
+    def _ppow(self, x, k):
+        """x**k for an integer k >= 0: the payload's own power on Z[S^-1]
+        (Fraction) and Q[y..] (MPoly), square-and-multiply on dual pairs."""
+        if self.kind != DUAL:
+            return x ** k
+        out = self._pfrom_int(1)
+        while k:
+            if k & 1:
+                out = self._pmul(out, x)
+            k >>= 1
+            if k:
+                x = self._pmul(x, x)
+        return out
+
     def _pscale(self, x, c):
         if self.kind == DUAL:
             return (self.base._pscale(x[0], c), self.base._pscale(x[1], c))
@@ -567,15 +581,7 @@ class RingElement:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return RingElement(self.ring, self.ring._ppow(self.payload, k))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -259,7 +259,7 @@ def _ghost_solve(domain, targets, trunc):
             acc = acc - term
         try:
             cn = domain.div_int(acc, n)
-        except Exception as exc:
+        except ExactDivisionError as exc:
             raise IntegralityError(
                 f"ghost solve failed at degree {n}: {exc}"
             ) from exc

@@ -5,12 +5,78 @@ GroundRing) and is exact modulo x^{N+1}.  The declared filtration degree
 d of x only scales valuations.  SeriesRing packages a truncation as a
 coefficient domain in its own right (A[x]/x^{N+1}), so that Witt vectors
 and lambda-elements can be formed over truncated polynomial rings.
+
+The arithmetic kernel works on bare payloads, not on RingElements.
+Products, powers and compositions unwrap the coefficients once, compute
+on payload lists, and wrap each result coefficient once:
+
+  * over Z[S^-1] (Z, Z[1/p], Q) each operand is lifted to integer
+    numerators over the lcm of its denominators, the convolution runs in
+    Python ints, and one Fraction is built per output coefficient;
+    compose runs the whole Horner loop in integers,
+    f(g) = sum_k F_k G^k d_g^(N-k) / (d_f d_g^N), where f = F/d_f and
+    g = G/d_g, cutting the k-th Horner value at degree N - k because it
+    is later multiplied by g^k, which starts at x^k;
+  * over Q[y..] and dual numbers the same loops run on the ring's own
+    payload operations (_pmul, _padd, _pis_zero).
+
+`coeffs` stays a tuple of RingElements: indexing, equality, hashing and
+text forms are the public face of a series and keep their ring, and the
+wrapping costs one object per coefficient of a result, not one per
+coefficient product.
 """
 
 import math
+from fractions import Fraction
 
-from .errors import ExactDivisionError, RingMismatchError
-from .ground import GroundRing, XAdicIdeal
+from .errors import ExactDivisionError, RingMismatchError, UnsupportedRingError
+from .ground import ZLOC, GroundRing, RingElement, XAdicIdeal
+
+
+def _lift(payloads):
+    """Integer numerators over the lcm d of the denominators, and d."""
+    d = 1
+    for q in payloads:
+        if q.denominator != 1:
+            d = math.lcm(d, q.denominator)
+    if d == 1:
+        return [q.numerator for q in payloads], 1
+    return [q.numerator * (d // q.denominator) for q in payloads], d
+
+
+def _unlift(nums, d):
+    """The Fractions c/d for c in nums: one reduction each, none if d = 1."""
+    if d == 1:
+        return [Fraction(c) for c in nums]
+    return [Fraction(c, d) for c in nums]
+
+
+def _conv_int(a, b, n):
+    """Product of integer lists a and b, cut at degree n."""
+    out = [0] * (n + 1)
+    for i, x in enumerate(a[: n + 1]):
+        if x:
+            for j, y in enumerate(b[: n + 1 - i], i):
+                if y:
+                    out[j] += x * y
+    return out
+
+
+def _mul_payloads(ring, a, b, n):
+    """Product of payload lists a and b over ring, cut at degree n."""
+    if ring.kind == ZLOC:
+        na, da = _lift(a)
+        nb, db = _lift(b)
+        return _unlift(_conv_int(na, nb, n), da * db)
+    mul, add, is_zero = ring._pmul, ring._padd, ring._pis_zero
+    out = [ring._pzero()] * (n + 1)
+    for i, x in enumerate(a[: n + 1]):
+        if is_zero(x):
+            continue
+        for j, y in enumerate(b[: n + 1 - i], i):
+            if not is_zero(y):
+                out[j] = add(out[j], mul(x, y))
+    return out
 
 
 class TruncSeries:
@@ -34,6 +100,19 @@ class TruncSeries:
         self.coeffs = tuple(coeffs)
         self.trunc = trunc
         self.xfilt = xfilt
+
+    @classmethod
+    def _wrap(cls, ring, payloads, trunc, xfilt):
+        """A series from trunc + 1 payloads that already lie in ring."""
+        out = object.__new__(cls)
+        out.ring = ring
+        out.coeffs = tuple(RingElement(ring, c) for c in payloads)
+        out.trunc = trunc
+        out.xfilt = xfilt
+        return out
+
+    def _payloads(self):
+        return [c.payload for c in self.coeffs]
 
     # -- constructors ------------------------------------------------------
 
@@ -96,54 +175,58 @@ class TruncSeries:
             )
         return other
 
+    def _scalar(self, other):
+        """other as an element of the ring, or None if coerce cannot take it."""
+        try:
+            return self.ring.coerce(other)
+        except UnsupportedRingError:
+            return None
+
     def __add__(self, other):
+        ring = self.ring
         if isinstance(other, TruncSeries):
             self._check(other)
-            return TruncSeries(
-                self.ring,
-                [a + b for a, b in zip(self.coeffs, other.coeffs)],
-                self.trunc,
-                self.xfilt,
-            )
-        try:
-            c = self.ring.coerce(other)
-        except Exception:
+            add = ring._padd
+            out = [add(a.payload, b.payload) for a, b in zip(self.coeffs, other.coeffs)]
+            return TruncSeries._wrap(ring, out, self.trunc, self.xfilt)
+        c = self._scalar(other)
+        if c is None:
             return NotImplemented
-        coeffs = list(self.coeffs)
-        coeffs[0] = coeffs[0] + c
-        return TruncSeries(self.ring, coeffs, self.trunc, self.xfilt)
+        payloads = self._payloads()
+        payloads[0] = ring._padd(payloads[0], c.payload)
+        return TruncSeries._wrap(ring, payloads, self.trunc, self.xfilt)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, TruncSeries) else -self.ring.coerce(other))
+        if isinstance(other, TruncSeries):
+            return self + (-other)
+        c = self._scalar(other)
+        if c is None:
+            return NotImplemented
+        return self + (-c)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return TruncSeries(self.ring, [-c for c in self.coeffs], self.trunc, self.xfilt)
+        neg = self.ring._pneg
+        return TruncSeries._wrap(
+            self.ring, [neg(c.payload) for c in self.coeffs], self.trunc, self.xfilt
+        )
 
     def __mul__(self, other):
+        ring, N = self.ring, self.trunc
         if isinstance(other, TruncSeries):
             self._check(other)
-            N = self.trunc
-            zero = self.ring.zero()
-            out = [zero] * (N + 1)
-            for i, a in enumerate(self.coeffs):
-                if a.is_zero():
-                    continue
-                for j in range(N + 1 - i):
-                    b = other.coeffs[j]
-                    if not b.is_zero():
-                        out[i + j] = out[i + j] + a * b
-            return TruncSeries(self.ring, out, N, self.xfilt)
-        try:
-            c = self.ring.coerce(other)
-        except Exception:
+            out = _mul_payloads(ring, self._payloads(), other._payloads(), N)
+            return TruncSeries._wrap(ring, out, N, self.xfilt)
+        c = self._scalar(other)
+        if c is None:
             return NotImplemented
-        return TruncSeries(
-            self.ring, [a * c for a in self.coeffs], self.trunc, self.xfilt
+        mul, c = ring._pmul, c.payload
+        return TruncSeries._wrap(
+            ring, [mul(a.payload, c) for a in self.coeffs], N, self.xfilt
         )
 
     __rmul__ = __mul__
@@ -151,15 +234,16 @@ class TruncSeries:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        out = TruncSeries.const(self.ring, 1, self.trunc, self.xfilt)
-        base = self
+        ring, N = self.ring, self.trunc
+        out = [ring._pfrom_int(1)] + [ring._pzero()] * N
+        base = self._payloads()
         while k:
             if k & 1:
-                out = out * base
+                out = _mul_payloads(ring, out, base, N)
             k >>= 1
             if k:
-                base = base * base
-        return out
+                base = _mul_payloads(ring, base, base, N)
+        return TruncSeries._wrap(ring, out, N, self.xfilt)
 
     def map_coeffs(self, fn, ring=None):
         """Apply fn to every coefficient (pushforward along a ring map)."""
@@ -224,16 +308,33 @@ def series_arith(op, f, g):
 
 
 def compose(f, g):
-    """f(g(x)) mod x^{N+1}; requires g(0) = 0."""
+    """f(g(x)) mod x^{N+1}; requires g(0) = 0.
+
+    Horner's rule from the top coefficient down, h_N = f_N and
+    h_k = h_{k+1} g + f_k, with h_k cut at degree N - k: it is multiplied
+    by g^k, which starts at x^k, on its way into h_0 = f(g).
+    """
     f._check(g)
     if not g.constant_term().is_zero():
         raise ValueError("composition requires g(0) = 0")
-    N = f.trunc
-    # Horner from the top coefficient down
-    out = TruncSeries.const(f.ring, f.coeffs[N], N, f.xfilt)
-    for k in range(N - 1, -1, -1):
-        out = out * g + f.coeffs[k]
-    return out
+    ring, N = f.ring, f.trunc
+    fp, gp = f._payloads(), g._payloads()
+    if ring.kind == ZLOC:
+        # all in integers: h_k = h_{k+1} G + F_k d_g^(N-k), f(g) = h_0/(d_f d_g^N)
+        F, df = _lift(fp)
+        G, dg = _lift(gp)
+        h, dpow = [F[N]], 1
+        for k in range(N - 1, -1, -1):
+            dpow *= dg
+            h = _conv_int(h, G, N - k)
+            h[0] = F[k] * dpow
+        out = _unlift(h, df * dpow)
+    else:
+        out = fp[N:]
+        for k in range(N - 1, -1, -1):
+            out = _mul_payloads(ring, out, gp, N - k)
+            out[0] = fp[k]
+    return TruncSeries._wrap(ring, out, N, f.xfilt)
 
 
 def revert(f):

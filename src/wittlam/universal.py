@@ -16,8 +16,8 @@ a finite window is the correspondence itself:
 
 from typing import NamedTuple
 
-from .errors import (MembershipError, RelationViolationError,
-                     UnsupportedRingError)
+from .errors import (ExactDivisionError, MembershipError,
+                     RelationViolationError, UnsupportedRingError)
 from .ground import GroundRing
 from .series import TruncSeries, compose
 from .sympoly import MPoly
@@ -259,7 +259,7 @@ def hom_from_structure(S, depth=DEFAULT_DEPTH):
                 r = r - R.one()
             try:
                 depth0[(p, i)] = R.div_int(r, p)
-            except Exception as exc:
+            except ExactDivisionError as exc:
                 raise MembershipError(
                     f"structure violates the psi-ring congruence at "
                     f"(p={p}, i={i}): {exc}"

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from wittlam.errors import IntegralityError
 from wittlam.ground import DUAL, QPOLY, GroundRing, PrimeIdeal, XAdicIdeal
 from wittlam.lambda_witt import (LambdaElem, WittVec, _from_power_sums,
+                                 _ghost_solve,
                                  exp_iso, exp_iso_inv, filtration_member,
                                  ghost, lambda_add, lambda_mul, lambda_neg,
                                  lambda_one, lambda_op, lambda_zero, witt_add,
@@ -240,6 +241,20 @@ def test_power_sum_inversion_checks_exactness():
         _from_power_sums(Z, [Z.from_int(1), Z.from_int(0)])
     c = _from_power_sums(Q, [Q.from_int(1), Q.from_int(0)])
     assert [x.payload for x in c] == [1, Fraction(1, 2)]
+
+
+def test_ghost_solve_reports_only_inexact_division():
+    # ghost components (1, 0): w_2 = c_1^2 - 2 c_2 = 0 needs c_2 = 1/2
+    with pytest.raises(IntegralityError, match="ghost solve failed at degree 2"):
+        _ghost_solve(Z, [Z.from_int(1), Z.from_int(0)], 2)
+
+    class BrokenDomain:
+        def div_int(self, elem, n):
+            raise ZeroDivisionError("division bug in the domain")
+
+    # a failure that is not an inexact division is not an integrality verdict
+    with pytest.raises(ZeroDivisionError):
+        _ghost_solve(BrokenDomain(), [Z.from_int(1)], 1)
 
 
 _small = st.integers(-4, 4)

@@ -1,17 +1,116 @@
-"""Truncated power series: arithmetic, composition, reversion, congruence."""
+"""Truncated power series: arithmetic, composition, reversion, congruence.
+
+The payload kernel in `wittlam.series` is checked against the
+RingElement-level routes it replaced, kept here as oracles: the
+coefficient-by-coefficient convolution, Horner's rule on whole series,
+and powers by repeated multiplication.
+"""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wittlam.errors import ExactDivisionError, RingMismatchError
-from wittlam.ground import GroundRing
+from wittlam.errors import (ExactDivisionError, MembershipError,
+                            RingMismatchError)
+from wittlam.ground import DUAL, QPOLY, GroundRing
 from wittlam.series import (SeriesRing, TruncSeries, compose, congruent_mod,
                             revert, series_arith, xadic_valuation)
+from wittlam.sympoly import MPoly
 
 Z = GroundRing.integers()
 Q = GroundRing.rationals()
+Z2 = GroundRing.localized([2])
+DZ = GroundRing.dual(Z)
+QY = GroundRing.rational_poly(("y1",))
+
+
+# ---------------------------------------------------------------------------
+# oracles: the RingElement-level routes
+# ---------------------------------------------------------------------------
+
+
+def mul_oracle(f, g):
+    """f * g by the RingElement convolution."""
+    N = f.trunc
+    out = [f.ring.zero()] * (N + 1)
+    for i, a in enumerate(f.coeffs):
+        if a.is_zero():
+            continue
+        for j in range(N + 1 - i):
+            b = g.coeffs[j]
+            if not b.is_zero():
+                out[i + j] = out[i + j] + a * b
+    return TruncSeries(f.ring, out, N, f.xfilt)
+
+
+def pow_oracle(f, k):
+    """f ** k by k - 1 multiplications."""
+    out = TruncSeries.const(f.ring, 1, f.trunc, f.xfilt)
+    for _ in range(k):
+        out = mul_oracle(out, f)
+    return out
+
+
+def compose_oracle(f, g):
+    """f(g) by Horner's rule on whole series, h_k = h_{k+1} * g + f_k."""
+    N = f.trunc
+    out = TruncSeries.const(f.ring, f.coeffs[N], N, f.xfilt)
+    for k in range(N - 1, -1, -1):
+        out = mul_oracle(out, g) + f.coeffs[k]
+    return out
+
+
+def element_pow_oracle(a, k):
+    """a ** k for a RingElement by k multiplications."""
+    out = a.ring.one()
+    for _ in range(k):
+        out = out * a
+    return out
+
+
+def _random_payload(rng, ring, den):
+    """A random payload of ring, zero about a quarter of the time; den
+    sets the denominators used over Z[1/2] and Q."""
+    if rng.random() < 0.25:
+        return ring._pzero()
+    if ring.kind == DUAL:
+        return (Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5)))
+    if ring.kind == QPOLY:
+        terms = {(e,): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                 for e in range(2)}
+        return MPoly(ring.variables, terms)
+    return Fraction(rng.randint(-9, 9), den(rng))
+
+
+KERNEL_RINGS = [
+    (Z, lambda rng: 1, lambda rng: 1),
+    # the two operands get different denominators: lcm 2 vs lcm up to 8
+    (Z2, lambda rng: 2, lambda rng: 2 ** rng.randint(0, 3)),
+    (Q, lambda rng: rng.randint(1, 6), lambda rng: rng.randint(1, 9)),
+    (DZ, None, None),
+    (QY, None, None),
+]
+KERNEL_SIZES = [0, 1, 2, 7, 16]
+
+
+def _random_series(rng, ring, N, den, constant=True):
+    coeffs = [_random_payload(rng, ring, den) for _ in range(N + 1)]
+    if not constant:
+        coeffs[0] = ring._pzero()
+    return TruncSeries(ring, [ring.element(c) for c in coeffs], N)
+
+
+def _kernel_cases(seed):
+    for ring, den_f, den_g in KERNEL_RINGS:
+        rng = random.Random(f"{seed}:{ring}")
+        for N in KERNEL_SIZES:
+            f = _random_series(rng, ring, N, den_f)
+            g = _random_series(rng, ring, N, den_g)
+            yield ring, N, f, g
 
 
 def S(coeffs, trunc=None, ring=Z, d=1):
@@ -137,3 +236,92 @@ def test_series_text_and_json():
     g = TruncSeries(dual, [(0, 1), (2, 0)], 2)
     assert "eps" in str(g)
     assert TruncSeries.from_json(g.to_json()) == g
+
+
+# ---------------------------------------------------------------------------
+# the payload kernel against the oracles
+# ---------------------------------------------------------------------------
+
+
+def test_mul_agrees_with_oracle():
+    for ring, N, f, g in _kernel_cases("mul"):
+        assert f * g == mul_oracle(f, g), (ring, N)
+        assert g * f == mul_oracle(f, g), (ring, N)
+        assert f * f == mul_oracle(f, f), (ring, N)
+
+
+def test_pow_agrees_with_oracle():
+    for ring, N, f, _ in _kernel_cases("pow"):
+        for k in range(6):
+            assert f ** k == pow_oracle(f, k), (ring, N, k)
+
+
+def test_compose_agrees_with_oracle():
+    for ring, N, f, g in _kernel_cases("compose"):
+        g = g - g.constant_term()
+        assert compose(f, g) == compose_oracle(f, g), (ring, N)
+        assert compose(g, g) == compose_oracle(g, g), (ring, N)
+
+
+def test_compose_of_localized_series_keeps_its_denominators():
+    # f = x/2 + x^2/3 over Q, g = x/4 + x^2: d_f = 6, d_g = 4
+    f = TruncSeries(Q, [0, Fraction(1, 2), Fraction(1, 3)], 3)
+    g = TruncSeries(Q, [0, Fraction(1, 4), 1], 3)
+    # f(g) = g/2 + g^2/3 = x/8 + (1/2 + 1/48) x^2 + (1/6) x^3
+    assert compose(f, g) == TruncSeries(
+        Q, [0, Fraction(1, 8), Fraction(25, 48), Fraction(1, 6)], 3
+    )
+    assert compose(f, g) == compose_oracle(f, g)
+
+
+def test_element_pow_agrees_with_oracle():
+    for ring, den, _ in KERNEL_RINGS:
+        rng = random.Random(f"element_pow:{ring}")
+        for _ in range(8):
+            a = ring.element(_random_payload(rng, ring, den))
+            for k in range(7):
+                got = a ** k
+                assert got == element_pow_oracle(a, k), (ring, a, k)
+                assert got.ring is ring
+    with pytest.raises(ValueError):
+        Z.from_int(2) ** -1
+
+
+def test_kernel_results_stay_in_the_ring():
+    f = TruncSeries(Z2, [1, Fraction(1, 2), Fraction(3, 4)], 4)
+    for h in (f * f, f ** 3, compose(f, f - 1)):
+        assert all(c.ring is Z2 for c in h.coeffs)
+        assert all(Z2.contains_payload(c.payload) for c in h.coeffs)
+
+
+def test_scalar_operands():
+    f = TruncSeries(Z, [1, 2, 3], 2)
+    assert f * 2 == 2 * f == TruncSeries(Z, [2, 4, 6], 2)
+    assert f + 1 == 1 + f == TruncSeries(Z, [2, 2, 3], 2)
+    assert f - 1 == TruncSeries(Z, [0, 2, 3], 2)
+    assert 1 - f == TruncSeries(Z, [0, -2, -3], 2)
+    assert f * Z.from_int(-1) == -f
+    # a value coerce cannot take is left to the other operand: TypeError
+    for op in (lambda: f * object(), lambda: object() * f, lambda: f + object(),
+               lambda: f - object(), lambda: f * 1.5):
+        with pytest.raises(TypeError):
+            op()
+    # values coerce can read but that are wrong keep their typed errors
+    with pytest.raises(MembershipError):
+        f * Fraction(1, 2)
+    with pytest.raises(RingMismatchError):
+        f + Q.from_int(1)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    N=st.integers(1, 12),
+    unit=st.sampled_from([1, -1]),
+    tail=st.lists(st.integers(-5, 5), min_size=11, max_size=11),
+)
+def test_revert_is_a_two_sided_inverse(N, unit, tail):
+    f = TruncSeries(Z, [0, unit] + tail[: N - 1], N)
+    g = revert(f)
+    x = TruncSeries.x(Z, N)
+    assert compose(f, g) == x
+    assert compose(g, f) == x

@@ -119,6 +119,16 @@ def test_hom_rejects_congruence_violation():
         hom_from_structure(bad)
 
 
+def test_hom_reports_only_inexact_division(monkeypatch):
+    def broken(self, elem, n):
+        raise ZeroDivisionError("division bug in the ring")
+
+    monkeypatch.setattr(GroundRing, "div_int", broken)
+    # not turned into a verdict on the structure
+    with pytest.raises(ZeroDivisionError):
+        hom_from_structure(standard_structure("mult", trunc=4))
+
+
 def test_structure_from_hom_zero_and_roundtrips():
     h0 = HomAssignment.from_depth0(
         Z, {}, primes=(2, 3, 5, 7), trunc=8, depth=2
