@@ -7,8 +7,9 @@ a finite window is the correspondence itself:
 
   * from Adams data psi^p(x) = sum r_{(p,i)} x^i over a ring R between
     Z and Q, the depth-0 assignment v_{(p,i)} |-> r_{(p,i)}/p (and
-    (r_{(p,p)}-1)/p at the Frobenius slot i = p), with tail slots filled
-    in by iterated Fermat quotients (u^q - u)/q;
+    (r_{(p,p)}-1)/p at the Frobenius slot i = p).  These are the whole
+    state of an assignment: a tail slot is the iterated Fermat quotient
+    (u^q - u)/q of its depth-0 value, derived when it is asked for;
   * from an assignment, the pushforward structure psi^p(x) =
     sum u_{(p,i)} x^i with u_{(p,i)} = p v_{(p,i)} (+1 at i = p),
     accepted only if the commutator coefficients w_{(p,q,l)} vanish.
@@ -16,9 +17,9 @@ a finite window is the correspondence itself:
 
 from typing import NamedTuple
 
-from .errors import (ExactDivisionError, MembershipError,
+from .errors import (ExactDivisionError, InputError, MembershipError,
                      RelationViolationError, UnsupportedRingError)
-from .ground import GroundRing
+from .ground import GroundRing, is_prime
 from .series import TruncSeries, compose
 from .sympoly import MPoly
 from .structures import (DEFAULT_PRIMES, POWER_SERIES, Carrier,
@@ -66,61 +67,86 @@ def u_element(p, i, values=None):
 class HomAssignment:
     """A ring map out of the universal ring, within a finite window.
 
-    Values are stored for every index with i <= N and tail length <= D.
-    The tail recursion  v_{..., q} = (v_...^q - v_...)/q  is what defines
-    the deeper generators' images, so it is enforced at construction;
-    every value must lie in the target ring.
+    The window is every index (p, i, q_1..q_n) with p and the q_k in
+    `primes`, 1 <= i <= N and tail length n <= D.  Only the depth-0 values
+    v_{(p,i)} are stored: the tail recursion  v_{..., q} = (v_...^q - v_...)/q
+    defines the deeper generators' images, so `get` derives a tail value
+    from its depth-0 value, and `values` and `to_json` derive the whole
+    window level by level.  Over a ring between Z and Q, or a Q-algebra,
+    every such quotient exists by the Fermat congruence; over any other
+    target the window is derived once at construction, so that a missing
+    quotient is an error there.  Every depth-0 value must lie in the
+    target ring.
     """
 
-    __slots__ = ("target", "primes", "trunc", "depth", "values")
+    __slots__ = ("target", "primes", "trunc", "depth", "depth0")
 
-    def __init__(self, target, primes, trunc, depth, values):
+    def __init__(self, target, primes, trunc, depth, depth0):
+        """`depth0` maps each (p, i) of the window to its value."""
+        primes = tuple(primes)
+        _check_window(primes, trunc, depth)
         self.target = target
         self.primes = tuple(sorted(primes))
         self.trunc = trunc
         self.depth = depth
-        self.values = dict(values)
+        self.depth0 = dict(depth0)
         self._verify()
 
     @classmethod
     def from_depth0(cls, target, depth0, primes=DEFAULT_PRIMES, trunc=8,
                     depth=DEFAULT_DEPTH):
-        """Extend depth-0 values by the Fermat-quotient recursion."""
-        values = {}
-        for p in primes:
-            for i in range(1, trunc + 1):
-                values[GeneratorIndex(p, i)] = target.coerce(
-                    depth0.get((p, i), 0)
-                )
-        frontier = [k for k in values]
-        for _ in range(depth):
-            nxt = []
-            for key in frontier:
-                for q in primes:
-                    child = GeneratorIndex(key.p, key.i, key.tail + (q,))
-                    values[child] = _fermat_quotient(target, values[key], q)
-                    nxt.append(child)
-            frontier = nxt
-        return cls(target, primes, trunc, depth, values)
+        """The assignment with these depth-0 values, 0 where none is given."""
+        return cls(target, primes, trunc, depth, {
+            (p, i): target.coerce(depth0.get((p, i), 0))
+            for p in primes for i in range(1, trunc + 1)
+        })
 
     def _verify(self):
-        for key, val in self.values.items():
+        window = {(p, i) for p in self.primes for i in range(1, self.trunc + 1)}
+        extra = self.depth0.keys() - window
+        if extra:
+            raise InputError(
+                f"{GeneratorIndex(*min(extra, key=repr)).label()} is outside "
+                f"the window (primes {list(self.primes)}, i <= {self.trunc})"
+            )
+        missing = window - self.depth0.keys()
+        if missing:
+            raise InputError(f"no value for {GeneratorIndex(*min(missing)).label()}")
+        for key, val in self.depth0.items():
             if val.ring != self.target:
-                raise MembershipError(f"value at {key.label()} not in target")
-            if key.tail:
-                parent = GeneratorIndex(key.p, key.i, key.tail[:-1])
-                if parent not in self.values:
-                    raise ValueError(f"missing parent of {key.label()}")
-                expect = _fermat_quotient(
-                    self.target, self.values[parent], key.tail[-1]
+                raise MembershipError(
+                    f"value at {GeneratorIndex(*key).label()} not in target"
                 )
-                if expect != val:
-                    raise ValueError(
-                        f"value at {key.label()} violates the tail recursion"
-                    )
+        if self.depth and not (
+            self.target.between_Z_and_Q() or self.target.is_q_algebra()
+        ):
+            self.values  # derives every quotient; raises where one does not exist
 
     def get(self, p, i, tail=()):
-        return self.values[GeneratorIndex(p, i, tuple(tail))]
+        """The image of v_{(p,i,tail)}: the depth-0 value, then one Fermat
+        quotient per tail prime."""
+        tail = tuple(tail)
+        if len(tail) > self.depth or not set(tail) <= set(self.primes):
+            raise KeyError(GeneratorIndex(p, i, tail))
+        v = self.depth0[(p, i)]
+        for q in tail:
+            v = _fermat_quotient(self.target, v, q)
+        return v
+
+    @property
+    def values(self):
+        """Every window value, {GeneratorIndex: element}: depth 0 first, then
+        each level's tails extended by each window prime."""
+        level = {GeneratorIndex(p, i): v for (p, i), v in self.depth0.items()}
+        out = dict(level)
+        for _ in range(self.depth):
+            level = {
+                GeneratorIndex(key.p, key.i, key.tail + (q,)):
+                    _fermat_quotient(self.target, v, q)
+                for key, v in level.items() for q in self.primes
+            }
+            out.update(level)
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, HomAssignment):
@@ -130,18 +156,19 @@ class HomAssignment:
             and self.primes == other.primes
             and self.trunc == other.trunc
             and self.depth == other.depth
-            and self.values == other.values
+            and self.depth0 == other.depth0
         )
 
     def to_json(self):
+        values = self.values
         vals = []
-        for key in sorted(self.values):
+        for key in sorted(values):
             vals.append(
                 {
                     "p": key.p,
                     "i": key.i,
                     "tail": list(key.tail),
-                    "value": self.target.format_payload(self.values[key].payload),
+                    "value": self.target.format_payload(values[key].payload),
                 }
             )
         return {
@@ -154,14 +181,49 @@ class HomAssignment:
 
     @classmethod
     def from_json(cls, data):
-        target = GroundRing.from_json(data["target"])
-        values = {}
-        for item in data["values"]:
-            key = GeneratorIndex(item["p"], item["i"], tuple(item["tail"]))
-            values[key] = target.coerce(item["value"])
-        return cls(
-            target, data["primes"], data["N"], data["depth"], values
-        )
+        """Parse an assignment.  This is where tail values come from outside,
+        so the supplied keys must be exactly the window and every tail value
+        must satisfy the tail recursion."""
+        try:
+            target = GroundRing.from_json(data["target"])
+            primes = tuple(data["primes"])
+            trunc, depth = data["N"], data["depth"]
+            supplied = {}
+            for item in data["values"]:
+                key = GeneratorIndex(item["p"], item["i"], tuple(item["tail"]))
+                if key in supplied:
+                    raise InputError(f"two values for {key.label()}")
+                supplied[key] = target.coerce(item["value"])
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"malformed assignment: {exc!r}") from exc
+        h = cls(target, primes, trunc, depth,
+                {(k.p, k.i): v for k, v in supplied.items() if not k.tail})
+        derived = h.values
+        for key in supplied:
+            if key not in derived:
+                raise InputError(
+                    f"{key.label()} is outside the window (tails of primes "
+                    f"{list(h.primes)}, length <= {depth})"
+                )
+        for key, val in derived.items():
+            if key not in supplied:
+                raise InputError(f"no value for {key.label()}")
+            if supplied[key] != val:
+                raise InputError(
+                    f"value at {key.label()} violates the tail recursion"
+                )
+        return h
+
+
+def _check_window(primes, trunc, depth):
+    for name, n, least in (("N", trunc, 1), ("depth", depth, 0)):
+        if not isinstance(n, int) or isinstance(n, bool) or n < least:
+            raise InputError(f"{name} must be an integer >= {least}, got {n!r}")
+    for p in primes:
+        if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
+            raise InputError(f"window entry {p!r} is not a prime")
+    if len(set(primes)) != len(primes):
+        raise InputError(f"window primes {list(primes)} repeat")
 
 
 def _fermat_quotient(ring, u, q):
@@ -272,8 +334,8 @@ def hom_from_structure(S, depth=DEFAULT_DEPTH):
 def structure_from_hom(assignment, carrier=None, check=True):
     """Pushforward of the universal Adams series along an assignment.
 
-    Rejects assignments whose images do not commute (nonzero w-relation)
-    or fail validation.
+    With `check`, rejects assignments whose pushforward fails validation,
+    in particular images that do not commute (a nonzero w-relation).
     """
     if carrier is None:
         carrier = Carrier.power_series(assignment.target, assignment.trunc)
@@ -282,14 +344,8 @@ def structure_from_hom(assignment, carrier=None, check=True):
     adams = {p: universal_adams(p, assignment) for p in assignment.primes}
     S = LambdaStructure(carrier, assignment.primes, adams)
     if check:
-        for a, p in enumerate(assignment.primes):
-            for q in assignment.primes[a + 1 :]:
-                ws = relation_w(p, q, assignment)
-                if any(not w.is_zero() for w in ws):
-                    raise RelationViolationError(
-                        f"universal Adams series for {p} and {q} do not "
-                        f"commute under this assignment"
-                    )
+        # validate composes every pair of Adams series both ways, which is
+        # the w-relation; a FAIL line names the pair that does not commute
         report = validate(S)
         if not report.passed:
             raise RelationViolationError(

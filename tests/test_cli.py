@@ -1,6 +1,7 @@
 """CLI: dispatch, exit codes, JSON round trips, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -221,3 +222,88 @@ def test_truncation_zero_and_negative_are_usage_errors(capsys):
     code, out, _ = run(capsys, "witt", "add", "--a", "1,0", "--b", "1,0",
                        "-N", "1")
     assert (code, out) == (0, "2")
+
+
+@pytest.fixture()
+def mult6_file(tmp_path):
+    path = tmp_path / "mult6.json"
+    S = standard_structure("mult", trunc=6, primes=(2, 3))
+    path.write_text(json.dumps(S.to_json()))
+    return str(path)
+
+
+def test_universal_to_hom_golden(capsys, mult6_file):
+    # pins the order and format of the derived assignment JSON
+    golden = Path(__file__).parent / "data" / "universal_to_hom_mult_N6_depth1.txt"
+    assert main(["universal", "to-hom", "--structure", mult6_file,
+                 "--depth", "1"]) == 0
+    assert capsys.readouterr().out == golden.read_text()
+
+
+def _extra_tail(data):
+    data["values"].append({"p": 2, "i": 1, "tail": [5], "value": "0"})
+
+
+def _extra_slot(data):
+    data["values"].append({"p": 2, "i": 7, "tail": [], "value": "0"})
+
+
+def _extra_prime(data):
+    data["values"].append({"p": 5, "i": 1, "tail": [], "value": "0"})
+
+
+def _no_tails(data):
+    data["values"] = [v for v in data["values"] if not v["tail"]]
+
+
+def _negative_depth(data):
+    _no_tails(data)
+    data["depth"] = -1
+
+
+def _composite_prime(data):
+    data["primes"] = [2, 4]
+
+
+def _duplicate_entry(data):
+    data["values"].append(dict(data["values"][0]))
+
+
+def _missing_field(data):
+    del data["values"][3]["tail"]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    pytest.param(_extra_tail, "v(2,1,5) is outside the window", id="tail-prime"),
+    pytest.param(_extra_slot, "v(2,7) is outside the window", id="i-above-N"),
+    pytest.param(_extra_prime, "v(5,1) is outside the window", id="p-outside"),
+    pytest.param(_no_tails, "no value for v(2,1,2)", id="tails-deleted"),
+    pytest.param(_negative_depth, "depth must be an integer >= 0",
+                 id="negative-depth"),
+    pytest.param(_composite_prime, "window entry 4 is not a prime",
+                 id="composite-prime"),
+    pytest.param(_duplicate_entry, "two values for v(2,1)", id="duplicate"),
+    pytest.param(_missing_field, "malformed assignment", id="missing-field"),
+])
+def test_from_hom_rejects_assignment_outside_window(capsys, tmp_path,
+                                                    mult6_file, corrupt,
+                                                    message):
+    code, out, _ = run(capsys, "universal", "to-hom", "--structure",
+                       mult6_file, "--depth", "1")
+    assert code == 0
+    data = json.loads(out)
+    corrupt(data)
+    path = tmp_path / "hom.json"
+    path.write_text(json.dumps(data))
+    for op in ("from-hom", "relations"):
+        code, out, err = run(capsys, "universal", op, "--assignment", str(path))
+        assert (code, out) == (2, "")
+        assert message in err
+
+
+@pytest.mark.parametrize("op", ["to-hom", "relations", "roundtrip"])
+def test_universal_negative_depth_is_a_usage_error(capsys, mult6_file, op):
+    code, out, err = run(capsys, "universal", op, "--structure", mult6_file,
+                         "--depth", "-1")
+    assert (code, out) == (2, "")
+    assert "depth must be an integer >= 0, got -1" in err

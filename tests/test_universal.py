@@ -1,11 +1,14 @@
 """The co-representing correspondence: generators, relations, round trips."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wittlam.errors import (MembershipError, RelationViolationError,
-                            UnsupportedRingError)
+from wittlam.errors import (ExactDivisionError, InputError, MembershipError,
+                            RelationViolationError, UnsupportedRingError)
 from wittlam.ground import GroundRing
 from wittlam.lubin import conjugate_structure, random_unit_series
 from wittlam.series import TruncSeries
@@ -17,6 +20,46 @@ from wittlam.universal import (GeneratorIndex, HomAssignment,
                                universal_adams)
 
 Z = GroundRing.integers()
+
+
+def eager_assignment_oracle(target, depth0, primes, trunc, depth):
+    """Every window value by the eager tree: depth 0, then each frontier
+    key extended by each prime, then every tail value checked again
+    against its parent.  Returns {GeneratorIndex: element}."""
+    values = {}
+    for p in primes:
+        for i in range(1, trunc + 1):
+            values[GeneratorIndex(p, i)] = target.coerce(depth0.get((p, i), 0))
+    frontier = list(values)
+    for _ in range(depth):
+        nxt = []
+        for key in frontier:
+            for q in primes:
+                child = GeneratorIndex(key.p, key.i, key.tail + (q,))
+                values[child] = target.div_int(values[key] ** q - values[key], q)
+                nxt.append(child)
+        frontier = nxt
+    for key, val in values.items():
+        assert val.ring == target
+        if key.tail:
+            parent = values[GeneratorIndex(key.p, key.i, key.tail[:-1])]
+            q = key.tail[-1]
+            assert target.div_int(parent ** q - parent, q) == val
+    return values
+
+
+def eager_json_oracle(target, primes, trunc, depth, values):
+    return {
+        "target": target.to_json(),
+        "primes": list(primes),
+        "N": trunc,
+        "depth": depth,
+        "values": [
+            {"p": key.p, "i": key.i, "tail": list(key.tail),
+             "value": target.format_payload(values[key].payload)}
+            for key in sorted(values)
+        ],
+    }
 
 
 def test_u_element_symbolic():
@@ -144,7 +187,8 @@ def test_structure_from_hom_rejects_noncommuting():
     h = HomAssignment.from_depth0(
         Z, {(2, 2): 1}, primes=(2, 3), trunc=6, depth=1
     )
-    with pytest.raises(RelationViolationError):
+    with pytest.raises(RelationViolationError,
+                       match=r"FAIL  psi\^2 and psi\^3 commute"):
         structure_from_hom(h)
 
 
@@ -217,3 +261,87 @@ def test_correspondence_over_p_local_integers():
     # tail values may use inverted denominators but must stay in R
     for val in h.values.values():
         assert R.contains_payload(val.payload)
+
+
+@pytest.mark.parametrize("N", [8, 12])
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("ring", [
+    Z, GroundRing.localized([2]), GroundRing.p_local(5), GroundRing.rationals(),
+], ids=str)
+def test_derived_window_equals_eager_oracle(ring, depth, N):
+    phi = random_unit_series(ring, N, seed=100 * N + 10 * depth + len(str(ring)))
+    S = conjugate_structure(standard_structure("mult", ring=ring, trunc=N), phi)
+    h = hom_from_structure(S, depth)
+    depth0 = {}
+    for p in S.primes:
+        psi = S.adams_series(p)
+        for i in range(1, N + 1):
+            r = psi[i] - 1 if i == p else psi[i]
+            depth0[(p, i)] = ring.div_int(r, p)
+    oracle = eager_assignment_oracle(ring, depth0, S.primes, N, depth)
+    assert len(oracle) == len(S.primes) * N * sum(
+        len(S.primes) ** k for k in range(depth + 1))
+    for key, val in oracle.items():
+        assert h.get(key.p, key.i, key.tail) == val
+    assert h.values == oracle
+    assert list(h.values) == list(oracle)
+    assert h.to_json() == eager_json_oracle(ring, S.primes, N, depth, oracle)
+
+
+def test_get_outside_window():
+    h = HomAssignment.from_depth0(Z, {(2, 1): 3}, primes=(2, 3), trunc=4,
+                                  depth=1)
+    assert h.get(2, 1, (3,)) == 8  # (27 - 3)/3
+    for key in ((5, 1, ()), (2, 5, ()), (2, 1, (5,)), (2, 1, (2, 2))):
+        with pytest.raises(KeyError):
+            h.get(*key)
+
+
+def test_window_parameters_checked():
+    S = standard_structure("mult", trunc=4, primes=(2,))
+    with pytest.raises(InputError, match="depth"):
+        hom_from_structure(S, depth=-1)
+    with pytest.raises(InputError, match="N must be"):
+        HomAssignment.from_depth0(Z, {}, primes=(2,), trunc=0, depth=0)
+    with pytest.raises(InputError, match="not a prime"):
+        HomAssignment.from_depth0(Z, {}, primes=(2, 4), trunc=2, depth=0)
+    with pytest.raises(InputError, match="repeat"):
+        HomAssignment(Z, (2, 2), 1, 0, {(2, 1): Z.zero()})
+
+
+def test_missing_fermat_quotient_rejected_at_construction():
+    # over dual(Z), (eps^2 - eps)/2 = -eps/2 is not in the ring
+    D = GroundRing.dual(Z)
+    h = HomAssignment.from_depth0(D, {(2, 1): (0, 1)}, primes=(2,), trunc=1,
+                                  depth=0)
+    assert h.get(2, 1) == D.coerce((0, 1))
+    with pytest.raises(ExactDivisionError):
+        HomAssignment.from_depth0(D, {(2, 1): (0, 1)}, primes=(2,), trunc=1,
+                                  depth=1)
+
+
+_RINGS = {"Z": (Z, [1]), "Z[1/2]": (GroundRing.localized([2]), [1, 2, 8]),
+          "Q": (GroundRing.rationals(), [1, 2, 3, 5, 9])}
+
+
+@st.composite
+def _assignments(draw):
+    ring, dens = _RINGS[draw(st.sampled_from(sorted(_RINGS)))]
+    primes = draw(st.lists(st.sampled_from([2, 3, 5, 7]), min_size=1,
+                           max_size=3, unique=True))
+    trunc = draw(st.integers(1, 4))
+    depth = draw(st.integers(0, 2))
+    depth0 = {
+        (p, i): Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from(dens)))
+        for p in primes for i in range(1, trunc + 1)
+    }
+    return HomAssignment.from_depth0(ring, depth0, primes, trunc, depth)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_assignments())
+def test_assignment_json_roundtrip_property(h):
+    text = json.dumps(h.to_json(), indent=2, sort_keys=True)
+    again = HomAssignment.from_json(json.loads(text))
+    assert again == h
+    assert json.dumps(again.to_json(), indent=2, sort_keys=True) == text
