@@ -11,8 +11,9 @@ from .ground import (EpsIdeal, ExactRational, GroundRing, PrimeIdeal,
                      is_p_divisible, parse_ring, ring_arith)
 from .lambda_witt import (LambdaElem, WittVec, coalgebra_check, exp_iso,
                           exp_iso_inv, filtration_member, ghost, lambda_add,
-                          lambda_mul, lambda_neg, lambda_one, lambda_op,
-                          lambda_zero, witt_add, witt_mul, witt_zero)
+                          lambda_adams, lambda_mul, lambda_neg, lambda_one,
+                          lambda_op, lambda_zero, witt_add, witt_mul,
+                          witt_zero)
 from .lubin import (CommutingProblem, conjugate_structure, hasse_check,
                     lubin_solve, random_unit_series)
 from .series import (SeriesRing, TruncSeries, compose, congruent_mod, revert,

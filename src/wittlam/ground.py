@@ -10,13 +10,27 @@ Three ring kinds cover every coefficient domain in the library:
 Scalars are stdlib Fractions (always reduced, positive denominator);
 polynomial payloads are MPoly; dual payloads are (a, b) pairs standing
 for a + b*eps.  Elements are immutable and freely shareable.
+
+Payload kernel.  The `_p*` methods of a GroundRing (`_padd`, `_psub`,
+`_pneg`, `_pmul`, `_pscale` by an int, `_ppow`, `_pis_zero`, `_pdiv_int`,
+and the constants `_pzero`, `_pfrom_int`) compute on kernel payloads,
+which differ from element payloads in one way: over Z[S^-1] a kernel
+scalar is a Python int when it is integral and a Fraction otherwise, so
+loops over integral values run in int arithmetic, and Python's numeric
+tower keeps mixed int/Fraction arithmetic exact.  `int / n` would be a
+float, so kernel code divides only through `_pdiv_int`.  `_unwrap` turns
+an element into its kernel payload and `_wrap` turns a kernel payload
+back into an element (whose Z[S^-1] scalars are always Fractions), once
+per result value.  SeriesRing (`series`) implements the same protocol, so
+`lambda_witt` runs one loop over every coefficient domain.
 """
 
 import math
 from fractions import Fraction
 
-from .errors import (ExactDivisionError, MembershipError, RingMismatchError,
-                     UnsupportedIdealError, UnsupportedRingError)
+from .errors import (ExactDivisionError, InputError, MembershipError,
+                     RingMismatchError, UnsupportedIdealError,
+                     UnsupportedRingError)
 from .sympoly import MPoly, parse_fraction, parse_poly
 
 ExactRational = Fraction
@@ -148,6 +162,8 @@ class GroundRing:
         if kind == DUAL:
             if base is None or base.kind == DUAL:
                 raise ValueError("dual numbers need a non-dual base ring")
+        if kind == QPOLY and len(set(self.variables)) != len(self.variables):
+            raise InputError(f"repeated variable in {self}")
 
     # -- constructors -----------------------------------------------------
 
@@ -245,13 +261,22 @@ class GroundRing:
             and self.base._payload_ok(payload[1])
         )
 
+    def _den_ok(self, den):
+        """True iff 1/den lies in Z[S^-1]: every prime factor of den is in S."""
+        inv = self.inverted
+        if den == 1 or inv.kind == "all":
+            return True
+        if inv.kind == "cofinite":
+            return all(den % p for p in inv.primes)
+        for p in inv.primes:
+            while den % p == 0:
+                den //= p
+        return den == 1
+
     def contains_payload(self, payload):
         """Membership of a fraction-field value in this ring."""
         if self.kind == ZLOC:
-            den = payload.denominator
-            if den == 1:
-                return True
-            return all(self.inverted.inverts(p) for p in factorize(den))
+            return self._den_ok(payload.denominator)
         if self.kind == QPOLY:
             return True
         return self.base.contains_payload(payload[0]) and self.base.contains_payload(
@@ -270,13 +295,13 @@ class GroundRing:
         return RingElement(self, payload)
 
     def zero(self):
-        return RingElement(self, self._pzero())
+        return self._wrap(self._pzero())
 
     def one(self):
-        return RingElement(self, self._pfrom_int(1))
+        return self._wrap(self._pfrom_int(1))
 
     def from_int(self, n):
-        return RingElement(self, self._pfrom_int(n))
+        return self._wrap(self._pfrom_int(n))
 
     def coerce(self, value):
         """Build an element from an int, Fraction, str, pair, or MPoly."""
@@ -301,73 +326,129 @@ class GroundRing:
                 b = self.base.coerce(value[1])
                 return self.element((a.payload, b.payload))
             if isinstance(value, Fraction):
-                return self.element((self.base.coerce(value).payload, self.base._pzero()))
+                return self.element((self.base.coerce(value).payload,
+                                     self.base.zero().payload))
         raise UnsupportedRingError(f"cannot coerce {value!r} into {self}")
 
-    # -- payload arithmetic ----------------------------------------------------
+    # -- payload kernel (see the module docstring) -----------------------------
+
+    def _to_kernel(self, payload):
+        """The kernel form of an element payload: integral scalars as ints."""
+        if self.kind == ZLOC:
+            return payload.numerator if payload.denominator == 1 else payload
+        if self.kind == QPOLY:
+            return payload
+        to = self.base._to_kernel
+        return (to(payload[0]), to(payload[1]))
+
+    def _from_kernel(self, payload):
+        """The element form of a kernel payload: every scalar a Fraction."""
+        if self.kind == ZLOC:
+            return Fraction(payload) if type(payload) is int else payload
+        if self.kind == QPOLY:
+            return payload
+        back = self.base._from_kernel
+        return (back(payload[0]), back(payload[1]))
+
+    def _unwrap(self, elem):
+        return self._to_kernel(elem.payload)
+
+    def _wrap(self, payload):
+        return RingElement(self, self._from_kernel(payload))
+
+    def _wrap_all(self, payloads):
+        """The elements of a sequence of kernel payloads, as a tuple.  Every
+        series result passes here, so over Z[S^-1] it makes no call per
+        payload."""
+        if self.kind == ZLOC:
+            return tuple([RingElement(self, Fraction(p) if type(p) is int else p)
+                          for p in payloads])
+        return tuple([self._wrap(p) for p in payloads])
 
     def _pzero(self):
         if self.kind == ZLOC:
-            return Fraction(0)
+            return 0
         if self.kind == QPOLY:
             return MPoly.zero(self.variables)
         return (self.base._pzero(), self.base._pzero())
 
     def _pfrom_int(self, n):
         if self.kind == ZLOC:
-            return Fraction(n)
+            return n
         if self.kind == QPOLY:
             return MPoly.const(self.variables, n)
         return (self.base._pfrom_int(n), self.base._pzero())
 
+    # A dual base is never dual itself, so its payloads take +, -, * and **
+    # directly: Fractions, ints and MPolys all have them.
+
     def _padd(self, x, y):
         if self.kind == DUAL:
-            return (self.base._padd(x[0], y[0]), self.base._padd(x[1], y[1]))
+            return (x[0] + y[0], x[1] + y[1])
         return x + y
 
     def _psub(self, x, y):
         if self.kind == DUAL:
-            return (self.base._psub(x[0], y[0]), self.base._psub(x[1], y[1]))
+            return (x[0] - y[0], x[1] - y[1])
         return x - y
 
     def _pneg(self, x):
         if self.kind == DUAL:
-            return (self.base._pneg(x[0]), self.base._pneg(x[1]))
+            return (-x[0], -x[1])
         return -x
 
     def _pmul(self, x, y):
         if self.kind == DUAL:
             # eps^2 = 0: the cross term is dropped by construction
-            a = self.base._pmul(x[0], y[0])
-            b = self.base._padd(
-                self.base._pmul(x[0], y[1]), self.base._pmul(x[1], y[0])
-            )
-            return (a, b)
+            a, b = x
+            c, d = y
+            return (a * c, a * d + b * c)
         return x * y
 
     def _ppow(self, x, k):
         """x**k for an integer k >= 0: the payload's own power on Z[S^-1]
-        (Fraction) and Q[y..] (MPoly), square-and-multiply on dual pairs."""
+        and Q[y..]; (a + b eps)^k = a^k + k a^(k-1) b eps on dual pairs.
+        Both keep the payload's type, so k = 0 gives an int 1 on kernel
+        payloads and a Fraction 1 on element payloads."""
         if self.kind != DUAL:
             return x ** k
-        out = self._pfrom_int(1)
-        while k:
-            if k & 1:
-                out = self._pmul(out, x)
-            k >>= 1
-            if k:
-                x = self._pmul(x, x)
-        return out
+        a, b = x
+        if k == 0:
+            return (a ** 0, b * 0)
+        return (a ** k, a ** (k - 1) * b * k)
 
     def _pscale(self, x, c):
         if self.kind == DUAL:
-            return (self.base._pscale(x[0], c), self.base._pscale(x[1], c))
+            return (x[0] * c, x[1] * c)
         return x * c
 
     def _pis_zero(self, x):
         if self.kind == DUAL:
-            return self.base._pis_zero(x[0]) and self.base._pis_zero(x[1])
+            return not x[0] and not x[1]
         return not x
+
+    def _pdiv_int(self, x, n):
+        """x / n for a nonzero int n when the quotient stays in the ring;
+        ExactDivisionError otherwise.  An int numerator is divided with
+        divmod; anything else as a Fraction, then checked for membership."""
+        if self.kind == ZLOC:
+            if type(x) is int:
+                q, r = divmod(x, n)
+                if not r:
+                    return q
+            q = Fraction(x, n)
+            if self._den_ok(q.denominator):
+                return q
+        elif self.kind == QPOLY:
+            return x * Fraction(1, n)
+        else:
+            try:
+                return (self.base._pdiv_int(x[0], n), self.base._pdiv_int(x[1], n))
+            except ExactDivisionError:
+                pass
+        raise ExactDivisionError(
+            f"{self.format_payload(x)} is not divisible by {n} in {self}"
+        )
 
     # -- ring-level operations ---------------------------------------------------
 
@@ -375,12 +456,7 @@ class GroundRing:
         """elem / n when the quotient stays in the ring."""
         if n == 0:
             raise ZeroDivisionError("division by zero")
-        payload = self._pscale(elem.payload, Fraction(1, n))
-        if not self.contains_payload(payload):
-            raise ExactDivisionError(
-                f"{elem} is not divisible by {n} in {self}"
-            )
-        return RingElement(self, payload)
+        return self._wrap(self._pdiv_int(self._unwrap(elem), n))
 
     def try_invert(self, elem):
         """Multiplicative inverse inside the ring, or None."""
@@ -457,22 +533,30 @@ class GroundRing:
             return parse_poly(text, self.variables)
         if "eps" in text:
             head, _, tail = text.rpartition("eps")
+            if tail.strip():
+                raise InputError(f"bad scalar {text!r}")
             head = head.strip()
-            sign = 1
             if head.endswith("*"):
-                head = head[:-1]
-            # split "a + b*" / "a - b*" / "b*" / ""
-            a_txt, b_txt = "0", head.strip() or "1"
-            for i in range(len(head) - 1, 0, -1):
-                if head[i] in "+-" and head[i - 1] == " ":
-                    a_txt = head[:i].strip()
-                    sign = 1 if head[i] == "+" else -1
-                    b_txt = head[i + 1 :].strip() or "1"
-                    break
-            a = self.base.parse_payload(a_txt)
-            b = self.base._pscale(self.base.parse_payload(b_txt), sign)
-            return (a, b)
-        return (self.base.parse_payload(text), self.base._pzero())
+                head = head[:-1].rstrip()
+            return self._parse_dual_head(head)
+        return (self.base.parse_payload(text), self.base.zero().payload)
+
+    def _parse_dual_head(self, head):
+        """The pair (a, b) from the text of "a + b*eps" before "*eps": such
+        as "1 + 2", "1+2", "1/2-", "-3", "-" or "".  It splits at the last
+        sign that follows an operand and leaves two parsable parts, so
+        spacing does not matter and "1e-3" stays one scalar."""
+        base = self.base
+        for i in range(len(head) - 1, 0, -1):
+            if head[i] in "+-" and head[:i].rstrip()[-1:].isalnum():
+                try:
+                    a = base.parse_payload(head[:i])
+                    b = base.parse_payload(head[i + 1:].strip() or "1")
+                except ValueError:
+                    continue
+                return (a, b if head[i] == "+" else base._pneg(b))
+        b_text = {"": "1", "+": "1", "-": "-1"}.get(head, head)
+        return (base.zero().payload, base.parse_payload(b_text))
 
     def to_json(self):
         if self.kind == ZLOC:

@@ -10,15 +10,23 @@ and turns their ring operations into coordinatewise ones (Hazewinkel,
   * Witt arithmetic adds or multiplies ghost components and solves the
     ghost equations degree by degree;
   * Lambda(A) works in the power sums p_n of f = prod (1 + x_k t): the
-    product multiplies them, p_n(f * g) = p_n(f) p_n(g), and lambda^i has
+    product multiplies them, p_n(f * g) = p_n(f) p_n(g), lambda^i has
     ghost_j(lambda^i f) = e_i(x_k^j), where the x_k^j have power sums
-    p_j, p_2j, ...  Both directions between coefficients and power sums
-    are Newton's identities (Macdonald, Symmetric Functions, I §2 (2.11')).
+    p_j, p_2j, ..., and the Adams operation has p_n(psi^k f) = p_kn(f).
+    Both directions between coefficients and power sums are Newton's
+    identities (Macdonald, Symmetric Functions, I §2 (2.11')).
+  * E^-1 peels one factor 1 + a_k t^k at a time, O(N^2) products.
 
-Every division by an integer goes through the domain's exact `div_int`;
-a failure raises IntegralityError.  The universal polynomials P_n and
-P_{m,n} are not used here: they are what the tests and `axiom_check`
-check these routes against.
+Every routine runs on the domain's kernel payloads (the `_p*` protocol of
+`ground.GroundRing` and `series.SeriesRing`): over Z[S^-1] a scalar is an
+int when it is integral and a Fraction otherwise, and a Z[x]/x^k value is
+a tuple of such scalars.  The inputs are unwrapped once, and each result
+coefficient is wrapped once, so the public values (RingElements with
+Fraction scalars, TruncSeries) are the same as element-level arithmetic
+gives.  Every division by an integer goes through the domain's exact
+`_pdiv_int`; a failure raises IntegralityError.  The universal
+polynomials P_n and P_{m,n} are not used here: they are what the tests
+and `axiom_check` check these routes against.
 """
 
 from .errors import (BoundExceededError, ExactDivisionError, IntegralityError,
@@ -40,6 +48,19 @@ class _Vector:
         self.domain = domain
         self.a = tuple(coeffs)
         self.trunc = trunc
+
+    @classmethod
+    def _from_payloads(cls, domain, payloads):
+        """The vector of the given kernel payloads, each wrapped once."""
+        out = object.__new__(cls)
+        out.domain = domain
+        out.a = tuple(map(domain._wrap, payloads))
+        out.trunc = len(out.a)
+        return out
+
+    def _payloads(self):
+        unwrap = self.domain._unwrap
+        return [unwrap(c) for c in self.a]
 
     def _check(self, other):
         if self.domain != other.domain or self.trunc != other.trunc:
@@ -101,59 +122,66 @@ def lambda_one(domain, trunc):
 def lambda_add(f, g):
     """Sum in Lambda(A): the series product, c_i = sum_{r+s=i} a_r b_s."""
     f._check(g)
-    one = f.domain.one()
-    a = (one,) + f.a
-    b = (one,) + g.a
+    dom = f.domain
+    add, mul = dom._padd, dom._pmul
+    a, b = f._payloads(), g._payloads()
     out = []
-    for i in range(1, f.trunc + 1):
-        acc = None
-        for r in range(0, i + 1):
-            term = a[r] * b[i - r]
-            acc = term if acc is None else acc + term
+    for i in range(f.trunc):
+        acc = add(a[i], b[i])  # the terms a_0 b_i and a_i b_0, a_0 = b_0 = 1
+        for r in range(i):
+            acc = add(acc, mul(a[r], b[i - r - 1]))
         out.append(acc)
-    return LambdaElem(f.domain, out, f.trunc)
+    return LambdaElem._from_payloads(dom, out)
 
 
 def lambda_neg(f):
     """Additive inverse in Lambda(A): the reciprocal series."""
+    dom = f.domain
+    sub, mul = dom._psub, dom._pmul
+    a = f._payloads()
     out = []
-    for i in range(1, f.trunc + 1):
-        acc = -f.a[i - 1]
-        for r in range(1, i):
-            acc = acc - out[r - 1] * f.a[i - r - 1]
+    for i in range(f.trunc):
+        acc = dom._pneg(a[i])
+        for r in range(i):
+            acc = sub(acc, mul(out[r], a[i - r - 1]))
         out.append(acc)
-    return LambdaElem(f.domain, out, f.trunc)
+    return LambdaElem._from_payloads(dom, out)
 
 
-def _power_sums(a, M):
+def _power_sums(dom, a, M):
     """p_1..p_M of f = 1 + sum a_i t^i, i.e. of the roots x_k of
     f = prod (1 + x_k t), by Newton's identities
-    p_n = sum_{i<n} (-1)^{i-1} a_i p_{n-i} + (-1)^{n-1} n a_n."""
+    p_n = sum_{i<n} (-1)^{i-1} a_i p_{n-i} + (-1)^{n-1} n a_n.
+
+    a and the result are lists of kernel payloads of the domain dom."""
+    add, sub, mul, scale = dom._padd, dom._psub, dom._pmul, dom._pscale
     p = []
     for n in range(1, M + 1):
-        acc = a[n - 1] * (n if n % 2 else -n)
+        acc = scale(a[n - 1], n if n % 2 else -n)
         for i in range(1, n):
-            term = a[i - 1] * p[n - i - 1]
-            acc = acc + term if i % 2 else acc - term
+            term = mul(a[i - 1], p[n - i - 1])
+            acc = add(acc, term) if i % 2 else sub(acc, term)
         p.append(acc)
     return p
 
 
-def _from_power_sums(domain, q):
+def _from_power_sums(dom, q):
     """The coefficients c_1..c_M whose power sums are q_1..q_M, by
-    n c_n = sum_{i<=n} (-1)^{i-1} c_{n-i} q_i with c_0 = 1.
+    n c_n = sum_{i<=n} (-1)^{i-1} c_{n-i} q_i with c_0 = 1, on kernel
+    payloads of the domain dom.
 
     Each division by n is exact when q are the power sums of an element of
     Lambda(A); a failed division raises IntegralityError.
     """
+    add, sub, mul, div = dom._padd, dom._psub, dom._pmul, dom._pdiv_int
     c = []
     for n in range(1, len(q) + 1):
-        acc = q[n - 1] if n % 2 else -q[n - 1]
+        acc = q[n - 1] if n % 2 else dom._pneg(q[n - 1])
         for i in range(1, n):
-            term = c[n - i - 1] * q[i - 1]
-            acc = acc + term if i % 2 else acc - term
+            term = mul(c[n - i - 1], q[i - 1])
+            acc = add(acc, term) if i % 2 else sub(acc, term)
         try:
-            c.append(domain.div_int(acc, n))
+            c.append(div(acc, n))
         except ExactDivisionError as exc:
             raise IntegralityError(
                 f"power-sum inversion failed at degree {n}: {exc}"
@@ -166,9 +194,11 @@ def lambda_mul(f, g):
     p_n(f * g) = p_n(f) p_n(g), and Newton's identities turn the product's
     power sums back into coefficients.  The result is c_i = P_i(a; b)."""
     f._check(g)
-    N = f.trunc
-    q = [x * y for x, y in zip(_power_sums(f.a, N), _power_sums(g.a, N))]
-    return LambdaElem(f.domain, _from_power_sums(f.domain, q), N)
+    dom, N = f.domain, f.trunc
+    mul = dom._pmul
+    q = list(map(mul, _power_sums(dom, f._payloads(), N),
+                 _power_sums(dom, g._payloads(), N)))
+    return LambdaElem._from_payloads(dom, _from_power_sums(dom, q))
 
 
 def lambda_op(i, f, out_trunc=None, bound=DEFAULT_PCOMP_BOUND):
@@ -200,10 +230,21 @@ def lambda_op(i, f, out_trunc=None, bound=DEFAULT_PCOMP_BOUND):
             )
         cap = out_trunc
     dom = f.domain
-    p = _power_sums(f.a, cap * i)
+    p = _power_sums(dom, f._payloads(), cap * i)
     ghosts = [_from_power_sums(dom, p[j - 1:j * i:j])[i - 1]
               for j in range(1, cap + 1)]
-    return LambdaElem(dom, _from_power_sums(dom, ghosts), cap)
+    return LambdaElem._from_payloads(dom, _from_power_sums(dom, ghosts))
+
+
+def lambda_adams(k, f):
+    """The Adams operation psi^k on Lambda(A), a ring endomorphism with
+    p_n(psi^k f) = p_kn(f).  Coefficient n needs p_1..p_kn of f, so the
+    result is truncated at N // k."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    dom, M = f.domain, f.trunc // k
+    p = _power_sums(dom, f._payloads(), M * k)
+    return LambdaElem._from_payloads(dom, _from_power_sums(dom, p[k - 1::k]))
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +252,25 @@ def lambda_op(i, f, out_trunc=None, bound=DEFAULT_PCOMP_BOUND):
 # ---------------------------------------------------------------------------
 
 
-def _divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
+def _ghosts(dom, a, M):
+    """Ghost components w_1..w_M of the kernel payloads a, each the sum
+    over d | n of s(d, n/d) * d * a_d^{n/d} (see `ghost`): the powers of
+    each a_d are built by repeated multiplication and added into w_d,
+    w_2d, ..., starting from the d = 1 terms a_1^n."""
+    add, mul, scale, is_zero = dom._padd, dom._pmul, dom._pscale, dom._pis_zero
+    w = []
+    for n in range(M):
+        w.append(mul(w[-1], a[0]) if n else a[0])
+    for d in range(2, M + 1):
+        x = power = a[d - 1]
+        if is_zero(x):
+            continue
+        for k in range(1, M // d + 1):
+            if k > 1:
+                power = mul(power, x)
+            sign = -d if d % 2 == 0 and k % 2 else d
+            w[d * k - 1] = add(w[d * k - 1], scale(power, sign))
+    return w
 
 
 def ghost(n, w):
@@ -229,56 +287,59 @@ def ghost(n, w):
     """
     if not 1 <= n <= w.trunc:
         raise ValueError(f"ghost index {n} out of range 1..{w.trunc}")
-    acc = None
-    for d in _divisors(n):
-        term = w.a[d - 1] ** (n // d) * d
-        if d % 2 == 0 and (n // d) % 2 == 1:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+    return w.domain._wrap(_ghosts(w.domain, w._payloads(), n)[n - 1])
 
 
 def witt_zero(domain, trunc):
     return WittVec(domain, [], trunc)
 
 
-def _ghost_solve(domain, targets, trunc):
-    """Solve w_n(c) = targets[n] for c, degree by degree.
+def _ghost_solve(dom, targets):
+    """Solve w_n(c) = targets[n] for c, degree by degree, on kernel
+    payloads of the domain dom.
 
     w_n(c) = (+-n)*c_n + (terms in c_d, d | n, d < n), so each c_n is
     obtained by an exact division by n; failure signals an engine bug
-    because the universal Witt polynomials are integral.
+    because the universal Witt polynomials are integral.  Once c_d is
+    known, its terms s(d, k) d c_d^k are subtracted from the targets at
+    n = dk.
     """
+    sub, mul, scale, div = dom._psub, dom._pmul, dom._pscale, dom._pdiv_int
+    M = len(targets)
+    acc = list(targets)
     c = []
-    for n in range(1, trunc + 1):
-        acc = targets[n - 1]
-        for d in _divisors(n)[:-1]:
-            term = c[d - 1] ** (n // d) * d
-            if d % 2 == 0 and (n // d) % 2 == 1:
-                term = -term
-            acc = acc - term
+    for n in range(1, M + 1):
         try:
-            cn = domain.div_int(acc, n)
+            cn = div(acc[n - 1], n)
         except ExactDivisionError as exc:
             raise IntegralityError(
                 f"ghost solve failed at degree {n}: {exc}"
             ) from exc
         if n % 2 == 0:  # leading ghost term is -n*c_n for even n
-            cn = -cn
+            cn = dom._pneg(cn)
         c.append(cn)
-    return WittVec(domain, c, trunc)
+        power = cn
+        for k in range(2, M // n + 1):
+            power = mul(power, cn)
+            acc[n * k - 1] = sub(acc[n * k - 1],
+                                 scale(power, -n if n % 2 == 0 and k % 2 else n))
+    return c
 
 
 def witt_add(a, b):
     a._check(b)
-    targets = [ghost(n, a) + ghost(n, b) for n in range(1, a.trunc + 1)]
-    return _ghost_solve(a.domain, targets, a.trunc)
+    dom, N = a.domain, a.trunc
+    targets = list(map(dom._padd, _ghosts(dom, a._payloads(), N),
+                       _ghosts(dom, b._payloads(), N)))
+    return WittVec._from_payloads(dom, _ghost_solve(dom, targets))
 
 
 def witt_mul(a, b):
     a._check(b)
-    targets = [ghost(n, a) * ghost(n, b) for n in range(1, a.trunc + 1)]
-    return _ghost_solve(a.domain, targets, a.trunc)
+    dom, N = a.domain, a.trunc
+    targets = list(map(dom._pmul, _ghosts(dom, a._payloads(), N),
+                       _ghosts(dom, b._payloads(), N)))
+    return WittVec._from_payloads(dom, _ghost_solve(dom, targets))
 
 
 # ---------------------------------------------------------------------------
@@ -288,47 +349,37 @@ def witt_mul(a, b):
 
 def exp_iso(w):
     """E: W(A) -> Lambda(A), (a_i) |-> prod (1 + a_i t^i) mod t^{N+1}."""
-    N = w.trunc
-    zero = w.domain.zero()
-    one = w.domain.one()
-    coeffs = [one] + [zero] * N
-    for i in range(1, N + 1):
-        ai = w.a[i - 1]
-        for j in range(N - i, -1, -1):
-            term = coeffs[j] * ai
-            coeffs[j + i] = coeffs[j + i] + term
-    return LambdaElem(w.domain, coeffs[1:], N)
-
-
-def _distinct_partitions(n):
-    """Partitions of n into distinct parts, all parts < n."""
-    out = []
-
-    def rec(rest, maxpart, chosen):
-        if rest == 0:
-            out.append(tuple(chosen))
-            return
-        for part in range(min(rest, maxpart), 0, -1):
-            rec(rest - part, part - 1, chosen + [part])
-
-    rec(n, n - 1, [])
-    return out
+    dom, N = w.domain, w.trunc
+    add, mul, is_zero = dom._padd, dom._pmul, dom._pis_zero
+    c = [dom._pzero()] * N  # c[j - 1] is the coefficient of t^j
+    for i, ai in enumerate(w._payloads(), 1):
+        if is_zero(ai):
+            continue
+        # multiply by 1 + a_i t^i, from the top down
+        for j in range(N - i, 0, -1):
+            if not is_zero(c[j - 1]):
+                c[j + i - 1] = add(c[j + i - 1], mul(c[j - 1], ai))
+        c[i - 1] = add(c[i - 1], ai)
+    return LambdaElem._from_payloads(dom, c)
 
 
 def exp_iso_inv(f):
-    """E^{-1}: recover r_n = c_n - sum over distinct partitions of n
-    (with all parts < n) of the products of earlier r's."""
-    N = f.trunc
-    r = []
-    for n in range(1, N + 1):
-        acc = f.a[n - 1]
-        for parts in _distinct_partitions(n):
-            prod = None
-            for i in parts:
-                prod = r[i - 1] if prod is None else prod * r[i - 1]
-            acc = acc - prod
-        r.append(acc)
-    return WittVec(f.domain, r, N)
+    """E^{-1} by peeling: for k = 1..N, a_k is the t^k coefficient g_k of
+    the current quotient g = f / prod_{i<k} (1 + a_i t^i), whose
+    coefficients of t^1..t^{k-1} are zero; dividing g by 1 + a_k t^k is
+    h_n = g_n - a_k h_{n-k}, which changes only the coefficients n > 2k
+    (h_k = 0, and h_m = 0 for 0 < m < k), so only k < N/2 do any work.
+    O(N^2) products, no division."""
+    dom, N = f.domain, f.trunc
+    sub, mul, is_zero = dom._psub, dom._pmul, dom._pis_zero
+    g = f._payloads()  # g[n - 1]: a_n once n <= k, else the quotient's t^n
+    for k in range(1, (N - 1) // 2 + 1):
+        ak = g[k - 1]
+        if is_zero(ak):
+            continue
+        for n in range(2 * k + 1, N + 1):
+            g[n - 1] = sub(g[n - 1], mul(ak, g[n - k - 1]))
+    return WittVec._from_payloads(dom, g)
 
 
 # ---------------------------------------------------------------------------

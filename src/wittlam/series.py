@@ -6,13 +6,15 @@ d of x only scales valuations.  SeriesRing packages a truncation as a
 coefficient domain in its own right (A[x]/x^{N+1}), so that Witt vectors
 and lambda-elements can be formed over truncated polynomial rings.
 
-The arithmetic kernel works on bare payloads, not on RingElements.
+The arithmetic kernel works on the ground ring's kernel payloads (see
+`ground`: ints where integral over Z[S^-1]), not on RingElements.
 Products, powers and compositions unwrap the coefficients once, compute
 on payload lists, and wrap each result coefficient once:
 
   * over Z[S^-1] (Z, Z[1/p], Q) each operand is lifted to integer
     numerators over the lcm of its denominators, the convolution runs in
-    Python ints, and one Fraction is built per output coefficient;
+    Python ints, and a Fraction is built per output coefficient only
+    when the common denominator is not 1;
     compose runs the whole Horner loop in integers,
     f(g) = sum_k F_k G^k d_g^(N-k) / (d_f d_g^N), where f = F/d_f and
     g = G/d_g, cutting the k-th Horner value at degree N - k because it
@@ -30,11 +32,12 @@ import math
 from fractions import Fraction
 
 from .errors import ExactDivisionError, RingMismatchError, UnsupportedRingError
-from .ground import ZLOC, GroundRing, RingElement, XAdicIdeal
+from .ground import ZLOC, GroundRing, XAdicIdeal
 
 
 def _lift(payloads):
-    """Integer numerators over the lcm d of the denominators, and d."""
+    """Integer numerators over the lcm d of the denominators, and d.
+    Takes ints and Fractions alike."""
     d = 1
     for q in payloads:
         if q.denominator != 1:
@@ -45,9 +48,10 @@ def _lift(payloads):
 
 
 def _unlift(nums, d):
-    """The Fractions c/d for c in nums: one reduction each, none if d = 1."""
+    """The kernel payloads c/d for c in nums: the ints themselves if d = 1,
+    else one reduced Fraction each."""
     if d == 1:
-        return [Fraction(c) for c in nums]
+        return nums
     return [Fraction(c, d) for c in nums]
 
 
@@ -63,7 +67,7 @@ def _conv_int(a, b, n):
 
 
 def _mul_payloads(ring, a, b, n):
-    """Product of payload lists a and b over ring, cut at degree n."""
+    """Product of kernel payload lists a and b over ring, cut at degree n."""
     if ring.kind == ZLOC:
         na, da = _lift(a)
         nb, db = _lift(b)
@@ -76,6 +80,18 @@ def _mul_payloads(ring, a, b, n):
         for j, y in enumerate(b[: n + 1 - i], i):
             if not is_zero(y):
                 out[j] = add(out[j], mul(x, y))
+    return out
+
+
+def _pow_payloads(ring, base, k, n):
+    """base**k for kernel payload list base, cut at degree n."""
+    out = [ring._pfrom_int(1)] + [ring._pzero()] * n
+    while k:
+        if k & 1:
+            out = _mul_payloads(ring, out, base, n)
+        k >>= 1
+        if k:
+            base = _mul_payloads(ring, base, base, n)
     return out
 
 
@@ -103,10 +119,10 @@ class TruncSeries:
 
     @classmethod
     def _wrap(cls, ring, payloads, trunc, xfilt):
-        """A series from trunc + 1 payloads that already lie in ring."""
+        """A series from trunc + 1 kernel payloads that already lie in ring."""
         out = object.__new__(cls)
         out.ring = ring
-        out.coeffs = tuple(RingElement(ring, c) for c in payloads)
+        out.coeffs = ring._wrap_all(payloads)
         out.trunc = trunc
         out.xfilt = xfilt
         return out
@@ -235,23 +251,14 @@ class TruncSeries:
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
         ring, N = self.ring, self.trunc
-        out = [ring._pfrom_int(1)] + [ring._pzero()] * N
-        base = self._payloads()
-        while k:
-            if k & 1:
-                out = _mul_payloads(ring, out, base, N)
-            k >>= 1
-            if k:
-                base = _mul_payloads(ring, base, base, N)
+        out = _pow_payloads(ring, self._payloads(), k, N)
         return TruncSeries._wrap(ring, out, N, self.xfilt)
 
-    def map_coeffs(self, fn, ring=None):
-        """Apply fn to every coefficient (pushforward along a ring map)."""
-        ring = ring or self.ring
-        return TruncSeries(ring, [fn(c) for c in self.coeffs], self.trunc, self.xfilt)
-
     def div_int(self, n):
-        return self.map_coeffs(lambda c: self.ring.div_int(c, n))
+        div = self.ring.div_int
+        return TruncSeries._wrap(
+            self.ring, [div(c, n).payload for c in self.coeffs], self.trunc, self.xfilt
+        )
 
     # -- text and JSON forms -------------------------------------------------------
 
@@ -378,7 +385,14 @@ def xadic_valuation(f):
 
 
 class SeriesRing:
-    """A truncation A[x]/x^{N+1} viewed as a coefficient domain."""
+    """A truncation A[x]/x^{N+1} viewed as a coefficient domain.
+
+    Its kernel payload (the protocol of `ground.GroundRing`) is a tuple of
+    N + 1 ground kernel payloads: ints where integral over Z[S^-1].
+    `_pmul` and `_ppow` are the convolution `_mul_payloads` (`_conv_int`
+    over Z[S^-1]); the other `_p*` methods act coefficientwise, and
+    `_wrap` builds one TruncSeries per result value.
+    """
 
     __slots__ = ("ground", "trunc", "xfilt")
 
@@ -430,6 +444,47 @@ class SeriesRing:
 
     def div_int(self, f, n):
         return f.div_int(n)
+
+    # -- payload kernel -------------------------------------------------------
+
+    def _unwrap(self, f):
+        to = self.ground._to_kernel
+        return tuple([to(c.payload) for c in f.coeffs])
+
+    def _wrap(self, payload):
+        return TruncSeries._wrap(self.ground, payload, self.trunc, self.xfilt)
+
+    def _pzero(self):
+        return (self.ground._pzero(),) * (self.trunc + 1)
+
+    def _pfrom_int(self, n):
+        return (self.ground._pfrom_int(n),) + (self.ground._pzero(),) * self.trunc
+
+    def _padd(self, x, y):
+        return tuple(map(self.ground._padd, x, y))
+
+    def _psub(self, x, y):
+        return tuple(map(self.ground._psub, x, y))
+
+    def _pneg(self, x):
+        return tuple(map(self.ground._pneg, x))
+
+    def _pmul(self, x, y):
+        return tuple(_mul_payloads(self.ground, x, y, self.trunc))
+
+    def _ppow(self, x, k):
+        return tuple(_pow_payloads(self.ground, x, k, self.trunc))
+
+    def _pscale(self, x, c):
+        scale = self.ground._pscale
+        return tuple([scale(a, c) for a in x])
+
+    def _pis_zero(self, x):
+        return all(map(self.ground._pis_zero, x))
+
+    def _pdiv_int(self, x, n):
+        div = self.ground._pdiv_int
+        return tuple([div(a, n) for a in x])
 
     def is_p_divisible(self, f, p):
         return all(self.ground.is_p_divisible(c, p) for c in f.coeffs)

@@ -224,6 +224,44 @@ def test_truncation_zero_and_negative_are_usage_errors(capsys):
     assert (code, out) == (0, "2")
 
 
+def test_repeated_polynomial_variables_are_a_usage_error(capsys):
+    code, out, err = run(capsys, "witt", "add", "--ring", "Q[y1,y1]", "-N", "2",
+                         "--a", "y1,0", "--b", "1,0")
+    assert (code, out) == (2, "")
+    assert "repeated variable in Q[y1,y1]" in err
+
+
+@pytest.mark.parametrize("unspaced, spaced, expect", [
+    ("1+eps", "1 + eps", "2 + 1*eps,1 + 1*eps"),
+    ("2-3*eps", "2 - 3*eps", "3 - 3*eps,2 - 3*eps"),
+    ("1/2+eps", "1/2 + eps", "3/2 + 1*eps,1/2 + 1*eps"),
+    ("-eps", "0 - eps", "1 - 1*eps,0 - 1*eps"),
+])
+def test_dual_scalars_without_spaces(capsys, unspaced, spaced, expect):
+    outs = []
+    for text in (unspaced, spaced):
+        code, out, _ = run(capsys, "witt", "add", "--ring", "dual(Z[1/2])", "-N", "2",
+                           f"--a={text},0", "--b", "1,0")
+        assert code == 0
+        outs.append(out)
+    assert outs == [expect, expect]
+
+
+def test_dual_scalar_with_text_after_eps_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "witt", "add", "--ring", "dual(Z)", "-N", "2",
+                         "--a", "1 + eps + 5,0", "--b", "1,0")
+    assert (code, out) == (2, "")
+    assert "bad scalar" in err
+
+
+def test_unexp_at_N_100_round_trips_through_exp(capsys):
+    ones = ",".join(["1"] * 100)
+    code, witt, _ = run(capsys, "unexp", "--ring", "Z", "-N", "100", "--f", ones)
+    assert code == 0 and len(witt.split(",")) == 100
+    code, back, _ = run(capsys, "exp", "--ring", "Z", "-N", "100", f"--a={witt}")
+    assert (code, back) == (0, ones)
+
+
 @pytest.fixture()
 def mult6_file(tmp_path):
     path = tmp_path / "mult6.json"

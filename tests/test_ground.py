@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from wittlam.errors import (ExactDivisionError, MembershipError,
+from wittlam.errors import (ExactDivisionError, InputError, MembershipError,
                             RingMismatchError)
 from wittlam.ground import (EpsIdeal, GroundRing, PrimeIdeal, PrimeSet,
                             binom_fraction, binomial, factorize, is_p_divisible,
@@ -163,6 +163,78 @@ def test_div_int():
     assert DZ.div_int(DZ.coerce((4, 6)), 2) == DZ.coerce((2, 3))
 
 
+def test_div_int_kernel_scalars():
+    # ints divide by divmod and stay ints; anything else becomes a Fraction
+    # that must lie in the ring
+    assert Z._pdiv_int(6, 3) == 2 and type(Z._pdiv_int(6, 3)) is int
+    assert Z._pdiv_int(-6, -3) == 2
+    assert Z._pdiv_int(Fraction(6), 3) == 2
+    assert Z2._pdiv_int(3, 2) == Fraction(3, 2)
+    assert Z2._pdiv_int(Fraction(3, 2), 3) == Fraction(1, 2)
+    assert Zp5._pdiv_int(1, 3) == Fraction(1, 3)
+    assert Q._pdiv_int(Fraction(1, 7), 11) == Fraction(1, 77)
+    assert DZ._pdiv_int((4, 6), 2) == (2, 3)
+    for ring, x, n in [(Z, 5, 3), (Z2, 1, 3), (Z2, Fraction(1, 2), 3), (Zp5, 1, 5),
+                       (Zp5, Fraction(1, 3), 10), (DZ, (4, 5), 2)]:
+        with pytest.raises(ExactDivisionError):
+            ring._pdiv_int(x, n)
+
+
+def test_div_int_keeps_element_payloads_and_message():
+    assert type(Z.div_int(Z.from_int(6), 3).payload) is Fraction
+    assert DZ.div_int(DZ.coerce((4, 6)), 2).payload == (Fraction(2), Fraction(3))
+    assert all(type(x) is Fraction for x in DZ.div_int(DZ.coerce((4, 6)), 2).payload)
+    cases = [
+        (Z, Z.from_int(5), 3, "5 is not divisible by 3 in Z"),
+        (Z2, Z2.coerce(Fraction(1, 2)), 3, "1/2 is not divisible by 3 in Z[1/2]"),
+        (Zp5, Zp5.from_int(-7), 5, "-7 is not divisible by 5 in Z_(5)"),
+        (DZ, DZ.coerce((4, 5)), 2, "4 + 5*eps is not divisible by 2 in dual(Z)"),
+        (DZ, DZ.coerce((3, -6)), 2, "3 - 6*eps is not divisible by 2 in dual(Z)"),
+    ]
+    for ring, elem, n, text in cases:
+        with pytest.raises(ExactDivisionError) as info:
+            ring.div_int(elem, n)
+        assert str(info.value) == text
+    with pytest.raises(ZeroDivisionError, match="division by zero"):
+        Z.div_int(Z.one(), 0)
+
+
+def test_membership_without_factorization_matches_factorization():
+    rings = [Z, Q, Z2, Zp5, GroundRing.localized([2, 3]),
+             GroundRing.localized(PrimeSet.cofinite([2, 7]))]
+    for ring in rings:
+        for den in range(1, 300):
+            expect = all(ring.inverted.inverts(p) for p in factorize(den))
+            assert ring.contains_payload(Fraction(1, den)) == expect, (ring, den)
+
+
+def test_dual_power_closed_form():
+    rng = random.Random(12)
+    for base in (Z, Z2, GroundRing.rational_poly(("y1",))):
+        D = GroundRing.dual(base)
+        for _ in range(5):
+            x = D.coerce((rng.randint(-3, 3), rng.randint(-3, 3)))
+            prod = D.one()
+            for k in range(6):
+                assert x ** k == prod, (x, k)
+                prod = prod * x
+    # k = 0 keeps the payload type: int 1 on kernel payloads, Fraction 1 on elements
+    assert DZ._ppow((3, 4), 0) == (1, 0) and type(DZ._ppow((3, 4), 0)[0]) is int
+    assert all(type(c) is Fraction for c in (DZ.coerce((3, 4)) ** 0).payload)
+
+
+def test_kernel_wrap_unwrap():
+    assert Z._unwrap(Z.from_int(4)) == 4 and type(Z._unwrap(Z.from_int(4))) is int
+    assert Z2._unwrap(Z2.coerce(Fraction(1, 2))) == Fraction(1, 2)
+    assert DZ._unwrap(DZ.coerce((1, 2))) == (1, 2)
+    assert all(type(c) is int for c in DZ._unwrap(DZ.coerce((1, 2))))
+    for ring, payload in [(Z, 3), (Z2, Fraction(3, 2)), (DZ, (0, -1))]:
+        elem = ring._wrap(payload)
+        assert elem == ring.coerce(payload) and ring._unwrap(elem) == payload
+    assert type(Z.zero().payload) is Fraction and type(Z.one().payload) is Fraction
+    assert all(type(c) is Fraction for c in DZ.from_int(3).payload)
+
+
 def test_try_invert():
     assert Z.try_invert(Z.from_int(-1)) == -1
     assert Z.try_invert(Z.from_int(2)) is None
@@ -191,6 +263,32 @@ def test_format_parse_roundtrip():
         elem = ring.coerce(text)
         again = ring.coerce(ring.format_payload(elem.payload))
         assert elem == again
+
+
+@pytest.mark.parametrize("unspaced, spaced", [
+    ("1+eps", "1 + eps"),
+    ("2-3*eps", "2 - 3*eps"),
+    ("1/2+eps", "1/2 + eps"),
+    ("-eps", "0 - eps"),
+    ("-1-eps", "-1 - eps"),
+    ("1e-3+eps", "1/1000 + eps"),
+])
+def test_dual_scalars_parse_without_spaces(unspaced, spaced):
+    D = GroundRing.dual(Q)
+    assert D.coerce(unspaced) == D.coerce(spaced)
+
+
+def test_dual_scalar_rejects_text_after_eps():
+    for text in ("1 + eps + 5", "2*eps3"):
+        with pytest.raises(InputError, match="bad scalar"):
+            DZ.coerce(text)
+
+
+def test_repeated_polynomial_variables_rejected():
+    with pytest.raises(InputError, match="repeated variable"):
+        parse_ring("Q[y1,y1]")
+    with pytest.raises(InputError):
+        GroundRing.from_json({"kind": "rational_poly", "variables": ["a", "b", "a"]})
 
 
 def test_parse_ring_names():

@@ -22,14 +22,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittlam.errors import IntegralityError
-from wittlam.ground import DUAL, QPOLY, GroundRing, PrimeIdeal, XAdicIdeal
+from wittlam.ground import (DUAL, QPOLY, ZLOC, GroundRing, PrimeIdeal,
+                           PrimeSet, XAdicIdeal)
 from wittlam.lambda_witt import (LambdaElem, WittVec, _from_power_sums,
                                  _ghost_solve,
                                  exp_iso, exp_iso_inv, filtration_member,
-                                 ghost, lambda_add, lambda_mul, lambda_neg,
-                                 lambda_one, lambda_op, lambda_zero, witt_add,
-                                 witt_mul)
-from wittlam.series import SeriesRing
+                                 ghost, lambda_adams, lambda_add, lambda_mul,
+                                 lambda_neg, lambda_one, lambda_op,
+                                 lambda_zero, witt_add, witt_mul)
+from wittlam.series import SeriesRing, TruncSeries
+from wittlam.structures import adams_apply, lambda_values, standard_structure
 from wittlam.sympoly import MPoly, universal_P, universal_Pcomp
 
 Z = GroundRing.integers()
@@ -238,23 +240,23 @@ def test_lambda_op_agrees_with_universal_Pcomp(dom):
 def test_power_sum_inversion_checks_exactness():
     # power sums (1, 0) belong to 1 + t + t^2/2: c_2 = 1/2 is not in Z
     with pytest.raises(IntegralityError):
-        _from_power_sums(Z, [Z.from_int(1), Z.from_int(0)])
-    c = _from_power_sums(Q, [Q.from_int(1), Q.from_int(0)])
-    assert [x.payload for x in c] == [1, Fraction(1, 2)]
+        _from_power_sums(Z, [1, 0])
+    c = _from_power_sums(Q, [1, 0])
+    assert c == [1, Fraction(1, 2)]
 
 
 def test_ghost_solve_reports_only_inexact_division():
     # ghost components (1, 0): w_2 = c_1^2 - 2 c_2 = 0 needs c_2 = 1/2
     with pytest.raises(IntegralityError, match="ghost solve failed at degree 2"):
-        _ghost_solve(Z, [Z.from_int(1), Z.from_int(0)], 2)
+        _ghost_solve(Z, [1, 0])
 
-    class BrokenDomain:
-        def div_int(self, elem, n):
+    class BrokenDomain(GroundRing):
+        def _pdiv_int(self, x, n):
             raise ZeroDivisionError("division bug in the domain")
 
     # a failure that is not an inexact division is not an integrality verdict
     with pytest.raises(ZeroDivisionError):
-        _ghost_solve(BrokenDomain(), [Z.from_int(1)], 1)
+        _ghost_solve(BrokenDomain(ZLOC, inverted=PrimeSet.none()), [1])
 
 
 _small = st.integers(-4, 4)
@@ -482,3 +484,136 @@ def test_lambda_laws_over_series_ring():
         assert lambda_mul(f, g) == lambda_mul(g, f)
         assert lambda_add(f, g) == lambda_add(g, f)
         assert lambda_mul(f, lambda_one(dom, 4)) == f
+
+
+# -- Adams operations on Lambda(A) ---------------------------------------------------
+
+
+ADAMS_DOMAINS = [Z, GroundRing.localized([2]), GroundRing.dual(Z), SeriesRing(Z, 4)]
+
+
+@pytest.mark.parametrize("dom", ADAMS_DOMAINS, ids=str)
+def test_lambda_adams_is_a_ring_endomorphism(dom):
+    rng = random.Random(f"adams:{dom}")
+    for N in (1, 4, 8, 12):
+        f, g = (LambdaElem(dom, [_random_scalar(rng, dom) for _ in range(N)], N)
+                for _ in range(2))
+        assert lambda_adams(1, f) == f
+        for k in (2, 3):
+            psi = functools.partial(lambda_adams, k)
+            assert psi(f).trunc == N // k
+            assert psi(lambda_add(f, g)) == lambda_add(psi(f), psi(g))
+            assert psi(lambda_mul(f, g)) == lambda_mul(psi(f), psi(g))
+            assert psi(lambda_one(dom, N)) == lambda_one(dom, N // k)
+        for m, n in ((2, 3), (3, 2), (2, 2), (5, 1)):
+            assert lambda_adams(m, lambda_adams(n, f)) == lambda_adams(m * n, f)
+
+
+def test_lambda_adams_commutes_with_the_structure_map():
+    # lambda_t(psi^k r) = psi^k(lambda_t(r)) for the multiplicative
+    # structure on Z[x]/x^7, whose psi^p is x -> (1 + x)^p - 1
+    S = standard_structure("mult", Z, trunc=6)
+    dom = S.carrier.domain
+    rng = random.Random(13)
+    for _ in range(4):
+        r = dom.coerce([rng.randint(-3, 3) for _ in range(7)])
+        f = LambdaElem(dom, lambda_values(S, 8, r)[1:], 8)
+        for k in (2, 3):
+            M = 8 // k
+            expect = LambdaElem(dom, lambda_values(S, M, adams_apply(S, k, r))[1:], M)
+            assert lambda_adams(k, f) == expect, (str(r), k)
+
+
+def test_lambda_adams_rejects_k_below_one():
+    with pytest.raises(ValueError):
+        lambda_adams(0, L([1, 2]))
+
+
+# -- the kernel's mixed int/Fraction scalars ----------------------------------------
+
+
+def _fraction_scalars(value):
+    """Every scalar inside an element: its Fractions, dual parts, series
+    coefficients."""
+    if isinstance(value, TruncSeries):
+        return [x for c in value.coeffs for x in _fraction_scalars(c)]
+    payload = value.payload
+    return list(payload) if isinstance(payload, tuple) else [payload]
+
+
+def _mixed_scalar(rng, dom):
+    """A seeded element whose scalars mix integral and non-integral values
+    wherever the ring has them."""
+    if isinstance(dom, SeriesRing):
+        return dom.coerce([_mixed_scalar(rng, dom.ground) for _ in range(dom.trunc + 1)])
+    if dom.kind == DUAL:
+        return dom.coerce((_mixed_scalar(rng, dom.base), _mixed_scalar(rng, dom.base)))
+    if dom.inverted.inverts(2):
+        return dom.coerce(Fraction(rng.randint(-5, 5), 2 ** rng.randint(0, 1)))
+    return dom.from_int(rng.randint(-3, 3))
+
+
+PAYLOAD_DOMAINS = [Z, GroundRing.localized([2]), Q, GroundRing.dual(Z),
+                   GroundRing.dual(GroundRing.localized([2])),
+                   SeriesRing(GroundRing.localized([2]), 2),
+                   SeriesRing(GroundRing.dual(Z), 2), SeriesRing(Z, 4)]
+
+
+@pytest.mark.parametrize("dom", PAYLOAD_DOMAINS, ids=str)
+def test_no_kernel_int_escapes_into_results(dom):
+    rng = random.Random(f"payloads:{dom}")
+    N = 6
+    zero = [dom.zero()] * N
+    for coords in ([_mixed_scalar(rng, dom) for _ in range(N)], zero):
+        f = LambdaElem(dom, coords, N)
+        w = WittVec(dom, coords, N)
+        results = [lambda_add(f, f), lambda_neg(f), lambda_mul(f, f),
+                   lambda_op(2, f), lambda_adams(2, f), witt_add(w, w),
+                   witt_mul(w, w), exp_iso(w), exp_iso_inv(f),
+                   lambda_zero(dom, N), lambda_one(dom, N)]
+        for v in results:
+            for c in v.a:
+                assert all(type(x) is Fraction for x in _fraction_scalars(c)), (v, c)
+        assert all(type(x) is Fraction for x in _fraction_scalars(ghost(N, w)))
+
+
+_KERNEL_LAW_DOMAINS = [GroundRing.localized([2]), GroundRing.rational_poly(("y1",)),
+                       SeriesRing(Z, 4)]
+
+
+@st.composite
+def _kernel_triples(draw):
+    dom = draw(st.sampled_from(_KERNEL_LAW_DOMAINS))
+    N = draw(st.integers(1, 5))
+    if isinstance(dom, SeriesRing):
+        scalar = st.lists(st.integers(-3, 3), min_size=5, max_size=5).map(dom.coerce)
+    elif dom.kind == QPOLY:
+        y = dom.element(MPoly.gen(dom.variables, "y1"))
+        scalar = st.tuples(_small, _small).map(lambda c: y * c[0] + c[1])
+    else:
+        scalar = st.builds(Fraction, st.integers(-9, 9),
+                           st.sampled_from([1, 2, 4])).map(dom.coerce)
+    return dom, N, [draw(st.lists(scalar, min_size=N, max_size=N)) for _ in range(3)]
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(_kernel_triples())
+def test_ring_laws_over_mixed_kernel_scalars(case):
+    dom, N, coords = case
+    f, g, h = (LambdaElem(dom, c, N) for c in coords)
+    assert lambda_add(f, g) == lambda_add(g, f)
+    assert lambda_add(lambda_add(f, g), h) == lambda_add(f, lambda_add(g, h))
+    assert lambda_add(f, lambda_neg(f)) == lambda_zero(dom, N)
+    assert lambda_mul(f, g) == lambda_mul(g, f)
+    assert lambda_mul(lambda_mul(f, g), h) == lambda_mul(f, lambda_mul(g, h))
+    assert lambda_mul(f, lambda_add(g, h)) == lambda_add(lambda_mul(f, g),
+                                                         lambda_mul(f, h))
+    assert lambda_mul(f, lambda_one(dom, N)) == f
+    a, b, c = (WittVec(dom, x, N) for x in coords)
+    assert witt_add(a, b) == witt_add(b, a)
+    assert witt_add(witt_add(a, b), c) == witt_add(a, witt_add(b, c))
+    assert witt_mul(a, b) == witt_mul(b, a)
+    assert witt_mul(witt_mul(a, b), c) == witt_mul(a, witt_mul(b, c))
+    assert witt_mul(a, witt_add(b, c)) == witt_add(witt_mul(a, b), witt_mul(a, c))
+    assert exp_iso_inv(exp_iso(a)) == a
+    assert exp_iso(exp_iso_inv(f)) == f

@@ -76,7 +76,7 @@ def _random_payload(rng, ring, den):
     """A random payload of ring, zero about a quarter of the time; den
     sets the denominators used over Z[1/2] and Q."""
     if rng.random() < 0.25:
-        return ring._pzero()
+        return ring.zero().payload
     if ring.kind == DUAL:
         return (Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5)))
     if ring.kind == QPOLY:
@@ -100,7 +100,7 @@ KERNEL_SIZES = [0, 1, 2, 7, 16]
 def _random_series(rng, ring, N, den, constant=True):
     coeffs = [_random_payload(rng, ring, den) for _ in range(N + 1)]
     if not constant:
-        coeffs[0] = ring._pzero()
+        coeffs[0] = ring.zero().payload
     return TruncSeries(ring, [ring.element(c) for c in coeffs], N)
 
 
