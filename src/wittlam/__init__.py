@@ -8,16 +8,17 @@ from .errors import (BoundExceededError, ExactDivisionError, InputError,
                      UnsupportedRingError, WilkersonError, WittlamError)
 from .ground import (EpsIdeal, ExactRational, GroundRing, PrimeIdeal,
                      PrimeSet, RingElement, XAdicIdeal, binomial,
-                     is_p_divisible, parse_ring, ring_arith)
+                     is_p_divisible, parse_ring)
 from .lambda_witt import (LambdaElem, WittVec, coalgebra_check, exp_iso,
-                          exp_iso_inv, filtration_member, ghost, lambda_add,
-                          lambda_adams, lambda_mul, lambda_neg, lambda_one,
-                          lambda_op, lambda_zero, witt_add, witt_mul,
-                          witt_zero)
+                          exp_iso_inv, filtration_member, ghost, ghosts,
+                          lambda_adams, lambda_add, lambda_mul, lambda_neg,
+                          lambda_one, lambda_op, lambda_zero, witt_add,
+                          witt_mul, witt_zero)
 from .lubin import (CommutingProblem, conjugate_structure, hasse_check,
                     lubin_solve, random_unit_series)
+from .report import Report
 from .series import (SeriesRing, TruncSeries, compose, congruent_mod, revert,
-                     series_arith, xadic_valuation)
+                     xadic_valuation)
 from .structures import (Carrier, LambdaStructure, adams_apply, axiom_check,
                          dual_iso_test, make_binomial_structure,
                          make_dual_structure, make_family_structure,

@@ -14,7 +14,7 @@ from . import acceptance
 from .errors import InputError, WittlamError
 from .ground import parse_ring
 from .lambda_witt import (LambdaElem, WittVec, coalgebra_check, exp_iso,
-                          exp_iso_inv, ghost, lambda_add, lambda_mul,
+                          exp_iso_inv, ghost, ghosts, lambda_add, lambda_mul,
                           lambda_op, witt_add, witt_mul)
 from .lubin import CommutingProblem, hasse_check, lubin_solve
 from .series import TruncSeries
@@ -36,6 +36,13 @@ def _emit(args, text):
 
 def _emit_json(args, data):
     _emit(args, json.dumps(data, indent=2, sort_keys=True))
+
+
+def _emit_report(args, report):
+    """Print a check's Report, as text or with --json as JSON; the exit
+    code is 0 when it passed and 1 otherwise."""
+    _emit_json(args, report.to_json()) if args.json else _emit(args, str(report))
+    return 0 if report.passed else 1
 
 
 def _load_json(path):
@@ -104,12 +111,8 @@ def _parse_carrier(text, ring):
 def cmd_witt(args):
     if args.witt_op == "ghost":
         a = _witt_from_args(args, "a")
-        if args.n is not None:
-            values = [ghost(args.n, a)]
-        else:
-            values = [ghost(n, a) for n in range(1, a.trunc + 1)]
-        text = ",".join(a.domain.format_payload(v.payload) for v in values)
-        _emit(args, text)
+        values = [ghost(args.n, a)] if args.n is not None else ghosts(a)
+        _emit(args, ",".join(map(a.domain.format, values)))
         return 0
     a = _witt_from_args(args, "a")
     b = _witt_from_args(args, "b")
@@ -147,36 +150,26 @@ def cmd_unexp(args):
 def cmd_lift(args):
     S = _load_structure(args.structure)
     dom = S.carrier.domain
-    elem = dom.coerce(args.element) if not hasattr(dom, "parse") else dom.parse(args.element)
-    value = newton_lambda(S, args.n, elem)
-    if hasattr(dom, "format"):
-        _emit(args, dom.format(value))
-    else:
-        _emit(args, dom.format_payload(value.payload))
+    value = newton_lambda(S, args.n, dom.coerce(args.element))
+    _emit(args, dom.format(value))
     return 0
 
 
 def cmd_validate(args):
     S = _load_structure(args.structure, check=False)
-    report = validate(S)
-    _emit(args, str(report))
-    return 0 if report.passed else 1
+    return _emit_report(args, validate(S))
 
 
 def cmd_axiom_check(args):
     S = _load_structure(args.structure)
-    report = axiom_check(S, nmax=args.nmax, bound=args.bound)
-    _emit(args, str(report))
-    return 0 if report.passed else 1
+    return _emit_report(args, axiom_check(S, nmax=args.nmax, bound=args.bound))
 
 
 def cmd_coalgebra_check(args):
     S = _load_structure(args.structure)
     dom = S.carrier.domain
     samples = [dom.coerce(s) for s in _parse_coeffs(args.samples)]
-    report = coalgebra_check(S, samples, M=args.M)
-    _emit(args, str(report))
-    return 0 if report.passed else 1
+    return _emit_report(args, coalgebra_check(S, samples, M=args.M))
 
 
 def _parse_primes(text):
@@ -263,9 +256,7 @@ def cmd_hasse(args):
     phi = TruncSeries(
         S1.carrier.ring, _parse_coeffs(args.phi), S1.carrier.series_trunc
     )
-    report = hasse_check(S1, S2, phi, args.prime)
-    _emit(args, str(report))
-    return 0 if report.ok else 1
+    return _emit_report(args, hasse_check(S1, S2, phi, args.prime))
 
 
 def cmd_selftest(args):
@@ -274,11 +265,9 @@ def cmd_selftest(args):
         numbers = {int(s) for s in args.suites.split(",")}
     results = acceptance.run_all(seed=args.seed, numbers=numbers)
     print(f"selftest: seed={args.seed}")
-    for r in results:
-        print(r.line())
-        for f in r.failures:
-            print(f"    {f}")
-    return 0 if all(r.passed for r in results) else 1
+    for report in results:
+        print("\n".join(acceptance.suite_lines(report)))
+    return 0 if all(report.passed for report in results) else 1
 
 
 # -- parser ------------------------------------------------------------------

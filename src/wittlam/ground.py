@@ -510,6 +510,10 @@ class GroundRing:
 
     # -- text and JSON forms --------------------------------------------------------
 
+    def format(self, elem):
+        """The text form of an element, as `SeriesRing.format` gives it."""
+        return self.format_payload(elem.payload)
+
     def format_payload(self, payload):
         if self.kind == ZLOC:
             return format_fraction(payload)
@@ -690,19 +694,6 @@ class RingElement:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-
-def ring_arith(op, a, b):
-    """Exact add/sub/mul of two elements of the same ring."""
-    if a.ring != b.ring:
-        raise RingMismatchError(f"operands live in {a.ring} and {b.ring}")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def is_p_divisible(a, p):

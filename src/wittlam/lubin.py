@@ -17,6 +17,7 @@ independently at every other window prime.
 from fractions import Fraction
 
 from .errors import LubinHypothesisError, UnsupportedRingError
+from .report import Report
 from .series import TruncSeries, compose, revert
 from .structures import LambdaStructure
 
@@ -138,53 +139,26 @@ def random_unit_series(ring, trunc, seed=0, coeff_range=2, xfilt=1):
     return TruncSeries(ring, coeffs, trunc, xfilt)
 
 
-class HasseReport:
-    """Per-prime commutation results for a candidate lambda-map."""
-
-    def __init__(self, p0):
-        self.p0 = p0
-        self.results = {}
-        self.hypothesis_failures = []
-
-    def add(self, p, passed):
-        self.results[p] = bool(passed)
-
-    @property
-    def passed_at_p0(self):
-        return self.results.get(self.p0, False)
-
-    @property
-    def all_pass(self):
-        return all(self.results.values())
-
-    @property
-    def theorem_instance_holds(self):
-        """Pass at p0 must propagate to every window prime."""
-        return (not self.passed_at_p0) or self.all_pass
-
-    @property
-    def ok(self):
-        return not self.hypothesis_failures and self.passed_at_p0 and self.all_pass
-
-    def lines(self):
-        out = []
-        for msg in self.hypothesis_failures:
-            out.append(f"hypothesis violated: {msg}")
-        for p in sorted(self.results):
-            mark = "pass" if self.results[p] else "FAIL"
-            tag = " (checked prime)" if p == self.p0 else ""
-            out.append(f"{mark}  phi commutes with psi^{p}{tag}")
-        if self.results:
-            if self.passed_at_p0 and self.all_pass:
-                out.append(
-                    f"commutation at p0={self.p0} propagated to all window primes"
-                )
-            elif not self.passed_at_p0:
-                out.append(f"not a lambda-map: fails at p0={self.p0}")
-        return out
-
-    def __str__(self):
-        return "\n".join(self.lines())
+def _hypothesis_failures(S1, S2, phi, p0):
+    """The hypotheses of `hasse_check` that fail, as messages."""
+    if S1.carrier != S2.carrier or S1.primes != S2.primes:
+        return ["carriers or prime windows differ"]
+    if p0 not in S1.primes:
+        return [f"p0={p0} outside window"]
+    if not phi.constant_term().is_zero():
+        return ["phi(0) != 0"]
+    out = []
+    for p in S1.primes:
+        a1 = S1.adams_series(p).linear_coeff()
+        a2 = S2.adams_series(p).linear_coeff()
+        if a1 != a2:
+            out.append(f"linear coefficients differ at p={p}")
+            continue
+        try:
+            check_alpha(a1, S1.carrier.series_trunc)
+        except (LubinHypothesisError, UnsupportedRingError) as exc:
+            out.append(f"p={p}: {exc}")
+    return out
 
 
 def hasse_check(S1, S2, phi, p0):
@@ -192,34 +166,27 @@ def hasse_check(S1, S2, phi, p0):
 
     Requires matching linear coefficients alpha_p for the two structures
     at every window prime, each neither 0 nor a root of unity; violations
-    are reported, not guessed around.
+    are reported, not guessed around.  The Report has one check per window
+    prime, or none when a hypothesis fails; the violated hypotheses and the
+    verdict on p0 are notes.  It is passed only when the hypotheses hold
+    and phi commutes at every prime.
     """
-    report = HasseReport(p0)
-    if S1.carrier != S2.carrier or S1.primes != S2.primes:
-        report.hypothesis_failures.append("carriers or prime windows differ")
-        return report
-    if p0 not in S1.primes:
-        report.hypothesis_failures.append(f"p0={p0} outside window")
-        return report
-    if not phi.constant_term().is_zero():
-        report.hypothesis_failures.append("phi(0) != 0")
-        return report
-    for p in S1.primes:
-        a1 = S1.adams_series(p).linear_coeff()
-        a2 = S2.adams_series(p).linear_coeff()
-        if a1 != a2:
-            report.hypothesis_failures.append(
-                f"linear coefficients differ at p={p}"
-            )
-            continue
-        try:
-            check_alpha(a1, S1.carrier.series_trunc)
-        except (LubinHypothesisError, UnsupportedRingError) as exc:
-            report.hypothesis_failures.append(f"p={p}: {exc}")
-    if report.hypothesis_failures:
+    report = Report()
+    failures = _hypothesis_failures(S1, S2, phi, p0)
+    for msg in failures:
+        report.note(f"hypothesis violated: {msg}")
+    if failures:
         return report
     for p in S1.primes:
         lhs = compose(phi, S1.adams_series(p))
-        rhs = compose(S2.adams_series(p), phi)
-        report.add(p, lhs == rhs)
+        ok = lhs == compose(S2.adams_series(p), phi)
+        if p == p0:
+            ok_at_p0 = ok
+            report.add(f"phi commutes with psi^{p} (checked prime)", ok)
+        else:
+            report.add(f"phi commutes with psi^{p}", ok)
+    if not ok_at_p0:
+        report.note(f"not a lambda-map: fails at p0={p0}")
+    elif report.passed:
+        report.note(f"commutation at p0={p0} propagated to all window primes")
     return report

@@ -305,15 +305,6 @@ class TruncSeries:
         return cls(ring, data["coeffs"], data["N"], data.get("x_filtration", 1))
 
 
-def series_arith(op, f, g):
-    """Exact add/mul of matched truncated series."""
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    raise ValueError(f"unknown op {op!r}")
-
-
 def compose(f, g):
     """f(g(x)) mod x^{N+1}; requires g(0) = 0.
 

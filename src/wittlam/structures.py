@@ -15,9 +15,10 @@ in the carrier, the Adams data do not come from a lambda-ring.
 
 import math
 
-from .errors import (ExactDivisionError, PrimeWindowError, RingMismatchError,
-                     UnsupportedRingError, WilkersonError)
+from .errors import (ExactDivisionError, InputError, PrimeWindowError,
+                     RingMismatchError, UnsupportedRingError, WilkersonError)
 from .ground import GroundRing, RingElement, factorize, is_prime
+from .report import Report
 from .series import (SeriesRing, TruncSeries, compose, congruent_mod,
                      xadic_valuation)
 from .sympoly import DEFAULT_PCOMP_BOUND, universal_P, universal_Pcomp
@@ -160,7 +161,8 @@ class LambdaStructure:
 
     `adams` maps each window prime p to its datum: a TruncSeries psi^p(x)
     on series carriers, an element a_p of the base on dual carriers, and
-    is empty on ground carriers.  Constructing with check=True enforces
+    is empty on ground carriers.  The window must not be empty.
+    Constructing with check=True enforces
     psi^p(0) = 0 and, on dual carriers, p-divisibility of a_p; pass
     check=False to build a candidate for `validate` to diagnose.
     """
@@ -169,6 +171,9 @@ class LambdaStructure:
 
     def __init__(self, carrier, primes=DEFAULT_PRIMES, adams=None, check=True):
         primes = tuple(sorted(set(primes)))
+        if not primes:
+            # validate would have no condition to check: no vacuous pass
+            raise InputError("the prime window is empty")
         for p in primes:
             if not is_prime(p):
                 raise ValueError(f"window entry {p} is not prime")
@@ -275,38 +280,6 @@ class LambdaStructure:
 # ---------------------------------------------------------------------------
 
 
-class CheckResult:
-    __slots__ = ("name", "passed", "detail")
-
-    def __init__(self, name, passed, detail=""):
-        self.name = name
-        self.passed = bool(passed)
-        self.detail = detail
-
-    def line(self):
-        mark = "pass" if self.passed else "FAIL"
-        tail = f"  [{self.detail}]" if self.detail else ""
-        return f"{mark}  {self.name}{tail}"
-
-
-class ValidationReport:
-    def __init__(self, checks=None):
-        self.checks = list(checks or [])
-
-    def add(self, name, passed, detail=""):
-        self.checks.append(CheckResult(name, passed, detail))
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
-
-    def lines(self):
-        return [c.line() for c in self.checks]
-
-    def __str__(self):
-        return "\n".join(self.lines())
-
-
 def validate(S):
     """Check the psi-ring conditions for all window primes.
 
@@ -314,7 +287,7 @@ def validate(S):
     when p is invertible in the ground ring; commutation is checked by
     composing the Adams series both ways modulo the truncation.
     """
-    report = ValidationReport()
+    report = Report()
     carrier = S.carrier
     if carrier.kind == GROUND:
         samples = [carrier.ring.from_int(v) for v in (-3, -1, 0, 1, 2, 3)]
@@ -424,7 +397,7 @@ def lambda_values(S, n, r):
         except ExactDivisionError as exc:
             raise WilkersonError(
                 f"not a lambda-ring under these Adams data: "
-                f"lambda^{k}({_fmt(dom, r)}) needs division by {k}: {exc}"
+                f"lambda^{k}({dom.format(r)}) needs division by {k}: {exc}"
             ) from exc
     return lam
 
@@ -432,12 +405,6 @@ def lambda_values(S, n, r):
 def newton_lambda(S, n, r):
     """lambda^n(r) computed by the Newton recursion."""
     return lambda_values(S, n, r)[n]
-
-
-def _fmt(dom, elem):
-    if hasattr(dom, "format"):
-        return dom.format(elem)
-    return dom.format_payload(elem.payload)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +431,7 @@ def axiom_check(S, samples=None, nmax=3, bound=DEFAULT_PCOMP_BOUND):
     via P_{m,n} for mn <= bound, plus filtration closure
     val(lambda^i(r)) >= val(r) on samples inside the filtration ideal.
     """
-    report = ValidationReport()
+    report = Report()
     dom = S.carrier.domain
     samples = [dom.coerce(s) for s in (samples or default_samples(S.carrier))]
     one = dom.one()
@@ -494,7 +461,7 @@ def axiom_check(S, samples=None, nmax=3, bound=DEFAULT_PCOMP_BOUND):
                 term = lr[i] * ls[n - i]
                 acc = term if acc is None else acc + term
             report.add(
-                f"additivity lambda^{n}(r+s) at ({_fmt(dom, r)}; {_fmt(dom, s)})",
+                f"additivity lambda^{n}(r+s) at ({dom.format(r)}; {dom.format(s)})",
                 lsum[n] == acc,
             )
         lprod = S.lambda_values(nmax, r * s)
@@ -505,7 +472,7 @@ def axiom_check(S, samples=None, nmax=3, bound=DEFAULT_PCOMP_BOUND):
                 values[f"a{k}"] = lr[k]
                 values[f"b{k}"] = ls[k]
             report.add(
-                f"product lambda^{n}(rs) at ({_fmt(dom, r)}; {_fmt(dom, s)})",
+                f"product lambda^{n}(rs) at ({dom.format(r)}; {dom.format(s)})",
                 lprod[n] == P.evaluate(values, one),
             )
 
@@ -519,7 +486,7 @@ def axiom_check(S, samples=None, nmax=3, bound=DEFAULT_PCOMP_BOUND):
                 values = {f"a{k}": lr[k] for k in range(1, m * n + 1)}
                 lhs = S.lambda_value(m, lr[n])
                 report.add(
-                    f"composition lambda^{m}(lambda^{n}(r)) at {_fmt(dom, r)}",
+                    f"composition lambda^{m}(lambda^{n}(r)) at {dom.format(r)}",
                     lhs == P.evaluate(values, one),
                 )
 
@@ -531,7 +498,7 @@ def axiom_check(S, samples=None, nmax=3, bound=DEFAULT_PCOMP_BOUND):
         ok = all(
             S.carrier.valuation(lr[i]) >= val for i in range(1, nmax + 1)
         )
-        report.add(f"filtration closure at {_fmt(dom, r)}", ok)
+        report.add(f"filtration closure at {dom.format(r)}", ok)
     return report
 
 

@@ -263,13 +263,6 @@ class MPoly:
 
     # -- structure -------------------------------------------------------
 
-    def rename(self, mapping):
-        """New polynomial with variables renamed via the mapping."""
-        newvars = tuple(mapping.get(v, v) for v in self.vars)
-        if len(set(newvars)) != len(newvars):
-            raise ValueError("renaming collides variable names")
-        return MPoly(newvars, dict(self.terms))
-
     def reorder(self, variables):
         """Same polynomial over a permutation of its variable list."""
         variables = tuple(variables)
@@ -387,12 +380,15 @@ def parse_fraction(text):
 def parse_poly(text, variables):
     """Parse the canonical text form back into an MPoly.
 
-    Accepts sums of terms like ``3*a1^2*b2``, ``-a1``, ``5/6``.
+    Accepts sums of terms like ``3*a1^2*b2``, ``-a1``, ``5/6``.  A name
+    outside `variables` or an exponent that is not a nonnegative integer
+    raises InputError naming it and the variables.
     """
     variables = tuple(variables)
     text = text.strip()
     if text in ("0", ""):
         return MPoly.zero(variables)
+    where = f"in {text!r} (variables: {', '.join(variables) or 'none'})"
     text = text.replace("- ", "+-").replace("+ ", "+")
     if text.startswith("-"):
         text = "-" + text[1:].lstrip()
@@ -413,12 +409,12 @@ def parse_poly(text, variables):
             if factor[0].isdigit():
                 coeff *= parse_fraction(factor)
                 continue
-            if "^" in factor:
-                name, _, k = factor.partition("^")
-                k = int(k)
-            else:
-                name, k = factor, 1
-            expo[variables.index(name)] += k
+            name, caret, k = factor.partition("^")
+            if name not in variables:
+                raise InputError(f"unknown variable {name!r} {where}")
+            if caret and not k.isdecimal():
+                raise InputError(f"bad exponent {k!r} {where}")
+            expo[variables.index(name)] += int(k) if caret else 1
         total = total + MPoly(variables, {tuple(expo): sign * coeff})
     return total
 

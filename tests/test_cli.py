@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from wittlam.cli import main
+from wittlam.ground import parse_ring
+from wittlam.lambda_witt import WittVec, ghost
 from wittlam.structures import make_dual_structure, standard_structure
 from wittlam.ground import GroundRing
 
@@ -41,6 +43,21 @@ def test_witt_ghost(capsys):
     assert out == "-3"
 
 
+@pytest.mark.parametrize("ring, coords", [
+    ("Z", "1,-2,3,0,5,-1,2,2,-3,1,0,4"),
+    ("dual(Z)", "1 + eps,-2,3*eps,0,5 - 2*eps,-1,2,2 + eps,-3,1,-eps,4"),
+])
+def test_witt_ghost_vector_matches_each_ghost(capsys, ring, coords):
+    code, out, _ = run(capsys, "witt", "ghost", "--a", coords, "--ring", ring)
+    assert code == 0
+    w = WittVec(parse_ring(ring), coords.split(","))
+    assert w.trunc == 12
+    assert out == ",".join(str(ghost(n, w)) for n in range(1, 13))
+    singles = [run(capsys, "witt", "ghost", "--a", coords, "--ring", ring,
+                   "--n", str(n))[1] for n in range(1, 13)]
+    assert out == ",".join(singles)
+
+
 def test_lambda_ops(capsys):
     code, out, _ = run(capsys, "lambda", "add", "--f", "2,0", "--g", "3,0")
     assert (code, out) == (0, "5,6")
@@ -72,6 +89,15 @@ def test_validate_and_exit_codes(capsys, tmp_path, mult_file):
     code, out, _ = run(capsys, "validate", "--structure", str(path))
     assert code == 1
     assert "FAIL" in out
+
+
+def test_validate_empty_window_is_a_usage_error(capsys, tmp_path):
+    data = standard_structure("mult", trunc=4, primes=(2,)).to_json()
+    data["primes"], data["adams"] = [], {}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", "--structure", str(path))
+    assert (code, out, err) == (2, "", "error: the prime window is empty")
 
 
 def test_lift(capsys, mult_file):
@@ -145,6 +171,189 @@ def test_lubin_solve(capsys):
     code, out, _ = run(capsys, "lubin", "solve", "--f", "0,2,1", "--g", "0,2,1",
                        "--c", "3", "--ring", "Z", "-N", "4")
     assert (code, out) == (0, "0,3,3,1,0")
+
+
+# -- golden outputs of the check commands ----------------------------------
+#
+# The exact stdout and exit code of each check command, pinned so that the
+# report text cannot drift.
+
+GOLDEN_VALIDATE_MULT = """\
+pass  psi^2(0) = 0
+pass  frobenius psi^2 == x^2 mod 2
+pass  psi^3(0) = 0
+pass  frobenius psi^3 == x^3 mod 3
+pass  psi^5(0) = 0
+pass  frobenius psi^5 == x^5 mod 5
+pass  psi^7(0) = 0
+pass  frobenius psi^7 == x^7 mod 7
+pass  psi^2 and psi^3 commute
+pass  psi^2 and psi^5 commute
+pass  psi^2 and psi^7 commute
+pass  psi^3 and psi^5 commute
+pass  psi^3 and psi^7 commute
+pass  psi^5 and psi^7 commute
+"""
+
+GOLDEN_VALIDATE_BAD = """\
+pass  psi^2(0) = 0
+FAIL  frobenius psi^2 == x^2 mod 2
+"""
+
+GOLDEN_AXIOM_MULT = """\
+pass  lambda^0(r) = 1
+pass  lambda^1(r) = r
+pass  lambda^n(1) = 0 for 1 < n <= 2
+pass  additivity lambda^1(r+s) at (0,1,0,0,0,0,0,0,0; 0,1,0,0,0,0,0,0,0)
+pass  additivity lambda^2(r+s) at (0,1,0,0,0,0,0,0,0; 0,1,0,0,0,0,0,0,0)
+pass  product lambda^1(rs) at (0,1,0,0,0,0,0,0,0; 0,1,0,0,0,0,0,0,0)
+pass  product lambda^2(rs) at (0,1,0,0,0,0,0,0,0; 0,1,0,0,0,0,0,0,0)
+pass  additivity lambda^1(r+s) at (0,1,0,0,0,0,0,0,0; 0,1,1,0,0,0,0,0,0)
+pass  additivity lambda^2(r+s) at (0,1,0,0,0,0,0,0,0; 0,1,1,0,0,0,0,0,0)
+pass  product lambda^1(rs) at (0,1,0,0,0,0,0,0,0; 0,1,1,0,0,0,0,0,0)
+pass  product lambda^2(rs) at (0,1,0,0,0,0,0,0,0; 0,1,1,0,0,0,0,0,0)
+pass  additivity lambda^1(r+s) at (0,1,0,0,0,0,0,0,0; 0,2,0,0,0,0,0,0,0)
+pass  additivity lambda^2(r+s) at (0,1,0,0,0,0,0,0,0; 0,2,0,0,0,0,0,0,0)
+pass  product lambda^1(rs) at (0,1,0,0,0,0,0,0,0; 0,2,0,0,0,0,0,0,0)
+pass  product lambda^2(rs) at (0,1,0,0,0,0,0,0,0; 0,2,0,0,0,0,0,0,0)
+pass  additivity lambda^1(r+s) at (0,1,1,0,0,0,0,0,0; 0,1,1,0,0,0,0,0,0)
+pass  additivity lambda^2(r+s) at (0,1,1,0,0,0,0,0,0; 0,1,1,0,0,0,0,0,0)
+pass  product lambda^1(rs) at (0,1,1,0,0,0,0,0,0; 0,1,1,0,0,0,0,0,0)
+pass  product lambda^2(rs) at (0,1,1,0,0,0,0,0,0; 0,1,1,0,0,0,0,0,0)
+pass  additivity lambda^1(r+s) at (0,1,1,0,0,0,0,0,0; 0,2,0,0,0,0,0,0,0)
+pass  additivity lambda^2(r+s) at (0,1,1,0,0,0,0,0,0; 0,2,0,0,0,0,0,0,0)
+pass  product lambda^1(rs) at (0,1,1,0,0,0,0,0,0; 0,2,0,0,0,0,0,0,0)
+pass  product lambda^2(rs) at (0,1,1,0,0,0,0,0,0; 0,2,0,0,0,0,0,0,0)
+pass  additivity lambda^1(r+s) at (0,2,0,0,0,0,0,0,0; 0,2,0,0,0,0,0,0,0)
+pass  additivity lambda^2(r+s) at (0,2,0,0,0,0,0,0,0; 0,2,0,0,0,0,0,0,0)
+pass  product lambda^1(rs) at (0,2,0,0,0,0,0,0,0; 0,2,0,0,0,0,0,0,0)
+pass  product lambda^2(rs) at (0,2,0,0,0,0,0,0,0; 0,2,0,0,0,0,0,0,0)
+pass  composition lambda^1(lambda^2(r)) at 0,1,0,0,0,0,0,0,0
+pass  composition lambda^2(lambda^1(r)) at 0,1,0,0,0,0,0,0,0
+pass  composition lambda^1(lambda^2(r)) at 0,1,1,0,0,0,0,0,0
+pass  composition lambda^2(lambda^1(r)) at 0,1,1,0,0,0,0,0,0
+pass  composition lambda^1(lambda^2(r)) at 0,2,0,0,0,0,0,0,0
+pass  composition lambda^2(lambda^1(r)) at 0,2,0,0,0,0,0,0,0
+pass  filtration closure at 0,1,0,0,0,0,0,0,0
+pass  filtration closure at 0,1,1,0,0,0,0,0,0
+pass  filtration closure at 0,2,0,0,0,0,0,0,0
+"""
+
+GOLDEN_COALGEBRA_MULT = """\
+pass  counit eta(lambda_t(a)) = a  at 0,0,0,0,0,0,0,0,0
+pass  coassociativity at outer degree 1  at 0,0,0,0,0,0,0,0,0
+pass  coassociativity at outer degree 2  at 0,0,0,0,0,0,0,0,0
+pass  counit eta(lambda_t(a)) = a  at 1,0,0,0,0,0,0,0,0
+pass  coassociativity at outer degree 1  at 1,0,0,0,0,0,0,0,0
+pass  coassociativity at outer degree 2  at 1,0,0,0,0,0,0,0,0
+"""
+
+GOLDEN_HASSE_PROPAGATES = """\
+pass  phi commutes with psi^2 (checked prime)
+pass  phi commutes with psi^3
+pass  phi commutes with psi^5
+pass  phi commutes with psi^7
+commutation at p0=2 propagated to all window primes
+"""
+
+GOLDEN_HASSE_NOT_A_MAP = """\
+FAIL  phi commutes with psi^2 (checked prime)
+FAIL  phi commutes with psi^3
+FAIL  phi commutes with psi^5
+FAIL  phi commutes with psi^7
+not a lambda-map: fails at p0=2
+"""
+
+GOLDEN_HASSE_HYPOTHESIS = """\
+hypothesis violated: p=2: linear coefficient is 0
+hypothesis violated: p=3: linear coefficient is 0
+hypothesis violated: p=5: linear coefficient is 0
+hypothesis violated: p=7: linear coefficient is 0
+"""
+
+
+def _structure_file(tmp_path, name, S):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(S.to_json()))
+    return str(path)
+
+
+@pytest.fixture()
+def check_files(tmp_path, mult_file):
+    """Structure files and the conjugating series for the golden runs."""
+    from wittlam.lubin import conjugate_structure, random_unit_series
+    from wittlam.structures import Carrier, make_series_structure
+
+    carrier = Carrier.power_series(Z, 6)
+    bad = make_series_structure(carrier, {2: carrier.domain.x()}, check=True)
+    phi = random_unit_series(Z, 8, seed=3)
+    conj = conjugate_structure(standard_structure("mult", trunc=8), phi)
+    return {
+        "mult": mult_file,
+        "bad": _structure_file(tmp_path, "bad", bad),
+        "conj": _structure_file(tmp_path, "conj", conj),
+        "power": _structure_file(tmp_path, "power",
+                                 standard_structure("power", trunc=8)),
+        "phi": ",".join(phi.coeff_strings()),
+    }
+
+
+def _check_argv(files, case):
+    return {
+        "validate-mult": ["validate", "--structure", files["mult"]],
+        "validate-bad": ["validate", "--structure", files["bad"]],
+        "axiom-mult": ["axiom-check", "--structure", files["mult"],
+                       "--nmax", "2", "--bound", "2"],
+        "coalgebra-mult": ["coalgebra-check", "--structure", files["mult"],
+                           "-M", "2", "--samples", "0,1"],
+        "hasse-propagates": ["hasse", "check", "--s1", files["mult"],
+                             "--s2", files["conj"], "--phi", files["phi"],
+                             "--prime", "2"],
+        "hasse-not-a-map": ["hasse", "check", "--s1", files["mult"],
+                            "--s2", files["mult"], "--phi", "0,1,1",
+                            "--prime", "2"],
+        "hasse-hypothesis": ["hasse", "check", "--s1", files["power"],
+                             "--s2", files["power"], "--phi", "0,1",
+                             "--prime", "2"],
+    }[case]
+
+
+GOLDEN_CHECKS = [
+    ("validate-mult", 0, GOLDEN_VALIDATE_MULT),
+    ("validate-bad", 1, GOLDEN_VALIDATE_BAD),
+    ("axiom-mult", 0, GOLDEN_AXIOM_MULT),
+    ("coalgebra-mult", 0, GOLDEN_COALGEBRA_MULT),
+    ("hasse-propagates", 0, GOLDEN_HASSE_PROPAGATES),
+    ("hasse-not-a-map", 1, GOLDEN_HASSE_NOT_A_MAP),
+    ("hasse-hypothesis", 1, GOLDEN_HASSE_HYPOTHESIS),
+]
+
+
+@pytest.mark.parametrize("case, exit_code, golden", GOLDEN_CHECKS,
+                         ids=[c[0] for c in GOLDEN_CHECKS])
+def test_check_command_golden_output(capsys, check_files, case, exit_code,
+                                     golden):
+    assert main(_check_argv(check_files, case)) == exit_code
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (golden, "")
+
+
+@pytest.mark.parametrize("case, exit_code, golden", GOLDEN_CHECKS,
+                         ids=[c[0] for c in GOLDEN_CHECKS])
+def test_check_command_json(capsys, check_files, case, exit_code, golden):
+    assert main(_check_argv(check_files, case) + ["--json"]) == exit_code
+    out = capsys.readouterr().out
+    data = json.loads(out)
+    assert out == json.dumps(data, indent=2, sort_keys=True) + "\n"
+    assert sorted(data) == ["checks", "notes", "passed"]
+    assert data["passed"] is (exit_code == 0)
+    # the same checks and notes as the text report, in the same order
+    lines = golden.splitlines()
+    checks = [line for line in lines if line[:6] in ("pass  ", "FAIL  ")]
+    assert [f"{'pass' if c['passed'] else 'FAIL'}  {c['name']}"
+            + (f"  [{c['detail']}]" if c["detail"] else "")
+            for c in data["checks"]] == checks
+    assert data["notes"] == [line for line in lines if line not in checks]
 
 
 def test_hasse_check(capsys, tmp_path, mult_file):
@@ -222,6 +431,19 @@ def test_truncation_zero_and_negative_are_usage_errors(capsys):
     code, out, _ = run(capsys, "witt", "add", "--a", "1,0", "--b", "1,0",
                        "-N", "1")
     assert (code, out) == (0, "2")
+
+
+@pytest.mark.parametrize("coeff, message", [
+    ("z", "unknown variable 'z' in 'z' (variables: y1)"),
+    ("y1^x", "bad exponent 'x' in 'y1^x' (variables: y1)"),
+    ("2*y1^-1", "bad exponent '-1' in '2*y1^-1' (variables: y1)"),
+    ("y1^", "bad exponent '' in 'y1^' (variables: y1)"),
+])
+def test_bad_polynomial_text_is_a_usage_error(capsys, coeff, message):
+    code, out, err = run(capsys, "witt", "add", "--ring", "Q[y1]",
+                         f"--a={coeff},0", "--b", "1,0")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}"
 
 
 def test_repeated_polynomial_variables_are_a_usage_error(capsys):

@@ -10,7 +10,7 @@ from wittlam.errors import (ExactDivisionError, InputError, MembershipError,
                             RingMismatchError)
 from wittlam.ground import (EpsIdeal, GroundRing, PrimeIdeal, PrimeSet,
                             binom_fraction, binomial, factorize, is_p_divisible,
-                            is_prime, parse_ring, ring_arith)
+                            is_prime, parse_ring)
 
 Z = GroundRing.integers()
 Q = GroundRing.rationals()
@@ -27,9 +27,9 @@ def test_prime_helpers():
 def test_rational_arith():
     a = Q.coerce(Fraction(1, 2))
     b = Q.coerce(Fraction(1, 3))
-    assert ring_arith("add", a, b) == Fraction(5, 6)
-    assert ring_arith("sub", a, b) == Fraction(1, 6)
-    assert ring_arith("mul", a, b) == Fraction(1, 6)
+    assert a + b == Fraction(5, 6)
+    assert a - b == Fraction(1, 6)
+    assert a * b == Fraction(1, 6)
 
 
 def test_dual_multiplication_drops_eps_squared():
@@ -51,7 +51,7 @@ def test_membership_errors():
 
 def test_ring_mismatch():
     with pytest.raises(RingMismatchError):
-        ring_arith("add", Z.from_int(1), Q.from_int(1))
+        Z.from_int(1) + Q.from_int(1)
 
 
 def test_p_divisibility():

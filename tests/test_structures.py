@@ -22,7 +22,7 @@ def test_validate_multiplicative_structure():
     S = standard_structure("mult", trunc=8, primes=(2, 3, 5))
     report = validate(S)
     assert report.passed
-    names = [c.name for c in report.checks]
+    names = [name for name, _, _ in report.checks]
     assert any("commute" in n for n in names)
     assert any("frobenius" in n for n in names)
 
@@ -38,7 +38,7 @@ def test_validate_over_p_local_ground():
     x = carrier.domain.x()
     bad = make_series_structure(carrier, {2: x * 9, 3: x * 9}, check=True)
     report = validate(bad)
-    by_name = {c.name: c.passed for c in report.checks}
+    by_name = {name: ok for name, ok, _ in report.checks}
     assert by_name["frobenius psi^2 == x^2 mod 2"]  # vacuous: 2 inverted
     assert not by_name["frobenius psi^3 == x^3 mod 3"]  # 9x != x^3 mod 3
 
@@ -122,7 +122,7 @@ def test_axiom_check_binomial():
 def test_axiom_check_multiplicative_series():
     S = standard_structure("mult", trunc=6, primes=(2, 3, 5))
     report = axiom_check(S, nmax=3, bound=4)
-    assert report.passed, [c.name for c in report.checks if not c.passed]
+    assert report.passed, [name for name, ok, _ in report.checks if not ok]
 
 
 def test_axiom_check_family():
@@ -136,7 +136,7 @@ def test_axiom_check_family():
 def test_filtration_closure_reported():
     S = standard_structure("mult", trunc=6, primes=(2, 3, 5))
     report = axiom_check(S, nmax=3, bound=2)
-    assert any("filtration closure" in c.name for c in report.checks)
+    assert any("filtration closure" in name for name, _, _ in report.checks)
 
 
 def test_make_dual_structure():
@@ -199,7 +199,13 @@ def test_coalgebra_check_examples():
 def test_coalgebra_counit_is_lambda1():
     S = make_binomial_structure()
     rep = coalgebra_check(S, [4], M=2)
-    assert any("counit" in law and ok for _, law, ok, _ in rep.entries)
+    assert any("counit" in name and ok for name, ok, _ in rep.checks)
+
+
+def test_coalgebra_check_without_samples_is_not_a_pass():
+    rep = coalgebra_check(make_binomial_structure(), [], M=3)
+    assert rep.checks == []
+    assert not rep.passed
 
 
 def test_structure_json_roundtrip():
