@@ -12,7 +12,7 @@ import sys
 
 from . import acceptance
 from .errors import InputError, WittlamError
-from .ground import parse_ring
+from .ground import GroundRing, parse_ring
 from .lambda_witt import (LambdaElem, WittVec, coalgebra_check, exp_iso,
                           exp_iso_inv, ghost, ghosts, lambda_add, lambda_mul,
                           lambda_op, witt_add, witt_mul)
@@ -82,6 +82,15 @@ def _series_from_args(args, field, ring=None):
     ring = ring or parse_ring(args.ring)
     coeffs = _parse_coeffs(getattr(args, field))
     return TruncSeries(ring, coeffs, _truncation(args, len(coeffs) - 1, 0))
+
+
+def _ground_ring(args):
+    """--ring for the commands that build structures or series over it,
+    which need a ground ring, not a truncation <ring>[x]/x^k."""
+    ring = parse_ring(args.ring)
+    if not isinstance(ring, GroundRing):
+        raise InputError(f"{args.command} needs a ground ring, not {ring}")
+    return ring
 
 
 def _parse_prime_map(text):
@@ -178,7 +187,7 @@ def _parse_primes(text):
 
 def cmd_dual(args):
     if args.dual_op == "make":
-        ring = parse_ring(args.ring)
+        ring = _ground_ring(args)
         S = make_dual_structure(
             ring, _parse_prime_map(args.a), primes=_parse_primes(args.primes)
         )
@@ -192,7 +201,7 @@ def cmd_dual(args):
 
 
 def cmd_family(args):
-    ring = parse_ring(args.ring)
+    ring = _ground_ring(args)
     carrier = _parse_carrier(args.carrier, ring)
     S = make_family_structure(
         carrier, _parse_prime_map(args.a), primes=_parse_primes(args.primes)
@@ -241,7 +250,7 @@ def cmd_universal(args):
 
 
 def cmd_lubin(args):
-    ring = parse_ring(args.ring)
+    ring = _ground_ring(args)
     f = _series_from_args(args, "f", ring)
     g = _series_from_args(args, "g", ring)
     problem = CommutingProblem(f, g, parse_fraction(args.c))

@@ -36,18 +36,43 @@ from .sympoly import MPoly, parse_fraction, parse_poly
 ExactRational = Fraction
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BASE_SET = frozenset(_MR_BASES)
+# Miller-Rabin with the prime bases up to 41 has no strong pseudoprime
+# below this bound (Sorenson and Webster, Math. Comp. 86 (2017) 985-1003).
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n):
+    """Deterministic primality: small divisors, then Miller-Rabin with the
+    prime bases 2..41, which is exact below 3.3*10^24.  Larger n raise
+    InputError instead of running unbounded."""
+    if n in _MR_BASE_SET:
+        return True
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
             return False
-        f += 2
+    if n < 43 * 43:
+        return True
+    if n >= _MR_LIMIT:
+        raise InputError(f"{n} is too large to test for primality "
+                         f"(limit {_MR_LIMIT})")
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
     return True
 
 
@@ -588,8 +613,21 @@ def format_fraction(q):
 
 
 def parse_ring(text):
-    """Parse a ring name: Z, Q, Z[1/2,1/3], Z_(5), Q[y1,y2], dual(<ring>)."""
+    """Parse a ring name: Z, Q, Z[1/2,1/3], Z_(5), Q[y1,y2], dual(<ring>),
+    or <ring>[x]/x^k (k >= 1), the truncation `series.SeriesRing(<ring>, k - 1)`."""
     text = text.strip()
+    head, sep, tail = text.rpartition("[x]/")
+    if sep:
+        from .series import SeriesRing  # series imports this module
+        k = tail[2:]
+        if not (tail.startswith("x^") and k.isdecimal() and int(k) >= 1):
+            raise InputError(
+                f"cannot parse ring {text!r}: the ideal must be x^k with k >= 1"
+            )
+        ground = parse_ring(head)
+        if not isinstance(ground, GroundRing):
+            raise InputError(f"cannot parse ring {text!r}: {head} is not a ground ring")
+        return SeriesRing(ground, int(k) - 1)
     if text == "Z":
         return GroundRing.integers()
     if text == "Q":

@@ -2,27 +2,32 @@
 
 The centrepiece is the computation of the universal polynomials P_n and
 P_{m,n} that govern products and compositions of lambda-operations.
-Both are built from identities indexed by partitions, never by expanding
-in explicit variables (Macdonald, *Symmetric Functions and Hall
+Both come from recursions indexed by partitions or by degree, never from
+expanding in explicit variables (Macdonald, *Symmetric Functions and Hall
 Polynomials*, ch. I):
 
   * P_n(a_1..a_n; b_1..b_n) = e_n[x*y] is, by the dual Cauchy identity
     (4.3'), sum_{lambda |- n} s_lambda(x) s_lambda'(y), and each Schur
     function is a dual Jacobi-Trudi determinant (3.5) in the a's or b's.
+    Each determinant is expanded once per partition along its first
+    column, whose minors are again determinants of partitions.
   * P_{m,n}(a_1..a_{mn}) = e_m[e_n] comes from Newton's identities (§2)
-    applied to the power sums p_i[e_n] = e_n[p_i], which the expansion
-    e_n = sum_{rho |- n} eps_rho z_rho^{-1} p_rho and p_rho[p_i] = p_{i*rho}
-    (§8) give in terms of p_k(a), themselves from Newton's identities.
+    at two plethysm levels: p_i[e_n] = e_n[p_i] (§8) is e_n of an
+    alphabet whose power sums are p_{ri}, and P_{m,n} is e_m of the
+    alphabet whose power sums are the p_i[e_n].
 
-Both have integer coefficients; this is asserted whenever one is cached.
-Polynomials are sparse dicts from exponent tuples to int/Fraction
-coefficients ("term dicts"); zero coefficients are never stored.
+Both constructions run in integer term dicts, and both results are asserted
+integral whenever one is cached.  Polynomials are sparse dicts from
+exponent tuples to int/Fraction coefficients ("term dicts"); zero
+coefficients are never stored.
 """
 
 import threading
 from fractions import Fraction
-from math import factorial
+from itertools import repeat
+from math import prod
 from operator import add as _add
+from operator import mul
 
 from .errors import (BoundExceededError, InputError, IntegralityError,
                      SymmetryError)
@@ -256,11 +261,6 @@ class MPoly:
             raise ValueError("exponent must be a nonnegative integer")
         return MPoly(self.vars, _power(self.terms, k, len(self.vars)))
 
-    def scalar_div(self, n):
-        """Divide every coefficient by the nonzero scalar n."""
-        inv = Fraction(1, 1) / Fraction(n)
-        return MPoly(self.vars, {e: _norm_coeff(c * inv) for e, c in self.terms.items()})
-
     # -- structure -------------------------------------------------------
 
     def reorder(self, variables):
@@ -305,11 +305,19 @@ class MPoly:
 
         `values` maps every variable name to a ring element; `one` is the
         ring's multiplicative identity (used for the constant term and as
-        base of the power cache).
+        base of the power cache).  When every value is an int or an
+        integral Fraction the sum runs in ints and is returned as
+        `one * <int>`.
         """
         missing = [v for v in self.vars if v not in values]
         if missing:
             raise ValueError(f"no values for variables {missing}")
+        vals = [values[v] for v in self.vars]
+        if all(isinstance(v, int) or (isinstance(v, Fraction) and v.denominator == 1)
+               for v in vals):
+            ints = [v.numerator for v in vals]
+            monomials = map(prod, map(map, repeat(pow), repeat(ints), self.terms))
+            return one * sum(map(mul, self.terms.values(), monomials))
         powcache = {}
 
         def vpow(i, k):
@@ -617,38 +625,46 @@ def _units(nvars):
     ]
 
 
-def _e_det(lam, nvars):
-    """det(e_{lam_i - i + j}) over e_1..e_nvars as a term dict.
+def _jacobi_trudi(nvars):
+    """The map lam -> D(lam) = det(e_{lam_i - i + j}) over e_1..e_nvars, as
+    term dicts, memoised on the partition for the life of the returned
+    function.
 
-    By dual Jacobi-Trudi this is the Schur function of the partition
-    conjugate to lam.  Every entry is 0, 1 or a single variable, so the
-    determinant is expanded along rows, memoised on the set of columns
-    the rows above have used.  Entries need lam_1 + len(lam) - 1 <= nvars.
+    By dual Jacobi-Trudi D(lam) is the Schur function of the partition
+    conjugate to lam.  Deleting row i and column 1 of the matrix of lam
+    leaves the matrix of (lam_1+1, ..., lam_{i-1}+1, lam_{i+1}, ...), so
+    the first-column Laplace expansion is
+
+        D(lam) = sum_i (-1)^(i-1) e_{lam_i-i+1} D(lam_1+1, ..., lam_{i-1}+1, lam_{i+1}, ...),
+
+    where a term with lam_i - i + 1 < 0 vanishes and e_0 = 1.  Every minor
+    is again a partition of weight at most |lam|, so partitions of
+    weight <= nvars need no e_k beyond e_nvars.
     """
-    r = len(lam)
     units = _units(nvars)
-    memo = {}
+    memo = {(): {units[0]: 1}}
 
-    def expand(used, i):
-        if i == r:
-            return {units[0]: 1}
-        got = memo.get(used)
+    def det(lam):
+        got = memo.get(lam)
         if got is not None:
             return got
         out = {}
-        sign = 1
-        for j in range(r):
-            if used >> j & 1:
-                continue
-            k = lam[i] - i + j
-            if k >= 0:
-                minor = expand(used | 1 << j, i + 1)
+        raised = ()
+        for i, part in enumerate(lam):
+            k = part - i
+            if k < 0:
+                break
+            minor = det(raised + lam[i + 1:])
+            sign = -1 if i % 2 else 1
+            if k:
                 _add_into(out, _mul_monomial(minor, units[k], sign))
-            sign = -sign
-        memo[used] = out
+            else:
+                _add_into(out, minor, sign)
+            raised += (part + 1,)
+        memo[lam] = out
         return out
 
-    return expand(0, 0)
+    return det
 
 
 def universal_P(n, cache=None):
@@ -657,9 +673,13 @@ def universal_P(n, cache=None):
     P_n is e_n of the n^2 products x_i*y_j rewritten in a_k = e_k(x) and
     b_k = e_k(y).  The dual Cauchy identity (Macdonald I (4.3'))
     prod (1 + x_i y_j) = sum_lambda s_lambda(x) s_lambda'(y) and dual
-    Jacobi-Trudi s_lambda = det(e_{lambda'_i - i + j}) (I (3.5)) give
+    Jacobi-Trudi s_lambda' = D(lambda) = det(e_{lambda_i-i+j}) (I (3.5)) give
 
-        P_n = sum_{lambda |- n} det(a_{lambda'_i-i+j}) * det(b_{lambda_i-i+j}).
+        P_n = sum_{lambda |- n} D(lambda')(a) * D(lambda)(b).
+
+    Each D is expanded once per partition along its first column (see
+    `_jacobi_trudi`), so lambda and lambda' and all their minors share
+    one memo for the call.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -668,11 +688,13 @@ def universal_P(n, cache=None):
     if got is not None:
         return got
 
-    out = {}
+    det = _jacobi_trudi(n)
+    rows = {}  # a-side exponent -> the b-side term dict it multiplies
     for lam in _partitions(n):
-        b_side = _e_det(lam, n)
-        for ea, ca in _e_det(_conjugate(lam), n).items():
-            _add_into(out, {ea + eb: ca * cb for eb, cb in b_side.items()})
+        b_side = det(lam)
+        for ea, ca in det(_conjugate(lam)).items():
+            _add_into(rows.setdefault(ea, {}), b_side, ca)
+    out = {ea + eb: c for ea, row in rows.items() for eb, c in row.items()}
     return cache.put_P(n, MPoly(_avars(n) + _bvars(n), out))
 
 
@@ -692,20 +714,44 @@ def _power_sums(K):
     return p
 
 
+def _newton_e(p, top, nvars):
+    """e_0..e_top of an alphabet from its power sums p_1..p_top, term dicts
+    over nvars variables with p[0] unused.
+
+    Newton's identity (Macdonald I (2.11')) j*e_j = sum_{r=1}^{j}
+    (-1)^(r-1) e_{j-r} p_r, divided exactly by j in integers: a nonzero
+    remainder means e_j is not integral and raises IntegralityError.
+    """
+    e = [{(0,) * nvars: 1}]
+    for j in range(1, top + 1):
+        acc = {}
+        for r in range(1, j + 1):
+            _add_into(acc, _mul(e[j - r], p[r]), 1 if r % 2 else -1)
+        ej = {}
+        for expo, c in acc.items():
+            q, rem = divmod(c, j)
+            if rem:
+                raise IntegralityError(
+                    f"e_{j} from power sums has a non-integer coefficient"
+                )
+            ej[expo] = q
+        e.append(ej)
+    return e
+
+
 def universal_Pcomp(m, n, bound=DEFAULT_PCOMP_BOUND, cache=None):
     """P_{m,n}(a_1..a_{mn}), the lambda-ring composition polynomial.
 
     This is e_m of the C(mn, n) products x_S over n-element subsets S of
-    x_1..x_K (K = mn), expressed in a_k = e_k(x).  The power sums of the
-    x_S are the plethysms p_i[e_n] = e_n[p_i]; with
-    e_n = sum_{rho |- n} eps_rho z_rho^{-1} p_rho (Macdonald I (2.14')) and
-    p_rho[p_i] = p_{i*rho} (I §8) they are
+    x_1..x_K (K = mn), expressed in a_k = e_k(x).  Newton's identities
+    (`_newton_e`) run at both plethysm levels:
 
-        p_i[e_n] = sum_{rho |- n} eps_rho z_rho^{-1} prod_j p_{i*rho_j},
+      * the i-th power sum of the x_S is p_i[e_n] = e_n[p_i] (Macdonald
+        I §8), e_n of the alphabet {x^i}, whose power sums are p_{ri}(x)
+        (themselves Newton's identities in the a's, `_power_sums`);
+      * P_{m,n} is e_m of the alphabet whose power sums are those p_i[e_n].
 
-    with each p_k(a) from Newton's identities.  Newton's identity
-    j*e_j = sum (-1)^{i-1} e_{j-i} p_i then builds e_m of the subset
-    products entirely inside Z[a_1..a_K].
+    Every step stays in integer term dicts over Z[a_1..a_K].
     """
     if m < 1 or n < 1:
         raise ValueError("m, n must be >= 1")
@@ -719,36 +765,13 @@ def universal_Pcomp(m, n, bound=DEFAULT_PCOMP_BOUND, cache=None):
     if got is not None:
         return got
 
-    av = _avars(K)
     p = _power_sums(K)
-    # n!/z_rho is the size of the conjugacy class of cycle type rho
-    classes = []
-    for rho in _partitions(n):
-        z = 1
-        for part in set(rho):
-            mult = rho.count(part)
-            z *= part ** mult * factorial(mult)
-        classes.append((rho, (-1) ** (n - len(rho)) * (factorial(n) // z)))
-    psums = []
-    for i in range(1, m + 1):
-        acc = {}
-        for rho, size in classes:
-            term = {(0,) * K: size}
-            for part in rho:
-                term = _mul(term, p[i * part])
-            _add_into(acc, term)
-        psums.append(MPoly(av, acc).scalar_div(factorial(n)))
-    E = [MPoly.one(av)]
-    for j in range(1, m + 1):
-        acc = MPoly.zero(av)
-        for i in range(1, j + 1):
-            term = E[j - i] * psums[i - 1]
-            acc = acc + term if i % 2 else acc - term
-        Ej = acc.scalar_div(j)
-        if not Ej.is_integral():
-            raise IntegralityError(f"e_{j} of subset products is non-integral")
-        E.append(Ej)
-    poly = E[m]
+    # p[i::i][:n] is p_i, p_2i, ..., p_ni: the power sums of {x^i}
+    psums = [None] + [
+        _newton_e([None] + p[i::i][:n], n, K)[n] for i in range(1, m + 1)
+    ]
+    av = _avars(K)
+    poly = MPoly(av, _newton_e(psums, m, K)[m])
     # sanity anchors: lambda^1 lambda^n = lambda^n and lambda^m lambda^1 = lambda^m
     if m == 1 or n == 1:
         expect = MPoly.gen(av, f"a{max(m, n)}")

@@ -1,13 +1,20 @@
 """CLI: dispatch, exit codes, JSON round trips, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import wittlam
 from wittlam.cli import main
 from wittlam.ground import parse_ring
-from wittlam.lambda_witt import WittVec, ghost
+from wittlam.lambda_witt import (LambdaElem, WittVec, ghost, lambda_mul,
+                                 lambda_op, witt_mul)
+from wittlam.series import SeriesRing
 from wittlam.structures import make_dual_structure, standard_structure
 from wittlam.ground import GroundRing
 
@@ -66,6 +73,42 @@ def test_lambda_ops(capsys):
     code, out, _ = run(capsys, "lambda", "op", "--i", "2", "--f", "3,1,4,1,5,9")
     assert code == 0
     assert out.startswith("1,")
+
+
+def test_lambda_and_witt_over_truncated_polynomials(capsys):
+    # each coefficient given on the command line is a constant of Z[x]/x^5
+    R = SeriesRing(Z, 4)
+    f = LambdaElem(R, [1, 2, 3], 3)
+    g = LambdaElem(R, [2, 0, 1], 3)
+    code, out, _ = run(capsys, "lambda", "mul", "--ring", "Z[x]/x^5",
+                       "--f", "1,2,3", "--g", "2,0,1")
+    assert (code, out) == (0, str(lambda_mul(f, g)))
+    code, out, _ = run(capsys, "lambda", "op", "--ring", "Z[x]/x^5", "--i", "2",
+                       "--f", "1,2,3,4")
+    assert (code, out) == (0, str(lambda_op(2, LambdaElem(R, [1, 2, 3, 4], 4))))
+    code, out, _ = run(capsys, "witt", "mul", "--ring", "Z[x]/x^5",
+                       "--a", "1,2,3", "--b", "2,0,1")
+    a, b = WittVec(R, [1, 2, 3], 3), WittVec(R, [2, 0, 1], 3)
+    assert (code, out) == (0, str(witt_mul(a, b)))
+
+
+@pytest.mark.parametrize("ring", ["Z[x]/x^0", "Z[x]/y^3", "Z[x]/x^"])
+def test_bad_truncated_ring_is_a_usage_error(capsys, ring):
+    code, out, err = run(capsys, "lambda", "mul", "--ring", ring,
+                         "--f", "1,2", "--g", "1,2")
+    assert (code, out) == (2, "")
+    assert f"cannot parse ring {ring!r}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dual", "make", "--a", "2=2"],
+    ["family", "make", "--carrier", "trunc:3", "--a", "2=5"],
+    ["lubin", "solve", "--f", "0,2", "--g", "0,2", "--c", "1"],
+])
+def test_structure_commands_need_a_ground_ring(capsys, argv):
+    code, out, err = run(capsys, *argv, "--ring", "Z[x]/x^3")
+    assert (code, out) == (2, "")
+    assert f"{argv[0]} needs a ground ring, not Z[x]/x^3" in err
 
 
 def test_exp_unexp_inverse(capsys):
@@ -559,6 +602,29 @@ def test_from_hom_rejects_assignment_outside_window(capsys, tmp_path,
         code, out, err = run(capsys, "universal", op, "--assignment", str(path))
         assert (code, out) == (2, "")
         assert message in err
+
+
+def test_from_hom_with_a_huge_window_prime_ends_quickly(capsys, tmp_path,
+                                                      mult6_file):
+    # primality of 10^18 + 3 is decided without trial division, so the
+    # window check moves on to the values of prime 3, outside this window
+    code, out, _ = run(capsys, "universal", "to-hom", "--structure",
+                       mult6_file, "--depth", "1")
+    assert code == 0
+    data = json.loads(out)
+    data["primes"] = [2, 1000000000000000003]
+    path = tmp_path / "hom.json"
+    path.write_text(json.dumps(data))
+    env = dict(os.environ, PYTHONPATH=str(Path(wittlam.__file__).parents[1]))
+    t0 = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "wittlam.cli", "universal", "from-hom",
+         "--assignment", str(path)],
+        capture_output=True, text=True, env=env, timeout=10)
+    elapsed = time.perf_counter() - t0
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "v(3,1) is outside the window" in done.stderr
+    assert elapsed < 5
 
 
 @pytest.mark.parametrize("op", ["to-hom", "relations", "roundtrip"])

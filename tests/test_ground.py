@@ -300,6 +300,57 @@ def test_parse_ring_names():
     assert parse_ring("dual(Z)") == DZ
 
 
+def test_parse_ring_truncated_polynomials():
+    from wittlam.series import SeriesRing
+
+    assert parse_ring("Z[x]/x^5") == SeriesRing(Z, 4)
+    assert parse_ring("Z[1/2][x]/x^3") == SeriesRing(Z2, 2)
+    assert parse_ring("dual(Z)[x]/x^1") == SeriesRing(DZ, 0)
+    for ring in (SeriesRing(Q, 3), SeriesRing(Zp5, 6)):
+        assert parse_ring(str(ring)) == ring
+    for text in ("Z[x]/x^0", "Z[x]/y^3", "Z[x]/x^", "Z[x]/x^-2",
+                 "Z[x]/x^3[x]/x^2", "dual(Z[x]/x^3)"):
+        with pytest.raises(InputError, match="cannot parse ring"):
+            parse_ring(text)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 20000) if is_prime(n)] == \
+        [n for n in range(-3, 20000) if _trial_division(n)]
+    rng = random.Random(5)
+    for n in rng.sample(range(10 ** 6, 10 ** 9), 300):
+        assert is_prime(n) == _trial_division(n), n
+
+
+def test_is_prime_strong_pseudoprimes_and_limit():
+    # Carmichael numbers, and the least strong pseudoprimes to the prime
+    # bases 2, 2..3, 2..5, 2..7, 2..11, 2..13, 2..19, 2..31 and 2..37
+    # (OEIS A014233)
+    composites = (561, 1105, 1729, 41041, 825265, 2047, 1373653, 25326001,
+                  3215031751, 2152302898747, 3474749660383, 341550071728321,
+                  3825123056546413051, 318665857834031151167461)
+    assert not any(is_prime(n) for n in composites)
+    primes = (2 ** 31 - 1, 2 ** 61 - 1, 10 ** 18 + 3, 10 ** 18 + 9,
+              3317044064679887385961813)
+    assert all(is_prime(p) for p in primes)
+    # Miller-Rabin on the bases up to 41 is only proven below 3.3*10^24
+    for n in (3317044064679887385961981, 2 ** 89 - 1):
+        with pytest.raises(InputError, match="too large"):
+            is_prime(n)
+
+
+def test_is_prime_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randrange(10 ** 9, 3 * 10 ** 24) | 1
+        assert is_prime(n) == bool(sympy.isprime(n)), n
+
+
 def test_ring_json_roundtrip():
     for ring in (Z, Q, Z2, Zp5, DZ, GroundRing.rational_poly(("y",))):
         assert GroundRing.from_json(ring.to_json()) == ring

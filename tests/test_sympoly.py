@@ -5,20 +5,26 @@ polynomial multiplier (independent of the library's term helpers),
 brute-force expansions of e_n over explicit subsets, the classical
 bisymmetric reduction coded independently, the explicit-variable routes
 that expand in x_1..x_K and reduce with express_in_elementary, and
-substitution of integer roots.  The library's partition-indexed routes
-must reproduce them exactly.
+substitution of integer roots.  Two further routes reach the North-star
+sizes: dual Jacobi-Trudi determinants expanded along rows with a memo
+on the used columns, one expansion per partition and its conjugate, for
+P_n; and the conjugacy-class sum of power-sum products over Fractions
+for P_(m,n).  The library's partition recursions must reproduce them
+all exactly.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import factorial, prod
 
 import pytest
 
-from wittlam.errors import BoundExceededError, SymmetryError
+from wittlam.errors import BoundExceededError, IntegralityError, SymmetryError
 from wittlam.ground import binom_fraction
-from wittlam.sympoly import (MPoly, _add_into, _mul, elementary_symmetric,
+from wittlam.sympoly import (MPoly, _add_into, _avars, _bvars, _conjugate,
+                             _mul, _mul_monomial, _newton_e, _partitions,
+                             _power_sums, _units, elementary_symmetric,
                              express_in_elementary, format_terms, is_symmetric,
                              parse_poly, universal_P, universal_Pcomp)
 
@@ -167,7 +173,81 @@ def explicit_universal_Pcomp(m, n):
         for i in range(1, j + 1):
             term = E[j - i] * psums[i - 1]
             acc = acc + term if i % 2 else acc - term
-        E.append(acc.scalar_div(j))
+        E.append(acc * Fraction(1, j))
+    return E[m]
+
+
+def row_expanded_det(lam, nvars):
+    """det(e_{lam_i - i + j}) over e_1..e_nvars, expanded along rows and
+    memoised on the set of columns the rows above have used."""
+    r = len(lam)
+    units = _units(nvars)
+    memo = {}
+
+    def expand(used, i):
+        if i == r:
+            return {units[0]: 1}
+        got = memo.get(used)
+        if got is not None:
+            return got
+        out = {}
+        sign = 1
+        for j in range(r):
+            if used >> j & 1:
+                continue
+            k = lam[i] - i + j
+            if k >= 0:
+                minor = expand(used | 1 << j, i + 1)
+                _add_into(out, _mul_monomial(minor, units[k], sign))
+            sign = -sign
+        memo[used] = out
+        return out
+
+    return expand(0, 0)
+
+
+def row_expanded_universal_P(n):
+    """sum_{lam |- n} det(a_{lam'_i-i+j}) * det(b_{lam_i-i+j}), each
+    determinant expanded on its own."""
+    out = {}
+    for lam in _partitions(n):
+        b_side = row_expanded_det(lam, n)
+        for ea, ca in row_expanded_det(_conjugate(lam), n).items():
+            _add_into(out, {ea + eb: ca * cb for eb, cb in b_side.items()})
+    return MPoly(_avars(n) + _bvars(n), out)
+
+
+def class_sum_universal_Pcomp(m, n):
+    """p_i[e_n] = sum_{rho |- n} eps_rho z_rho^{-1} prod_j p_{i*rho_j}
+    (Macdonald I (2.14') and §8), summed over the conjugacy classes of S_n
+    in Fractions, then Newton's identity for e_m of the subset products."""
+    K = m * n
+    av = _avars(K)
+    p = _power_sums(K)
+    # n!/z_rho is the size of the conjugacy class of cycle type rho
+    classes = []
+    for rho in _partitions(n):
+        z = 1
+        for part in set(rho):
+            mult = rho.count(part)
+            z *= part ** mult * factorial(mult)
+        classes.append((rho, (-1) ** (n - len(rho)) * (factorial(n) // z)))
+    psums = []
+    for i in range(1, m + 1):
+        acc = {}
+        for rho, size in classes:
+            term = {(0,) * K: size}
+            for part in rho:
+                term = _mul(term, p[i * part])
+            _add_into(acc, term)
+        psums.append(MPoly(av, acc) * Fraction(1, factorial(n)))
+    E = [MPoly.one(av)]
+    for j in range(1, m + 1):
+        acc = MPoly.zero(av)
+        for i in range(1, j + 1):
+            term = E[j - i] * psums[i - 1]
+            acc = acc + term if i % 2 else acc - term
+        E.append(acc * Fraction(1, j))
     return E[m]
 
 
@@ -277,6 +357,36 @@ def test_universal_Pcomp_matches_explicit_route(m, n):
     got = universal_Pcomp(m, n, bound=8)
     assert got.vars == expect.vars
     assert got.terms == expect.terms
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_universal_P_matches_row_expanded_route(n):
+    expect = row_expanded_universal_P(n)
+    got = universal_P(n)
+    assert got.vars == expect.vars
+    assert got.terms == expect.terms
+
+
+@pytest.mark.parametrize(
+    "m,n", [(m, n) for m in range(1, 17) for n in range(1, 16 // m + 1)]
+)
+def test_universal_Pcomp_matches_class_sum_route(m, n):
+    expect = class_sum_universal_Pcomp(m, n)
+    got = universal_Pcomp(m, n, bound=16)
+    assert got.vars == expect.vars
+    assert got.terms == expect.terms
+
+
+def test_newton_e_recovers_elementary_and_rejects_inexact_division():
+    # the power sums of the alphabet {2, 3}: e_1 = 5, e_2 = 6, e_3 = 0
+    p = [None] + [{(): 2 ** k + 3 ** k} for k in range(1, 4)]
+    assert _newton_e(p, 3, 0) == [{(): 1}, {(): 5}, {(): 6}, {}]
+    # p_1 = 1, p_2 = 0 would need e_2 = 1/2
+    with pytest.raises(IntegralityError):
+        _newton_e([None, {(): 1}, {}], 2, 0)
+    # in one variable t: p_1 = t, p_2 = 2t^2 + 1 needs e_2 = -1/2 (2*e_2 = -1)
+    with pytest.raises(IntegralityError):
+        _newton_e([None, {(1,): 1}, {(2,): 2, (0,): 1}], 2, 1)
 
 
 def test_universal_polys_at_integer_roots():
@@ -395,12 +505,12 @@ def test_mpoly_arith():
     assert (x * Fraction(1, 2)) * 2 == x
 
 
-def test_mpoly_scalar_div_and_integrality():
+def test_mpoly_fraction_scaling_and_integrality():
     vs = ("x",)
     f = MPoly(vs, {(2,): 4, (0,): 2})
-    assert f.scalar_div(2) == MPoly(vs, {(2,): 2, (0,): 1})
-    assert f.scalar_div(2).is_integral()
-    assert not f.scalar_div(3).is_integral()
+    assert f * Fraction(1, 2) == MPoly(vs, {(2,): 2, (0,): 1})
+    assert (f * Fraction(1, 2)).is_integral()
+    assert not (f * Fraction(1, 3)).is_integral()
 
 
 def test_mpoly_text_forms():
@@ -417,3 +527,29 @@ def test_mpoly_evaluate_partial_and_full():
     assert f.evaluate({"x": Fraction(2), "y": Fraction(5)}, Fraction(1)) == 26
     g = f.set_vars({"y": 1})
     assert g == parse_poly("x^2 + 3*x", ("x",))
+
+
+def test_mpoly_evaluate_integer_path_matches_generic_path():
+    # integral values (ints or Fractions with denominator 1) run in ints;
+    # the result is `one * <int>`, so its type follows `one`
+    rng = random.Random(3)
+    vs = ("x", "y", "z")
+    for _ in range(20):
+        terms = {tuple(rng.randrange(4) for _ in vs): rng.randint(-5, 5)
+                 for _ in range(8)}
+        f = MPoly(vs, terms)
+        point = [rng.randint(-4, 4) for _ in vs]
+        expect = sum(c * prod(v ** k for v, k in zip(point, e))
+                     for e, c in f.terms.items())
+        as_fractions = dict(zip(vs, map(Fraction, point)))
+        got = f.evaluate(as_fractions, Fraction(1))
+        assert got == expect and isinstance(got, Fraction)
+        got = f.evaluate(dict(zip(vs, point)), 1)
+        assert got == expect and type(got) is int
+        # one non-integral value takes the generic path, still exact
+        half = dict(as_fractions, x=Fraction(point[0] * 2 + 1, 2))
+        expect_half = sum(c * half["x"] ** e[0] * point[1] ** e[1]
+                          * point[2] ** e[2] for e, c in f.terms.items())
+        assert f.evaluate(half, Fraction(1)) == expect_half
+    assert MPoly.zero(vs).evaluate(dict.fromkeys(vs, 2), Fraction(1)) == 0
+    assert MPoly.const((), 7).evaluate({}, 1) == 7
