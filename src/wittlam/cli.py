@@ -292,12 +292,15 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, ring=True, N=True):
+    def common(p, ring=True, N=True, with_json=True):
+        """--ring, -N, --json and -o; a command that prints only text
+        takes with_json=False, so that --json is a usage error there."""
         if ring:
             p.add_argument("--ring", default="Z", help="Z, Q, Z[1/2], Z_(5), Q[y1]")
         if N:
             p.add_argument("-N", type=int, default=None, help="truncation")
-        p.add_argument("--json", action="store_true", help="emit JSON")
+        if with_json:
+            p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument("-o", "--output", default=None, help="write to file")
 
     p = sub.add_parser("witt", help="Witt vector arithmetic and ghosts")
@@ -311,7 +314,7 @@ def build_parser():
     q = ws.add_parser("ghost")
     q.add_argument("--a", required=True)
     q.add_argument("--n", type=int, default=None, help="single ghost index")
-    common(q)
+    common(q, with_json=False)
     q.set_defaults(func=cmd_witt)
 
     p = sub.add_parser("lambda", help="universal lambda-ring operations")
@@ -343,7 +346,7 @@ def build_parser():
     q.add_argument("--structure", required=True)
     q.add_argument("--element", required=True)
     q.add_argument("-n", type=int, required=True)
-    common(q, ring=False, N=False)
+    common(q, ring=False, N=False, with_json=False)
     q.set_defaults(func=cmd_lift)
 
     q = sub.add_parser("validate", help="psi-ring condition report")
@@ -375,7 +378,7 @@ def build_parser():
     q = ds.add_parser("iso")
     q.add_argument("--s1", required=True)
     q.add_argument("--s2", required=True)
-    common(q, ring=False, N=False)
+    common(q, ring=False, N=False, with_json=False)
     q.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("family", help="linear families over Q-algebras")
@@ -393,7 +396,7 @@ def build_parser():
         q = us.add_parser(op)
         q.add_argument("--structure", required=True)
         q.add_argument("--depth", type=int, default=2)
-        common(q, ring=False, N=False)
+        common(q, ring=False, N=False, with_json=op == "to-hom")
         q.set_defaults(func=cmd_universal)
     q = us.add_parser("from-hom")
     q.add_argument("--assignment", required=True)
@@ -403,7 +406,7 @@ def build_parser():
     q.add_argument("--structure", default=None)
     q.add_argument("--assignment", default=None)
     q.add_argument("--depth", type=int, default=2)
-    common(q, ring=False, N=False)
+    common(q, ring=False, N=False, with_json=False)
     q.set_defaults(func=cmd_universal)
 
     p = sub.add_parser("lubin", help="commuting power series solver")
@@ -412,7 +415,7 @@ def build_parser():
     q.add_argument("--f", required=True, help="comma list c0,c1,..")
     q.add_argument("--g", required=True)
     q.add_argument("--c", required=True, help="target linear coefficient")
-    common(q)
+    common(q, with_json=False)
     q.set_defaults(func=cmd_lubin)
 
     p = sub.add_parser("hasse", help="one-prime-determines-all check")

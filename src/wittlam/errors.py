@@ -30,7 +30,11 @@ class ExactDivisionError(WittlamError):
 
 
 class IntegralityError(WittlamError):
-    """A quantity that must be integral came out non-integral (engine bug)."""
+    """A quantity that must be integral came out non-integral (engine bug,
+    or Adams data that do not lift).  `degree` is the failing degree of a
+    Newton inversion, None where no degree applies."""
+
+    degree = None
 
 
 class WilkersonError(WittlamError):

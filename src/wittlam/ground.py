@@ -7,25 +7,30 @@ Three ring kinds cover every coefficient domain in the library:
   * polynomial algebras Q[y_1..y_k] over the rationals,
   * dual numbers B[eps] (eps^2 = 0) over one of the above.
 
-Scalars are stdlib Fractions (always reduced, positive denominator);
-polynomial payloads are MPoly; dual payloads are (a, b) pairs standing
-for a + b*eps.  Elements are immutable and freely shareable.
+Over Z[S^-1] a scalar is a Python int when it is integral and a
+Fraction otherwise (never a float or a bool), the convention MPoly
+coefficients follow too: integral input (`element`, `coerce`, parsing,
+`from_int`) is stored as an int, int arithmetic stays in ints, so over Z
+every scalar is an int, and Python's numeric tower keeps mixed
+int/Fraction arithmetic exact.  A computed integral value over a ring
+with denominators may also come out as a Fraction with denominator 1,
+which compares and hashes equal to the int.  Polynomial payloads are
+MPoly; dual payloads are (a, b) pairs of base payloads standing for
+a + b*eps.  Elements are immutable and freely shareable.
 
 Payload kernel.  The `_p*` methods of a GroundRing (`_padd`, `_psub`,
 `_pneg`, `_pmul`, `_pscale` by an int, `_ppow`, `_pis_zero`, `_pdiv_int`,
-and the constants `_pzero`, `_pfrom_int`) compute on kernel payloads,
-which differ from element payloads in one way: over Z[S^-1] a kernel
-scalar is a Python int when it is integral and a Fraction otherwise, so
-loops over integral values run in int arithmetic, and Python's numeric
-tower keeps mixed int/Fraction arithmetic exact.  `int / n` would be a
-float, so kernel code divides only through `_pdiv_int`.  `_unwrap` turns
-an element into its kernel payload and `_wrap` turns a kernel payload
-back into an element (whose Z[S^-1] scalars are always Fractions), once
-per result value.  SeriesRing (`series`) implements the same protocol, so
-`lambda_witt` runs one loop over every coefficient domain.
+and the constants `_pzero`, `_pfrom_int`) compute on element payloads
+directly.  `int / n` would be a float, so code divides only through
+`_pdiv_int`, which returns an int for an integral quotient.  `_unwrap`
+reads an element's payload and `_wrap` builds an element around a
+payload.  SeriesRing (`series`) implements the same protocol, so
+`lambda_witt` and `structures` run one loop over every coefficient
+domain.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import (ExactDivisionError, InputError, MembershipError,
@@ -276,7 +281,8 @@ class GroundRing:
 
     def _payload_ok(self, payload):
         if self.kind == ZLOC:
-            return isinstance(payload, Fraction)
+            return (isinstance(payload, (int, Fraction))
+                    and not isinstance(payload, bool))
         if self.kind == QPOLY:
             return isinstance(payload, MPoly) and payload.vars == self.variables
         return (
@@ -317,7 +323,16 @@ class GroundRing:
             )
         if check and not self.contains_payload(payload):
             raise MembershipError(f"{self.format_payload(payload)} is not in {self}")
-        return RingElement(self, payload)
+        return RingElement(self, self._int_if_integral(payload))
+
+    def _int_if_integral(self, payload):
+        """The payload with each integral Z[S^-1] scalar as an int."""
+        if self.kind == ZLOC:
+            return payload.numerator if payload.denominator == 1 else payload
+        if self.kind == QPOLY:
+            return payload
+        norm = self.base._int_if_integral
+        return (norm(payload[0]), norm(payload[1]))
 
     def zero(self):
         return self._wrap(self._pzero())
@@ -326,7 +341,8 @@ class GroundRing:
         return self._wrap(self._pfrom_int(1))
 
     def from_int(self, n):
-        return self._wrap(self._pfrom_int(n))
+        # operator.index turns a bool into an int and rejects a float
+        return self._wrap(self._pfrom_int(operator.index(n)))
 
     def coerce(self, value):
         """Build an element from an int, Fraction, str, pair, or MPoly."""
@@ -357,38 +373,11 @@ class GroundRing:
 
     # -- payload kernel (see the module docstring) -----------------------------
 
-    def _to_kernel(self, payload):
-        """The kernel form of an element payload: integral scalars as ints."""
-        if self.kind == ZLOC:
-            return payload.numerator if payload.denominator == 1 else payload
-        if self.kind == QPOLY:
-            return payload
-        to = self.base._to_kernel
-        return (to(payload[0]), to(payload[1]))
-
-    def _from_kernel(self, payload):
-        """The element form of a kernel payload: every scalar a Fraction."""
-        if self.kind == ZLOC:
-            return Fraction(payload) if type(payload) is int else payload
-        if self.kind == QPOLY:
-            return payload
-        back = self.base._from_kernel
-        return (back(payload[0]), back(payload[1]))
-
     def _unwrap(self, elem):
-        return self._to_kernel(elem.payload)
+        return elem.payload
 
     def _wrap(self, payload):
-        return RingElement(self, self._from_kernel(payload))
-
-    def _wrap_all(self, payloads):
-        """The elements of a sequence of kernel payloads, as a tuple.  Every
-        series result passes here, so over Z[S^-1] it makes no call per
-        payload."""
-        if self.kind == ZLOC:
-            return tuple([RingElement(self, Fraction(p) if type(p) is int else p)
-                          for p in payloads])
-        return tuple([self._wrap(p) for p in payloads])
+        return RingElement(self, payload)
 
     def _pzero(self):
         if self.kind == ZLOC:
@@ -433,8 +422,8 @@ class GroundRing:
     def _ppow(self, x, k):
         """x**k for an integer k >= 0: the payload's own power on Z[S^-1]
         and Q[y..]; (a + b eps)^k = a^k + k a^(k-1) b eps on dual pairs.
-        Both keep the payload's type, so k = 0 gives an int 1 on kernel
-        payloads and a Fraction 1 on element payloads."""
+        Both keep the payload's type, so k = 0 gives an int 1 on an int
+        and a Fraction 1 on a Fraction."""
         if self.kind != DUAL:
             return x ** k
         a, b = x
@@ -455,13 +444,16 @@ class GroundRing:
     def _pdiv_int(self, x, n):
         """x / n for a nonzero int n when the quotient stays in the ring;
         ExactDivisionError otherwise.  An int numerator is divided with
-        divmod; anything else as a Fraction, then checked for membership."""
+        divmod; anything else as a Fraction, then checked for membership.
+        An integral quotient is an int."""
         if self.kind == ZLOC:
             if type(x) is int:
                 q, r = divmod(x, n)
                 if not r:
                     return q
             q = Fraction(x, n)
+            if q.denominator == 1:
+                return q.numerator
             if self._den_ok(q.denominator):
                 return q
         elif self.kind == QPOLY:
@@ -489,8 +481,10 @@ class GroundRing:
             q = elem.payload
             if not q:
                 return None
-            inv = 1 / q
-            return RingElement(self, inv) if self.contains_payload(inv) else None
+            inv = Fraction(1) / q
+            if not self.contains_payload(inv):
+                return None
+            return self.element(inv, check=False)
         if self.kind == QPOLY:
             c = elem.payload.constant()
             if elem.payload.terms and list(elem.payload.terms) == [

@@ -17,16 +17,18 @@ and turns their ring operations into coordinatewise ones (Hazewinkel,
     identities (Macdonald, Symmetric Functions, I §2 (2.11')).
   * E^-1 peels one factor 1 + a_k t^k at a time, O(N^2) products.
 
-Every routine runs on the domain's kernel payloads (the `_p*` protocol of
+Every routine runs on the domain's payloads (the `_p*` protocol of
 `ground.GroundRing` and `series.SeriesRing`): over Z[S^-1] a scalar is an
 int when it is integral and a Fraction otherwise, and a Z[x]/x^k value is
-a tuple of such scalars.  The inputs are unwrapped once, and each result
-coefficient is wrapped once, so the public values (RingElements with
-Fraction scalars, TruncSeries) are the same as element-level arithmetic
-gives.  Every division by an integer goes through the domain's exact
-`_pdiv_int`; a failure raises IntegralityError.  The universal
-polynomials P_n and P_{m,n} are not used here: they are what the tests
-and `axiom_check` check these routes against.
+a tuple of such scalars.  These are the payloads the public values
+(RingElements, TruncSeries) hold, so reading the inputs and wrapping each
+result coefficient convert nothing; over Z every result scalar is an
+int.  Every division by an integer goes through the domain's exact
+`_pdiv_int`; a failure raises IntegralityError, whose `degree` names the
+failing degree of a Newton inversion.  `structures.lambda_values` lifts
+Adams data through the same Newton inversion.  The universal polynomials
+P_n and P_{m,n} are not used here: they are what the tests and
+`axiom_check` check these routes against.
 """
 
 from .errors import (BoundExceededError, ExactDivisionError, IntegralityError,
@@ -52,7 +54,7 @@ class _Vector:
 
     @classmethod
     def _from_payloads(cls, domain, payloads):
-        """The vector of the given kernel payloads, each wrapped once."""
+        """The vector of the given payloads, each wrapped once."""
         out = object.__new__(cls)
         out.domain = domain
         out.a = tuple(map(domain._wrap, payloads))
@@ -150,7 +152,7 @@ def _power_sums(dom, a, M):
     f = prod (1 + x_k t), by Newton's identities
     p_n = sum_{i<n} (-1)^{i-1} a_i p_{n-i} + (-1)^{n-1} n a_n.
 
-    a and the result are lists of kernel payloads of the domain dom."""
+    a and the result are lists of payloads of the domain dom."""
     add, sub, mul, scale = dom._padd, dom._psub, dom._pmul, dom._pscale
     p = []
     for n in range(1, M + 1):
@@ -162,27 +164,30 @@ def _power_sums(dom, a, M):
     return p
 
 
-def _from_power_sums(dom, q):
+def _from_power_sums(dom, sums):
     """The coefficients c_1..c_M whose power sums are q_1..q_M, by
-    n c_n = sum_{i<=n} (-1)^{i-1} c_{n-i} q_i with c_0 = 1, on kernel
-    payloads of the domain dom.
+    n c_n = sum_{i<=n} (-1)^{i-1} c_{n-i} q_i with c_0 = 1, on payloads
+    of the domain dom.  `sums` is any iterable of q_1..q_M; q_n is read
+    only once c_{n-1} is known.
 
     Each division by n is exact when q are the power sums of an element of
-    Lambda(A); a failed division raises IntegralityError.
+    Lambda(A); a failed division raises IntegralityError with `degree` n,
+    caused by the ExactDivisionError, and reads no further q.
     """
     add, sub, mul, div = dom._padd, dom._psub, dom._pmul, dom._pdiv_int
-    c = []
-    for n in range(1, len(q) + 1):
-        acc = q[n - 1] if n % 2 else dom._pneg(q[n - 1])
+    c, q = [], []
+    for n, qn in enumerate(sums, 1):
+        q.append(qn)
+        acc = qn if n % 2 else dom._pneg(qn)
         for i in range(1, n):
             term = mul(c[n - i - 1], q[i - 1])
             acc = add(acc, term) if i % 2 else sub(acc, term)
         try:
             c.append(div(acc, n))
         except ExactDivisionError as exc:
-            raise IntegralityError(
-                f"power-sum inversion failed at degree {n}: {exc}"
-            ) from exc
+            err = IntegralityError(f"power-sum inversion failed at degree {n}: {exc}")
+            err.degree = n
+            raise err from exc
     return c
 
 
@@ -250,7 +255,7 @@ def lambda_adams(k, f):
 
 
 def _ghosts(dom, a, M):
-    """Ghost components w_1..w_M of the kernel payloads a, each the sum
+    """Ghost components w_1..w_M of the payloads a, each the sum
     over d | n of s(d, n/d) * d * a_d^{n/d} (see `ghost`): the powers of
     each a_d are built by repeated multiplication and added into w_d,
     w_2d, ..., starting from the d = 1 terms a_1^n."""
@@ -299,8 +304,8 @@ def witt_zero(domain, trunc):
 
 
 def _ghost_solve(dom, targets):
-    """Solve w_n(c) = targets[n] for c, degree by degree, on kernel
-    payloads of the domain dom.
+    """Solve w_n(c) = targets[n] for c, degree by degree, on payloads of
+    the domain dom.
 
     w_n(c) = (+-n)*c_n + (terms in c_d, d | n, d < n), so each c_n is
     obtained by an exact division by n; failure signals an engine bug

@@ -23,17 +23,18 @@ from .structures import LambdaStructure
 
 
 def _scalar_of(elem):
-    """The Fraction behind an element of Z[S^-1] or a constant of Q[y..];
-    None when the element is not scalar."""
+    """The scalar behind an element of Z[S^-1] or a constant of Q[y..], in
+    the one form payloads and MPoly coefficients hold: an int when it is
+    integral, a Fraction otherwise.  None when the element is not scalar."""
     ring = elem.ring
     if ring.kind == "localized_integers":
         return elem.payload
     if ring.kind == "rational_poly":
         p = elem.payload
         if p.is_zero():
-            return Fraction(0)
+            return 0
         if list(p.terms) == [(0,) * len(ring.variables)]:
-            return Fraction(p.constant())
+            return p.constant()
         return None
     return None
 

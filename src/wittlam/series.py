@@ -6,9 +6,9 @@ d of x only scales valuations.  SeriesRing packages a truncation as a
 coefficient domain in its own right (A[x]/x^{N+1}), so that Witt vectors
 and lambda-elements can be formed over truncated polynomial rings.
 
-The arithmetic kernel works on the ground ring's kernel payloads (see
-`ground`: ints where integral over Z[S^-1]), not on RingElements.
-Products, powers and compositions unwrap the coefficients once, compute
+The arithmetic kernel works on the ground ring's payloads (see `ground`:
+over Z[S^-1] an int when integral, else a Fraction), not on RingElements.
+Products, powers and compositions read the coefficients' payloads, compute
 on payload lists, and wrap each result coefficient once:
 
   * over Z[S^-1] (Z, Z[1/p], Q) each operand is lifted to integer
@@ -25,7 +25,8 @@ on payload lists, and wrap each result coefficient once:
 `coeffs` stays a tuple of RingElements: indexing, equality, hashing and
 text forms are the public face of a series and keep their ring, and the
 wrapping costs one object per coefficient of a result, not one per
-coefficient product.
+coefficient product.  Over Z every coefficient payload of a result is an
+int.
 """
 
 import math
@@ -48,8 +49,8 @@ def _lift(payloads):
 
 
 def _unlift(nums, d):
-    """The kernel payloads c/d for c in nums: the ints themselves if d = 1,
-    else one reduced Fraction each."""
+    """The payloads c/d for c in nums: the ints themselves if d = 1, else
+    one reduced Fraction each."""
     if d == 1:
         return nums
     return [Fraction(c, d) for c in nums]
@@ -67,7 +68,7 @@ def _conv_int(a, b, n):
 
 
 def _mul_payloads(ring, a, b, n):
-    """Product of kernel payload lists a and b over ring, cut at degree n."""
+    """Product of payload lists a and b over ring, cut at degree n."""
     if ring.kind == ZLOC:
         na, da = _lift(a)
         nb, db = _lift(b)
@@ -84,7 +85,7 @@ def _mul_payloads(ring, a, b, n):
 
 
 def _pow_payloads(ring, base, k, n):
-    """base**k for kernel payload list base, cut at degree n."""
+    """base**k for payload list base, cut at degree n."""
     out = [ring._pfrom_int(1)] + [ring._pzero()] * n
     while k:
         if k & 1:
@@ -119,10 +120,10 @@ class TruncSeries:
 
     @classmethod
     def _wrap(cls, ring, payloads, trunc, xfilt):
-        """A series from trunc + 1 kernel payloads that already lie in ring."""
+        """A series from trunc + 1 payloads that already lie in ring."""
         out = object.__new__(cls)
         out.ring = ring
-        out.coeffs = ring._wrap_all(payloads)
+        out.coeffs = tuple(map(ring._wrap, payloads))
         out.trunc = trunc
         out.xfilt = xfilt
         return out
@@ -378,8 +379,8 @@ def xadic_valuation(f):
 class SeriesRing:
     """A truncation A[x]/x^{N+1} viewed as a coefficient domain.
 
-    Its kernel payload (the protocol of `ground.GroundRing`) is a tuple of
-    N + 1 ground kernel payloads: ints where integral over Z[S^-1].
+    Its payload (the protocol of `ground.GroundRing`) is the tuple of the
+    N + 1 ground payloads of a TruncSeries' coefficients.
     `_pmul` and `_ppow` are the convolution `_mul_payloads` (`_conv_int`
     over Z[S^-1]); the other `_p*` methods act coefficientwise, and
     `_wrap` builds one TruncSeries per result value.
@@ -439,8 +440,7 @@ class SeriesRing:
     # -- payload kernel -------------------------------------------------------
 
     def _unwrap(self, f):
-        to = self.ground._to_kernel
-        return tuple([to(c.payload) for c in f.coeffs])
+        return tuple([c.payload for c in f.coeffs])
 
     def _wrap(self, payload):
         return TruncSeries._wrap(self.ground, payload, self.trunc, self.xfilt)

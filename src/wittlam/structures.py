@@ -15,9 +15,10 @@ in the carrier, the Adams data do not come from a lambda-ring.
 
 import math
 
-from .errors import (ExactDivisionError, InputError, PrimeWindowError,
+from .errors import (InputError, IntegralityError, PrimeWindowError,
                      RingMismatchError, UnsupportedRingError, WilkersonError)
 from .ground import GroundRing, RingElement, factorize, is_prime
+from .lambda_witt import _from_power_sums
 from .report import Report
 from .series import (SeriesRing, TruncSeries, compose, congruent_mod,
                      xadic_valuation)
@@ -156,6 +157,15 @@ class Carrier:
         raise ValueError(f"unknown carrier kind {kind!r}")
 
 
+def check_window_primes(primes):
+    """Every entry of a prime window must be an int (not a bool) and a
+    prime; InputError otherwise.  Structures and universal-ring
+    assignments both check their windows here."""
+    for p in primes:
+        if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
+            raise InputError(f"window entry {p!r} is not a prime")
+
+
 class LambdaStructure:
     """Adams data for a filtered lambda-ring structure on a carrier.
 
@@ -170,13 +180,11 @@ class LambdaStructure:
     __slots__ = ("carrier", "primes", "adams")
 
     def __init__(self, carrier, primes=DEFAULT_PRIMES, adams=None, check=True):
+        check_window_primes(primes)
         primes = tuple(sorted(set(primes)))
         if not primes:
             # validate would have no condition to check: no vacuous pass
             raise InputError("the prime window is empty")
-        for p in primes:
-            if not is_prime(p):
-                raise ValueError(f"window entry {p} is not prime")
         self.carrier = carrier
         self.primes = primes
         adams = dict(adams or {})
@@ -373,33 +381,24 @@ def adams_apply(S, n, r):
 def lambda_values(S, n, r):
     """[lambda^0(r), ..., lambda^n(r)] via the Newton recursion.
 
-    lambda^n(r) = (-1)^{n+1}/n * sum_{i=0}^{n-1} (-1)^i lambda^i(r) psi^{n-i}(r);
-    the division by n must be exact in the carrier (Wilkerson).
+    n lambda^n(r) = sum_{i=1}^{n} (-1)^{i-1} lambda^{n-i}(r) psi^i(r): the
+    Adams operations are the power sums of lambda_t(r), so the lift is
+    `lambda_witt._from_power_sums` on the payloads of psi^1(r)..psi^n(r),
+    each computed only when the recursion reaches it.  The division by n
+    must be exact in the carrier (Wilkerson).
     """
     dom = S.carrier.domain
     r = dom.coerce(r)
-    lam = [dom.one(), r]
-    if n == 0:
-        return lam[:1]
-    psi = [None, r]
-    for k in range(2, n + 1):
-        psi.append(adams_apply(S, k, r))
-        acc = None
-        for i in range(k):
-            term = lam[i] * psi[k - i]
-            if i % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        if k % 2 == 0:
-            acc = -acc
-        try:
-            lam.append(dom.div_int(acc, k))
-        except ExactDivisionError as exc:
-            raise WilkersonError(
-                f"not a lambda-ring under these Adams data: "
-                f"lambda^{k}({dom.format(r)}) needs division by {k}: {exc}"
-            ) from exc
-    return lam
+    psi = (dom._unwrap(adams_apply(S, k, r)) for k in range(1, n + 1))
+    try:
+        lam = _from_power_sums(dom, psi)
+    except IntegralityError as exc:
+        k = exc.degree
+        raise WilkersonError(
+            f"not a lambda-ring under these Adams data: "
+            f"lambda^{k}({dom.format(r)}) needs division by {k}: {exc.__cause__}"
+        ) from exc
+    return [dom.one()] + list(map(dom._wrap, lam))
 
 
 def newton_lambda(S, n, r):

@@ -19,11 +19,11 @@ from typing import NamedTuple
 
 from .errors import (ExactDivisionError, InputError, MembershipError,
                      RelationViolationError, UnsupportedRingError)
-from .ground import GroundRing, is_prime
+from .ground import GroundRing
 from .series import TruncSeries, compose
 from .sympoly import MPoly
 from .structures import (DEFAULT_PRIMES, POWER_SERIES, Carrier,
-                         LambdaStructure, validate)
+                         LambdaStructure, check_window_primes, validate)
 
 DEFAULT_DEPTH = 2
 
@@ -219,9 +219,7 @@ def _check_window(primes, trunc, depth):
     for name, n, least in (("N", trunc, 1), ("depth", depth, 0)):
         if not isinstance(n, int) or isinstance(n, bool) or n < least:
             raise InputError(f"{name} must be an integer >= {least}, got {n!r}")
-    for p in primes:
-        if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
-            raise InputError(f"window entry {p!r} is not a prime")
+    check_window_primes(primes)
     if len(set(primes)) != len(primes):
         raise InputError(f"window primes {list(primes)} repeat")
 

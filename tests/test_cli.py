@@ -143,6 +143,16 @@ def test_validate_empty_window_is_a_usage_error(capsys, tmp_path):
     assert (code, out, err) == (2, "", "error: the prime window is empty")
 
 
+@pytest.mark.parametrize("entry", [3.0, "3"], ids=["float", "string"])
+def test_validate_non_int_window_entry_is_a_usage_error(capsys, tmp_path, entry):
+    data = standard_structure("mult", trunc=4, primes=(2, 3)).to_json()
+    data["primes"] = [2, entry]
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", "--structure", str(path))
+    assert (code, out, err) == (2, "", f"error: window entry {entry!r} is not a prime")
+
+
 def test_lift(capsys, mult_file):
     code, out, _ = run(capsys, "lift", "--structure", mult_file,
                        "--element", "0,1", "-n", "2")
@@ -214,6 +224,164 @@ def test_lubin_solve(capsys):
     code, out, _ = run(capsys, "lubin", "solve", "--f", "0,2,1", "--g", "0,2,1",
                        "--c", "3", "--ring", "Z", "-N", "4")
     assert (code, out) == (0, "0,3,3,1,0")
+
+
+# -- golden outputs of the arithmetic commands ---------------------------------
+
+# Two coordinate lists per ring; the Z[x]/x^3 coordinates are constants, and
+# each of its result coordinates prints as its three x-coefficients.
+ARITH_OPERANDS = {
+    "Z": ("1,-2,3,0,2,-1", "2,1,0,-1,1,3"),
+    "Z[1/2]": ("1/2,-2,3/4,0,1,-1/8", "2,1/2,0,-1,1/4,3"),
+    "Z_(5)": ("1/2,-2,3,1/3,0,-1", "2,1/7,0,-1,4,1/2"),
+    "Q": ("1/3,-2,5/2,0,1,-1/5", "2,1/2,0,-3/7,1,3"),
+    "Q[y1]": ("y1,1,0,1/2,-y1,2", "1,-y1,2,0,1/3,1"),
+    "dual(Z)": ("1 + eps,-2,3*eps,0,2 - eps,1", "2,1 - eps,0,eps,-1,3"),
+    "Z[x]/x^3": ("1,-2,3,0,2,-1", "2,1,0,-1,1,3"),
+}
+
+ARITH_ARGV = {
+    "witt add": ["witt", "add", "--a", "{a}", "--b", "{b}"],
+    "witt mul": ["witt", "mul", "--a", "{a}", "--b", "{b}"],
+    "witt ghost": ["witt", "ghost", "--a", "{a}"],
+    "lambda add": ["lambda", "add", "--f", "{a}", "--g", "{b}"],
+    "lambda mul": ["lambda", "mul", "--f", "{a}", "--g", "{b}"],
+    "lambda op": ["lambda", "op", "--i", "2", "--f", "{a}"],
+    "exp": ["exp", "--a", "{a}"],
+    "unexp": ["unexp", "--f", "{a}"],
+}
+
+GOLDEN_ARITH = {
+    ("witt add", "Z"):
+        "3,1,-3,13,-39,110",
+    ("witt mul", "Z"):
+        "2,-3,24,-41,75,-59",
+    ("witt ghost", "Z"):
+        "1,5,10,9,11,50",
+    ("lambda add", "Z"):
+        "3,1,0,3,5,9",
+    ("lambda mul", "Z"):
+        "2,-3,2,-19,192,214",
+    ("lambda op", "Z"):
+        "-2,3,6",
+    ("exp", "Z"):
+        "1,-2,1,3,-4,-5",
+    ("unexp", "Z"):
+        "1,-2,5,-5,17,-18",
+    ("witt add", "Z[1/2]"):
+        "5/2,-1/2,-7/4,11/4,-95/8,505/16",
+    ("witt mul", "Z[1/2]"):
+        "1,-47/8,6,-381/16,4257/128,-7033/128",
+    ("witt ghost", "Z[1/2]"):
+        "1/2,17/4,19/8,129/16,161/32,1181/64",
+    ("lambda add", "Z[1/2]"):
+        "5/2,-1/2,-3,-1/2,9/8,7",
+    ("lambda mul", "Z[1/2]"):
+        "1,-47/8,11/4,-10,7399/128,10481/128",
+    ("lambda op", "Z[1/2]"):
+        "-2,3/8,-1/16",
+    ("exp", "Z[1/2]"):
+        "1/2,-2,-1/4,3/8,-1/2,-3/8",
+    ("unexp", "Z[1/2]"):
+        "1/2,-2,7/4,-7/8,79/16,-83/32",
+    ("witt add", "Z_(5)"):
+        "5/2,-6/7,1/2,289/84,-73/8,17789/784",
+    ("witt mul", "Z_(5)"):
+        "1,-207/28,24,-14435/2352,1/8,-3311561/43904",
+    ("witt ghost", "Z_(5)"):
+        "1/2,17/4,73/8,323/48,1/32,3137/64",
+    ("lambda add", "Z_(5)"):
+        "5/2,-6/7,-13/14,106/21,193/42,149/42",
+    ("lambda mul", "Z_(5)"):
+        "1,-207/28,148/7,-7265/784,294451/1176,-95843387/131712",
+    ("lambda op", "Z_(5)"):
+        "-2,7/6,113/12",
+    ("exp", "Z_(5)"):
+        "1/2,-2,2,11/6,-35/6,-14/3",
+    ("unexp", "Z_(5)"):
+        "1/2,-2,4,-5/3,53/6,-19/4",
+    ("witt add", "Q"):
+        "7/3,-5/6,17/18,227/189,-440/81,16912/1215",
+    ("witt mul", "Q"):
+        "2/3,-107/18,20,-3547/189,8992/243,-159257/38880",
+    ("witt ghost", "Q"):
+        "1/3,37/9,407/54,649/81,1216/243,524171/14580",
+    ("lambda add", "Q"):
+        "7/3,-5/6,-4/3,25/7,87/28,629/105",
+    ("lambda mul", "Q"):
+        "2/3,-107/18,71/6,-2263/756,38819/486,12157237/272160",
+    ("lambda op", "Q"):
+        "-2,5/6,343/60",
+    ("exp", "Q"):
+        "1/3,-2,11/6,5/6,-4,-23/15",
+    ("unexp", "Q"):
+        "1/3,-2,19/6,-19/18,415/54,-2237/810",
+    ("witt add", "Q[y1]"):
+        "y1 + 1,1,-y1^2 - y1 + 2,y1^3 + y1^2 + y1 + 1/2,"
+        "-y1^4 - 2*y1^3 - 2*y1^2 - 2*y1 + 1/3,"
+        "y1^5 + 3*y1^4 + 4*y1^3 + y1^2 - y1 + 3",
+    ("witt mul", "Q[y1]"):
+        "y1,-y1^3 + 2*y1 + 1,2*y1^3,-2*y1^4 - y1^3 + 2*y1^2 + 2*y1 + 1/2,"
+        "1/3*y1^5 - 8/3*y1,"
+        "-2*y1^7 + 4*y1^5 + 4*y1^4 + 3*y1^3 - 4*y1^2 - 2*y1 + 16",
+    ("witt ghost", "Q[y1]"):
+        "y1,y1^2 - 2,y1^3,y1^4,y1^5 - 5*y1,y1^6 - 14",
+    ("lambda add", "Q[y1]"):
+        "y1 + 1,1,-y1^2 + 3,y1 + 1/2,-y1 + 17/6,-7/6*y1 + 3",
+    ("lambda mul", "Q[y1]"):
+        "y1,-y1^3 + 2*y1 + 1,2*y1^3 - y1^2 - 6*y1,4*y1^2 + 2*y1 + 1/2,"
+        "1/3*y1^5 - 49/6*y1^3 - 45/2*y1^2 - 77/6*y1,"
+        "y1^6 + 2*y1^5 - 5/3*y1^4 + 23*y1^3 + 116/3*y1^2 + 56*y1 + 116/3",
+    ("lambda op", "Q[y1]"):
+        "1,-1/2,3/2*y1^2 + 1",
+    ("exp", "Q[y1]"):
+        "y1,1,y1,1/2,-1/2*y1,-y1^2 + 5/2",
+    ("unexp", "Q[y1]"):
+        "y1,1,-y1,y1^2 + 1/2,-y1^3 - 1/2*y1,y1^4 + 1/2*y1^2 + 3/2",
+    ("witt add", "dual(Z)"):
+        "3 + 1*eps,1 + 1*eps,-6 - 5*eps,14 + 29*eps,-41 - 81*eps,130 + 270*eps",
+    ("witt mul", "dual(Z)"):
+        "2 + 2*eps,-3 - 3*eps,0 + 24*eps,-32 + 25*eps,53 - 32*eps,-61 + 36*eps",
+    ("witt ghost", "dual(Z)"):
+        "1 + 1*eps,5 + 2*eps,1 + 12*eps,9 + 4*eps,11,11 + 6*eps",
+    ("lambda add", "dual(Z)"):
+        "3 + 1*eps,1 + 1*eps,-3 + 3*eps,-2 + 9*eps,1 + 3*eps,7 - 5*eps",
+    ("lambda mul", "dual(Z)"):
+        "2 + 2*eps,-3 - 3*eps,-4 + 6*eps,4 + 15*eps,-37 - 117*eps,279 + 888*eps",
+    ("lambda op", "dual(Z)"):
+        "-2,0 + 3*eps,-1 - 1*eps",
+    ("exp", "dual(Z)"):
+        "1 + 1*eps,-2,-2 + 1*eps,0 + 3*eps,2 - 7*eps,3 - 5*eps",
+    ("unexp", "dual(Z)"):
+        "1 + 1*eps,-2,2 + 5*eps,-2 - 7*eps,8 + 18*eps,-7 - 26*eps",
+    ("witt add", "Z[x]/x^3"):
+        "3,0,0,1,0,0,-3,0,0,13,0,0,-39,0,0,110,0,0",
+    ("witt mul", "Z[x]/x^3"):
+        "2,0,0,-3,0,0,24,0,0,-41,0,0,75,0,0,-59,0,0",
+    ("witt ghost", "Z[x]/x^3"):
+        "1,0,0,5,0,0,10,0,0,9,0,0,11,0,0,50,0,0",
+    ("lambda add", "Z[x]/x^3"):
+        "3,0,0,1,0,0,0,0,0,3,0,0,5,0,0,9,0,0",
+    ("lambda mul", "Z[x]/x^3"):
+        "2,0,0,-3,0,0,2,0,0,-19,0,0,192,0,0,214,0,0",
+    ("lambda op", "Z[x]/x^3"):
+        "-2,0,0,3,0,0,6,0,0",
+    ("exp", "Z[x]/x^3"):
+        "1,0,0,-2,0,0,1,0,0,3,0,0,-4,0,0,-5,0,0",
+    ("unexp", "Z[x]/x^3"):
+        "1,0,0,-2,0,0,5,0,0,-5,0,0,17,0,0,-18,0,0",
+}
+
+
+@pytest.mark.parametrize("command, ring", list(GOLDEN_ARITH),
+                         ids=[f"{c} {r}" for c, r in GOLDEN_ARITH])
+def test_arithmetic_command_golden_output(capsys, command, ring):
+    a, b = ARITH_OPERANDS[ring]
+    argv = [x.format(a=a, b=b) for x in ARITH_ARGV[command]] + ["--ring", ring]
+    code = main(argv)
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == (0, GOLDEN_ARITH[command, ring] + "\n", "")
+
 
 
 # -- golden outputs of the check commands ----------------------------------
@@ -435,6 +603,28 @@ def test_usage_errors(capsys):
     assert code == 2 and "error" in err
     code, _, _ = run(capsys, "nonsense")
     assert code == 2
+
+
+TEXT_ONLY_COMMANDS = {
+    "witt ghost": ["witt", "ghost", "--a", "1,2"],
+    "lift": ["lift", "--structure", "{mult}", "--element", "0,1", "-n", "2"],
+    "dual iso": ["dual", "iso", "--s1", "{dual}", "--s2", "{dual}"],
+    "universal relations": ["universal", "relations", "--structure", "{mult}"],
+    "universal roundtrip": ["universal", "roundtrip", "--structure", "{mult}"],
+    "lubin solve": ["lubin", "solve", "--f", "0,2,1", "--g", "0,2,1", "--c", "3"],
+}
+
+
+@pytest.mark.parametrize("command", list(TEXT_ONLY_COMMANDS))
+def test_json_is_a_usage_error_on_text_only_commands(capsys, tmp_path, mult_file,
+                                                     command):
+    dual = tmp_path / "dual.json"
+    dual.write_text(json.dumps(make_dual_structure(Z, {2: 2}).to_json()))
+    argv = [a.format(mult=mult_file, dual=dual) for a in TEXT_ONLY_COMMANDS[command]]
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --json" in err
 
 
 def test_selftest_subset(capsys):

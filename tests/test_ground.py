@@ -7,10 +7,13 @@ from fractions import Fraction
 import pytest
 
 from wittlam.errors import (ExactDivisionError, InputError, MembershipError,
-                            RingMismatchError)
+                            RingMismatchError, UnsupportedRingError)
 from wittlam.ground import (EpsIdeal, GroundRing, PrimeIdeal, PrimeSet,
-                            binom_fraction, binomial, factorize, is_p_divisible,
-                            is_prime, parse_ring)
+                            RingElement, binom_fraction, binomial, factorize,
+                            is_p_divisible, is_prime, parse_ring)
+from wittlam.series import TruncSeries
+from wittlam.structures import Carrier, LambdaStructure
+from wittlam.universal import HomAssignment
 
 Z = GroundRing.integers()
 Q = GroundRing.rationals()
@@ -181,9 +184,15 @@ def test_div_int_kernel_scalars():
 
 
 def test_div_int_keeps_element_payloads_and_message():
-    assert type(Z.div_int(Z.from_int(6), 3).payload) is Fraction
-    assert DZ.div_int(DZ.coerce((4, 6)), 2).payload == (Fraction(2), Fraction(3))
-    assert all(type(x) is Fraction for x in DZ.div_int(DZ.coerce((4, 6)), 2).payload)
+    # an integral quotient is an int, from an int or a Fraction numerator
+    assert Z.div_int(Z.from_int(6), 3).payload == 2
+    assert type(Z.div_int(Z.from_int(6), 3).payload) is int
+    three = Z2.coerce(Fraction(3, 2)) * 2  # its payload is the Fraction 3/1
+    assert type(Z2.div_int(three, 3).payload) is int
+    assert Z2.div_int(three, 3).payload == 1
+    assert Z2.div_int(Z2.from_int(3), 2).payload == Fraction(3, 2)
+    assert DZ.div_int(DZ.coerce((4, 6)), 2).payload == (2, 3)
+    assert all(type(x) is int for x in DZ.div_int(DZ.coerce((4, 6)), 2).payload)
     cases = [
         (Z, Z.from_int(5), 3, "5 is not divisible by 3 in Z"),
         (Z2, Z2.coerce(Fraction(1, 2)), 3, "1/2 is not divisible by 3 in Z[1/2]"),
@@ -218,21 +227,64 @@ def test_dual_power_closed_form():
             for k in range(6):
                 assert x ** k == prod, (x, k)
                 prod = prod * x
-    # k = 0 keeps the payload type: int 1 on kernel payloads, Fraction 1 on elements
+    # k = 0 keeps the payload type: an int 1 from the int payloads elements over Z hold
     assert DZ._ppow((3, 4), 0) == (1, 0) and type(DZ._ppow((3, 4), 0)[0]) is int
-    assert all(type(c) is Fraction for c in (DZ.coerce((3, 4)) ** 0).payload)
+    assert all(type(c) is int for c in (DZ.coerce((3, 4)) ** 0).payload)
+
+
+def _scalars(payload):
+    return list(payload) if isinstance(payload, tuple) else [payload]
 
 
 def test_kernel_wrap_unwrap():
+    # the payload protocol reads and builds elements without converting
     assert Z._unwrap(Z.from_int(4)) == 4 and type(Z._unwrap(Z.from_int(4))) is int
     assert Z2._unwrap(Z2.coerce(Fraction(1, 2))) == Fraction(1, 2)
     assert DZ._unwrap(DZ.coerce((1, 2))) == (1, 2)
     assert all(type(c) is int for c in DZ._unwrap(DZ.coerce((1, 2))))
     for ring, payload in [(Z, 3), (Z2, Fraction(3, 2)), (DZ, (0, -1))]:
         elem = ring._wrap(payload)
-        assert elem == ring.coerce(payload) and ring._unwrap(elem) == payload
-    assert type(Z.zero().payload) is Fraction and type(Z.one().payload) is Fraction
-    assert all(type(c) is Fraction for c in DZ.from_int(3).payload)
+        assert elem == ring.coerce(payload) and ring._unwrap(elem) is payload
+    # integral input is stored as an int, non-integral input as a Fraction
+    assert type(Z.zero().payload) is int and type(Z.one().payload) is int
+    assert all(type(c) is int for c in DZ.from_int(3).payload)
+    for ring, value in [(Z, Fraction(6, 2)), (Z, "4"), (Z, "8/2"), (Q, Fraction(5)),
+                        (Z2, "-6/3"), (DZ, (Fraction(2), "3")), (DZ, "2 + 3*eps"),
+                        (DZ, Fraction(4)), (DZ, "1/1*eps")]:
+        elem = ring.coerce(value)
+        assert all(type(c) is int for c in _scalars(elem.payload)), (ring, value)
+    assert type(Z.element(Fraction(7)).payload) is int
+    assert type(Z.coerce(True).payload) is int
+    assert all(type(c) is int for c in DZ.coerce((True, 1)).payload)
+    assert all(type(c) is int for c in DZ.element((Fraction(2), Fraction(0))).payload)
+    assert type(Z2.coerce("3/2").payload) is Fraction
+    half = GroundRing.dual(Z2).coerce("1/2 - 1*eps").payload
+    assert half == (Fraction(1, 2), -1) and [type(c) for c in half] == [Fraction, int]
+    # a scalar is an int or a Fraction, never a float or a bool
+    for bad in (2.0, True, (2.0, 0), (1, False)):
+        ring = DZ if isinstance(bad, tuple) else Z
+        with pytest.raises(UnsupportedRingError):
+            ring.element(bad)
+    inv = Z2.try_invert(Z2.from_int(2))
+    assert inv.payload == Fraction(1, 2) and type(inv.payload) is Fraction
+    assert type(Z.try_invert(Z.from_int(-1)).payload) is int
+    assert type(Q.try_invert(Q.coerce(Fraction(1, 3))).payload) is int
+    # an int payload and an equal Fraction payload give equal, equally hashed values
+    a, b = RingElement(Z, Fraction(3)), Z.from_int(3)
+    assert a == b and hash(a) == hash(b)
+    da, db = RingElement(DZ, (Fraction(2), Fraction(-1))), DZ.coerce((2, -1))
+    assert da == db and hash(da) == hash(db)
+    fa, fb = TruncSeries(Z, [0, a, 1]), TruncSeries(Z, [0, 3, 1])
+    assert fa == fb and hash(fa) == hash(fb)
+    dual = Carrier.dual_numbers(Z)
+    assert LambdaStructure(dual, (2,), {2: RingElement(Z, Fraction(2))}) == \
+        LambdaStructure(dual, (2,), {2: 2})
+    series = Carrier.power_series(Z, 2)
+    assert LambdaStructure(series, (3,), {3: fa}) == \
+        LambdaStructure(series, (3,), {3: fb})
+    ha = HomAssignment.from_depth0(Z, {(2, 1): a}, primes=(2,), trunc=2, depth=1)
+    hb = HomAssignment.from_depth0(Z, {(2, 1): b}, primes=(2,), trunc=2, depth=1)
+    assert ha == hb and ha.get(2, 1, (2,)) == hb.get(2, 1, (2,)) == 3
 
 
 def test_try_invert():

@@ -30,7 +30,7 @@ from wittlam.lambda_witt import (LambdaElem, WittVec, _from_power_sums,
                                  ghost, lambda_adams, lambda_add, lambda_mul,
                                  lambda_neg, lambda_one, lambda_op,
                                  lambda_zero, witt_add, witt_mul)
-from wittlam.series import SeriesRing, TruncSeries
+from wittlam.series import SeriesRing, TruncSeries, compose, revert
 from wittlam.structures import adams_apply, lambda_values, standard_structure
 from wittlam.sympoly import MPoly, universal_P, universal_Pcomp
 
@@ -529,14 +529,14 @@ def test_lambda_adams_rejects_k_below_one():
         lambda_adams(0, L([1, 2]))
 
 
-# -- the kernel's mixed int/Fraction scalars ----------------------------------------
+# -- the one scalar form: int or Fraction ---------------------------------------
 
 
-def _fraction_scalars(value):
-    """Every scalar inside an element: its Fractions, dual parts, series
-    coefficients."""
+def _scalars(value):
+    """Every scalar inside an element: its int or Fraction, dual parts,
+    series coefficients."""
     if isinstance(value, TruncSeries):
-        return [x for c in value.coeffs for x in _fraction_scalars(c)]
+        return [x for c in value.coeffs for x in _scalars(c)]
     payload = value.payload
     return list(payload) if isinstance(payload, tuple) else [payload]
 
@@ -559,11 +559,21 @@ PAYLOAD_DOMAINS = [Z, GroundRing.localized([2]), Q, GroundRing.dual(Z),
                    SeriesRing(GroundRing.dual(Z), 2), SeriesRing(Z, 4)]
 
 
+def _over_Z(dom):
+    ground = dom.ground if isinstance(dom, SeriesRing) else dom
+    ground = ground.base if ground.kind == DUAL else ground
+    return ground == Z
+
+
 @pytest.mark.parametrize("dom", PAYLOAD_DOMAINS, ids=str)
 def test_no_kernel_int_escapes_into_results(dom):
+    """Every Lambda, W and series result scalar is an int or a Fraction,
+    never a float or a bool; over Z every one is an int."""
+    allowed = (int,) if _over_Z(dom) else (int, Fraction)
     rng = random.Random(f"payloads:{dom}")
     N = 6
     zero = [dom.zero()] * N
+    ground = dom.ground if isinstance(dom, SeriesRing) else dom
     for coords in ([_mixed_scalar(rng, dom) for _ in range(N)], zero):
         f = LambdaElem(dom, coords, N)
         w = WittVec(dom, coords, N)
@@ -571,10 +581,14 @@ def test_no_kernel_int_escapes_into_results(dom):
                    lambda_op(2, f), lambda_adams(2, f), witt_add(w, w),
                    witt_mul(w, w), exp_iso(w), exp_iso_inv(f),
                    lambda_zero(dom, N), lambda_one(dom, N)]
-        for v in results:
-            for c in v.a:
-                assert all(type(x) is Fraction for x in _fraction_scalars(c)), (v, c)
-        assert all(type(x) is Fraction for x in _fraction_scalars(ghost(N, w)))
+        scalars = [x for v in results for c in v.a for x in _scalars(c)]
+        scalars += _scalars(ghost(N, w))
+        s = TruncSeries(ground, [_mixed_scalar(rng, ground) for _ in range(N)])
+        g = TruncSeries(ground, [0, 1] + [_mixed_scalar(rng, ground)
+                                          for _ in range(N - 2)])
+        for h in (s + s, s - g, -s, s * g, s * 3, s ** 3, compose(s, g), revert(g)):
+            scalars += _scalars(h)
+        assert all(type(x) in allowed for x in scalars), (dom, scalars)
 
 
 _KERNEL_LAW_DOMAINS = [GroundRing.localized([2]), GroundRing.rational_poly(("y1",)),

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from wittlam.errors import (PrimeWindowError, RingMismatchError,
-                            UnsupportedRingError, WilkersonError)
+from wittlam.errors import (IntegralityError, PrimeWindowError,
+                            RingMismatchError, UnsupportedRingError,
+                            WilkersonError)
 from wittlam.ground import GroundRing, binom_fraction
 from wittlam.lambda_witt import coalgebra_check
 from wittlam.structures import (Carrier, LambdaStructure, adams_apply,
@@ -101,6 +102,23 @@ def test_newton_lambda_wilkerson_failure():
     # psi = id on Z[[x]] is not a lambda-ring datum: lambda^2(x) = (x - x^2)/2
     with pytest.raises(WilkersonError):
         newton_lambda(S, 2, x)
+
+
+def test_newton_lift_stops_at_its_first_failed_division():
+    carrier = Carrier.power_series(Z, 6)
+    x = carrier.domain.x()
+    S = make_series_structure(carrier, {p: x for p in (2, 3)}, check=True)
+    # lambda^2(x) = (x - x^2)/2 fails, so psi^5, outside the window, is never needed
+    with pytest.raises(WilkersonError) as info:
+        newton_lambda(S, 5, x)
+    assert str(info.value) == (
+        "not a lambda-ring under these Adams data: lambda^2(0,1,0,0,0,0,0) "
+        "needs division by 2: -1 is not divisible by 2 in Z")
+    cause = info.value.__cause__
+    assert isinstance(cause, IntegralityError) and cause.degree == 2
+    D = make_dual_structure(Z, {2: 2, 3: 3})
+    with pytest.raises(PrimeWindowError):  # every division holds, so psi^5 is reached
+        newton_lambda(D, 5, D.carrier.eps())
 
 
 def test_newton_lambda_on_dual():
