@@ -4,11 +4,10 @@ and filtered lambda-ring structures."""
 from .errors import (BoundExceededError, ExactDivisionError, InputError,
                      IntegralityError, LubinHypothesisError, MembershipError,
                      PrimeWindowError, RelationViolationError,
-                     RingMismatchError, SymmetryError, UnsupportedIdealError,
+                     RingMismatchError, UnsupportedIdealError,
                      UnsupportedRingError, WilkersonError, WittlamError)
-from .ground import (EpsIdeal, ExactRational, GroundRing, PrimeIdeal,
-                     PrimeSet, RingElement, XAdicIdeal, binomial,
-                     is_p_divisible, parse_ring)
+from .ground import (EpsIdeal, GroundRing, PrimeIdeal, PrimeSet, RingElement,
+                     XAdicIdeal, binomial, is_p_divisible, parse_ring)
 from .lambda_witt import (LambdaElem, WittVec, coalgebra_check, exp_iso,
                           exp_iso_inv, filtration_member, ghost, ghosts,
                           lambda_adams, lambda_add, lambda_mul, lambda_neg,
@@ -22,10 +21,8 @@ from .series import (SeriesRing, TruncSeries, compose, congruent_mod, revert,
 from .structures import (Carrier, LambdaStructure, adams_apply, axiom_check,
                          dual_iso_test, make_binomial_structure,
                          make_dual_structure, make_family_structure,
-                         make_series_structure, newton_lambda,
-                         standard_structure, validate)
-from .sympoly import (MPoly, UniversalPolyCache, elementary_symmetric,
-                      express_in_elementary, universal_P, universal_Pcomp)
+                         make_series_structure, standard_structure, validate)
+from .sympoly import MPoly, universal_P, universal_Pcomp
 from .universal import (GeneratorIndex, HomAssignment, hom_from_structure,
                         relation_V, relation_w, roundtrip_check,
                         structure_from_hom, u_element, universal_adams)

@@ -19,8 +19,8 @@ from .lambda_witt import (LambdaElem, WittVec, coalgebra_check, exp_iso,
 from .lubin import CommutingProblem, hasse_check, lubin_solve
 from .series import TruncSeries
 from .structures import (Carrier, LambdaStructure, axiom_check,
-                         dual_iso_test, make_dual_structure,
-                         make_family_structure, newton_lambda, validate)
+                         dual_iso_test, lambda_values, make_dual_structure,
+                         make_family_structure, validate)
 from .sympoly import DEFAULT_PCOMP_BOUND, parse_fraction
 from .universal import (HomAssignment, hom_from_structure, relation_w,
                         roundtrip_check, structure_from_hom)
@@ -159,7 +159,7 @@ def cmd_unexp(args):
 def cmd_lift(args):
     S = _load_structure(args.structure)
     dom = S.carrier.domain
-    value = newton_lambda(S, args.n, dom.coerce(args.element))
+    value = lambda_values(S, args.n, dom.coerce(args.element))[args.n]
     _emit(args, dom.format(value))
     return 0
 

@@ -41,10 +41,6 @@ class WilkersonError(WittlamError):
     """The Adams data do not lift: a Newton division failed in the ring."""
 
 
-class SymmetryError(WittlamError):
-    """Input polynomial is not symmetric in the designated variables."""
-
-
 class BoundExceededError(WittlamError):
     """A requested universal polynomial lies outside the configured bound."""
 

@@ -38,8 +38,6 @@ from .errors import (ExactDivisionError, InputError, MembershipError,
                      UnsupportedRingError)
 from .sympoly import MPoly, parse_fraction, parse_poly
 
-ExactRational = Fraction
-
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BASE_SET = frozenset(_MR_BASES)

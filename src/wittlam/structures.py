@@ -159,11 +159,13 @@ class Carrier:
 
 def check_window_primes(primes):
     """Every entry of a prime window must be an int (not a bool) and a
-    prime; InputError otherwise.  Structures and universal-ring
-    assignments both check their windows here."""
+    prime, and no prime may repeat; InputError otherwise.  Structures and
+    universal-ring assignments both check their windows here."""
     for p in primes:
         if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
             raise InputError(f"window entry {p!r} is not a prime")
+    if len(set(primes)) != len(primes):
+        raise InputError(f"window primes {list(primes)} repeat")
 
 
 class LambdaStructure:
@@ -171,7 +173,8 @@ class LambdaStructure:
 
     `adams` maps each window prime p to its datum: a TruncSeries psi^p(x)
     on series carriers, an element a_p of the base on dual carriers, and
-    is empty on ground carriers.  The window must not be empty.
+    is empty on ground carriers.  The window must not be empty, and no
+    prime may repeat in it.
     Constructing with check=True enforces
     psi^p(0) = 0 and, on dual carriers, p-divisibility of a_p; pass
     check=False to build a candidate for `validate` to diagnose.
@@ -181,7 +184,7 @@ class LambdaStructure:
 
     def __init__(self, carrier, primes=DEFAULT_PRIMES, adams=None, check=True):
         check_window_primes(primes)
-        primes = tuple(sorted(set(primes)))
+        primes = tuple(sorted(primes))
         if not primes:
             # validate would have no condition to check: no vacuous pass
             raise InputError("the prime window is empty")
@@ -219,18 +222,8 @@ class LambdaStructure:
             raise PrimeWindowError(f"prime {p} outside window {self.primes}")
         return self.adams[p]
 
-    def dual_multiplier(self, p):
-        if self.carrier.kind != DUAL_NUMBERS:
-            raise UnsupportedRingError("no dual multiplier on this carrier")
-        if p not in self.adams:
-            raise PrimeWindowError(f"prime {p} outside window {self.primes}")
-        return self.adams[p]
-
     def lambda_values(self, n, r):
         return lambda_values(self, n, r)
-
-    def lambda_value(self, n, r):
-        return lambda_values(self, n, r)[n]
 
     def __eq__(self, other):
         if not isinstance(other, LambdaStructure):
@@ -243,17 +236,6 @@ class LambdaStructure:
 
     def __repr__(self):
         return f"LambdaStructure on {self.carrier}, window {self.primes}"
-
-    def describe(self):
-        lines = [f"carrier: {self.carrier}", f"primes: {list(self.primes)}"]
-        for p in self.primes:
-            if self.carrier.kind == GROUND:
-                lines.append(f"psi^{p} = id")
-            elif self.carrier.kind == DUAL_NUMBERS:
-                lines.append(f"psi^{p}(eps) = {self.adams[p]}*eps")
-            else:
-                lines.append(f"psi^{p}(x) = {self.adams[p]}")
-        return "\n".join(lines)
 
     def to_json(self):
         data = {"carrier": self.carrier.to_json(), "primes": list(self.primes)}
@@ -401,11 +383,6 @@ def lambda_values(S, n, r):
     return [dom.one()] + list(map(dom._wrap, lam))
 
 
-def newton_lambda(S, n, r):
-    """lambda^n(r) computed by the Newton recursion."""
-    return lambda_values(S, n, r)[n]
-
-
 # ---------------------------------------------------------------------------
 # axiom checking
 # ---------------------------------------------------------------------------
@@ -483,7 +460,7 @@ def axiom_check(S, samples=None, nmax=3, bound=DEFAULT_PCOMP_BOUND):
                     continue
                 P = universal_Pcomp(m, n, bound=bound)
                 values = {f"a{k}": lr[k] for k in range(1, m * n + 1)}
-                lhs = S.lambda_value(m, lr[n])
+                lhs = lambda_values(S, m, lr[n])[m]
                 report.add(
                     f"composition lambda^{m}(lambda^{n}(r)) at {dom.format(r)}",
                     lhs == P.evaluate(values, one),

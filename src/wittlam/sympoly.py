@@ -1,4 +1,4 @@
-"""Multivariate polynomial engine and symmetric-function machinery.
+"""Multivariate polynomials and the universal polynomials of lambda-rings.
 
 The centrepiece is the computation of the universal polynomials P_n and
 P_{m,n} that govern products and compositions of lambda-operations.
@@ -16,21 +16,20 @@ Polynomials*, ch. I):
     alphabet whose power sums are p_{ri}, and P_{m,n} is e_m of the
     alphabet whose power sums are the p_i[e_n].
 
-Both constructions run in integer term dicts, and both results are asserted
-integral whenever one is cached.  Polynomials are sparse dicts from
-exponent tuples to int/Fraction coefficients ("term dicts"); zero
-coefficients are never stored.
+Both constructions run in integer term dicts, and each result is checked
+integral where it is built, before it enters the memo `GLOBAL_CACHE`.
+Polynomials are sparse dicts from exponent tuples to int/Fraction
+coefficients ("term dicts"); zero coefficients are never stored.
 """
 
-import threading
 from fractions import Fraction
 from itertools import repeat
 from math import prod
 from operator import add as _add
 from operator import mul
+from types import SimpleNamespace
 
-from .errors import (BoundExceededError, InputError, IntegralityError,
-                     SymmetryError)
+from .errors import BoundExceededError, InputError, IntegralityError
 
 DEFAULT_PCOMP_BOUND = 6
 
@@ -155,6 +154,19 @@ class MPoly:
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def _integral(cls, variables, terms, what):
+        """An MPoly that takes ownership of a term dict built in this module,
+        whose exponents fit `variables` and whose zeros are already dropped,
+        so no term is re-checked.  A coefficient that is not an int raises
+        IntegralityError naming `what`."""
+        if not all(isinstance(c, int) for c in terms.values()):
+            raise IntegralityError(f"{what} has a non-integer coefficient")
+        p = cls.__new__(cls)
+        p.vars = tuple(variables)
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls, variables):
         return cls(variables)
 
@@ -186,9 +198,6 @@ class MPoly:
 
     def is_integral(self):
         return all(isinstance(c, int) for c in self.terms.values())
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
 
     def coeff(self, expo):
         return self.terms.get(tuple(expo), 0)
@@ -261,44 +270,7 @@ class MPoly:
             raise ValueError("exponent must be a nonnegative integer")
         return MPoly(self.vars, _power(self.terms, k, len(self.vars)))
 
-    # -- structure -------------------------------------------------------
-
-    def reorder(self, variables):
-        """Same polynomial over a permutation of its variable list."""
-        variables = tuple(variables)
-        if sorted(variables) != sorted(self.vars):
-            raise ValueError("reorder must permute the existing variables")
-        pos = [self.vars.index(v) for v in variables]
-        terms = {tuple(e[i] for i in pos): c for e, c in self.terms.items()}
-        return MPoly(variables, terms)
-
-    def swap_positions(self, i, j):
-        out = {}
-        for e, c in self.terms.items():
-            le = list(e)
-            le[i], le[j] = le[j], le[i]
-            out[tuple(le)] = c
-        return MPoly(self.vars, out)
-
-    def set_vars(self, scalars):
-        """Partially substitute scalar values for some variables."""
-        keep = [i for i, v in enumerate(self.vars) if v not in scalars]
-        vals = {i: Fraction(scalars[v]) for i, v in enumerate(self.vars) if v in scalars}
-        out = {}
-        for e, c in self.terms.items():
-            for i, val in vals.items():
-                if e[i]:
-                    c = c * val ** e[i]
-            if not c:
-                continue
-            key = tuple(e[i] for i in keep)
-            prev = out.get(key, 0)
-            s = prev + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return MPoly(tuple(self.vars[i] for i in keep), out)
+    # -- evaluation ------------------------------------------------------
 
     def evaluate(self, values, one):
         """Evaluate in any commutative ring.
@@ -428,170 +400,14 @@ def parse_poly(text, variables):
 
 
 # ---------------------------------------------------------------------------
-# elementary symmetric polynomials
-# ---------------------------------------------------------------------------
-
-_esym_lock = threading.Lock()
-_esym_cache = {}
-
-
-def _esym_positional(m, k):
-    """e_k in m anonymous variables as a term dict (cached)."""
-    if not 0 <= k <= m:
-        raise ValueError(f"e_{k} undefined in {m} variables")
-    key = (m, k)
-    with _esym_lock:
-        got = _esym_cache.get(key)
-    if got is not None:
-        return got
-    # levels[j] accumulates e_j over the first i variables
-    levels = [{(0,) * m: 1}] + [{} for _ in range(k)]
-    for i in range(m):
-        unit = [0] * m
-        unit[i] = 1
-        unit = tuple(unit)
-        for j in range(min(i + 1, k), 0, -1):
-            _add_into(levels[j], _mul_monomial(levels[j - 1], unit, 1))
-    with _esym_lock:
-        for j, lv in enumerate(levels):
-            _esym_cache.setdefault((m, j), lv)
-        return _esym_cache[key]
-
-
-def elementary_symmetric(k, variables):
-    """The elementary symmetric polynomial e_k in the named variables."""
-    variables = tuple(variables)
-    return MPoly(variables, dict(_esym_positional(len(variables), k)))
-
-
-_eprod_lock = threading.Lock()
-_eprod_cache = {}
-
-
-def _eprod_expansion(m, mu):
-    """Expansion of prod_i e_i^{mu_i} in m variables (cached term dict)."""
-    key = (m, mu)
-    with _eprod_lock:
-        got = _eprod_cache.get(key)
-    if got is not None:
-        return got
-    j = max((i for i, v in enumerate(mu) if v), default=-1)
-    if j < 0:
-        out = {(0,) * m: 1}
-    else:
-        prev = list(mu)
-        prev[j] -= 1
-        prev = _eprod_expansion(m, tuple(prev))
-        out = _mul(prev, _esym_positional(m, j + 1))
-    with _eprod_lock:
-        return _eprod_cache.setdefault(key, out)
-
-
-def is_symmetric(f, sym_vars=None):
-    """Check invariance of f under permutations of sym_vars.
-
-    Checks the k-1 adjacent transpositions, which generate the symmetric
-    group S_k, so the test is complete at every size.
-    """
-    sym_vars = tuple(sym_vars) if sym_vars is not None else f.vars
-    pos = [f.vars.index(v) for v in sym_vars]
-    return all(
-        f.swap_positions(i, j) == f for i, j in zip(pos, pos[1:])
-    )
-
-
-def express_in_elementary(f, sym_vars=None, e_names=None):
-    """Rewrite f in the elementary symmetric polynomials of sym_vars.
-
-    Returns g with g(e_1,...,e_k, <inert vars>) = f; g is unique by the
-    fundamental theorem of symmetric polynomials.  Variables of f outside
-    sym_vars are carried through untouched ("inert").  The reduction is
-    the classical one: repeatedly cancel the lex-leading monomial, whose
-    exponent is weakly decreasing by symmetry, against the matching
-    product of elementary symmetric polynomials.
-
-    The reduction also decides symmetry: each step removes the leading
-    term and adds only lex-smaller terms of the same degree, so it either
-    ends at zero or meets a non-dominant leading term, which raises
-    SymmetryError.
-    """
-    sym_vars = tuple(sym_vars) if sym_vars is not None else f.vars
-    k = len(sym_vars)
-    if e_names is None:
-        e_names = tuple(f"e{i}" for i in range(1, k + 1))
-    else:
-        e_names = tuple(e_names)
-        if len(e_names) != k:
-            raise ValueError("need one output name per symmetric variable")
-    pos = [f.vars.index(v) for v in sym_vars]
-    inert_pos = [i for i in range(len(f.vars)) if i not in pos]
-    inert_names = tuple(f.vars[i] for i in inert_pos)
-    if set(e_names) & set(inert_names):
-        raise ValueError("output names collide with inert variables")
-
-    slices = {}
-    for e, c in f.terms.items():
-        key = tuple(e[i] for i in inert_pos)
-        slices.setdefault(key, {})[tuple(e[i] for i in pos)] = c
-
-    out = {}
-    for inert_expo, work in slices.items():
-        while work:
-            alpha = max(work)
-            if any(alpha[i] < alpha[i + 1] for i in range(k - 1)):
-                raise SymmetryError(
-                    "reduction hit a non-dominant leading term; "
-                    f"input not symmetric in {sym_vars}"
-                )
-            c = work[alpha]
-            mu = tuple(
-                alpha[i] - (alpha[i + 1] if i + 1 < k else 0) for i in range(k)
-            )
-            out[mu + inert_expo] = c
-            _add_into(work, _eprod_expansion(k, mu), -c)
-    return MPoly(e_names + inert_names, out)
-
-
-# ---------------------------------------------------------------------------
 # universal polynomials
 # ---------------------------------------------------------------------------
 
 
-class UniversalPolyCache:
-    """Thread-safe memo table for P_n and P_{m,n}."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.P = {}
-        self.Pcomp = {}
-
-    def get_P(self, n):
-        with self._lock:
-            return self.P.get(n)
-
-    def put_P(self, n, poly):
-        if not poly.is_integral():
-            raise IntegralityError(f"P_{n} has a non-integer coefficient")
-        with self._lock:
-            return self.P.setdefault(n, poly)
-
-    def get_Pcomp(self, m, n):
-        with self._lock:
-            return self.Pcomp.get((m, n))
-
-    def put_Pcomp(self, m, n, poly):
-        if not poly.is_integral():
-            raise IntegralityError(f"P_({m},{n}) has a non-integer coefficient")
-        with self._lock:
-            return self.Pcomp.setdefault((m, n), poly)
-
-    def clear(self):
-        with self._lock:
-            self.P.clear()
-            self.Pcomp.clear()
-
-
-GLOBAL_CACHE = UniversalPolyCache()
+# The memo of built universal polynomials, P[n] and Pcomp[(m, n)].  Each
+# insert is a dict.setdefault, atomic under the GIL, so when threads race to
+# build one polynomial the first insert wins and every caller gets that object.
+GLOBAL_CACHE = SimpleNamespace(P={}, Pcomp={})
 
 
 def _avars(n):
@@ -667,7 +483,7 @@ def _jacobi_trudi(nvars):
     return det
 
 
-def universal_P(n, cache=None):
+def universal_P(n):
     """P_n(a_1..a_n; b_1..b_n), the lambda-ring product polynomial.
 
     P_n is e_n of the n^2 products x_i*y_j rewritten in a_k = e_k(x) and
@@ -683,8 +499,7 @@ def universal_P(n, cache=None):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    cache = cache or GLOBAL_CACHE
-    got = cache.get_P(n)
+    got = GLOBAL_CACHE.P.get(n)
     if got is not None:
         return got
 
@@ -695,7 +510,8 @@ def universal_P(n, cache=None):
         for ea, ca in det(_conjugate(lam)).items():
             _add_into(rows.setdefault(ea, {}), b_side, ca)
     out = {ea + eb: c for ea, row in rows.items() for eb, c in row.items()}
-    return cache.put_P(n, MPoly(_avars(n) + _bvars(n), out))
+    poly = MPoly._integral(_avars(n) + _bvars(n), out, f"P_{n}")
+    return GLOBAL_CACHE.P.setdefault(n, poly)
 
 
 def _power_sums(K):
@@ -739,7 +555,7 @@ def _newton_e(p, top, nvars):
     return e
 
 
-def universal_Pcomp(m, n, bound=DEFAULT_PCOMP_BOUND, cache=None):
+def universal_Pcomp(m, n, bound=DEFAULT_PCOMP_BOUND):
     """P_{m,n}(a_1..a_{mn}), the lambda-ring composition polynomial.
 
     This is e_m of the C(mn, n) products x_S over n-element subsets S of
@@ -760,8 +576,7 @@ def universal_Pcomp(m, n, bound=DEFAULT_PCOMP_BOUND, cache=None):
         raise BoundExceededError(
             f"P_({m},{n}) needs m*n = {K} > configured bound {bound}"
         )
-    cache = cache or GLOBAL_CACHE
-    got = cache.get_Pcomp(m, n)
+    got = GLOBAL_CACHE.Pcomp.get((m, n))
     if got is not None:
         return got
 
@@ -771,10 +586,10 @@ def universal_Pcomp(m, n, bound=DEFAULT_PCOMP_BOUND, cache=None):
         _newton_e([None] + p[i::i][:n], n, K)[n] for i in range(1, m + 1)
     ]
     av = _avars(K)
-    poly = MPoly(av, _newton_e(psums, m, K)[m])
+    poly = MPoly._integral(av, _newton_e(psums, m, K)[m], f"P_({m},{n})")
     # sanity anchors: lambda^1 lambda^n = lambda^n and lambda^m lambda^1 = lambda^m
     if m == 1 or n == 1:
         expect = MPoly.gen(av, f"a{max(m, n)}")
         if poly != expect:
             raise IntegralityError(f"P_({m},{n}) failed its identity anchor")
-    return cache.put_Pcomp(m, n, poly)
+    return GLOBAL_CACHE.Pcomp.setdefault((m, n), poly)

@@ -220,8 +220,6 @@ def _check_window(primes, trunc, depth):
         if not isinstance(n, int) or isinstance(n, bool) or n < least:
             raise InputError(f"{name} must be an integer >= {least}, got {n!r}")
     check_window_primes(primes)
-    if len(set(primes)) != len(primes):
-        raise InputError(f"window primes {list(primes)} repeat")
 
 
 def _fermat_quotient(ring, u, q):

@@ -153,6 +153,21 @@ def test_validate_non_int_window_entry_is_a_usage_error(capsys, tmp_path, entry)
     assert (code, out, err) == (2, "", f"error: window entry {entry!r} is not a prime")
 
 
+def test_dual_make_repeated_window_prime_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "dual", "make", "--ring", "Z", "--a", "2=2,3=6",
+                         "--primes", "2,2,3")
+    assert (code, out, err) == (2, "", "error: window primes [2, 2, 3] repeat")
+
+
+def test_validate_repeated_window_prime_is_a_usage_error(capsys, tmp_path):
+    data = standard_structure("mult", trunc=4, primes=(2, 3)).to_json()
+    data["primes"] = [2, 2, 3]
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", "--structure", str(path))
+    assert (code, out, err) == (2, "", "error: window primes [2, 2, 3] repeat")
+
+
 def test_lift(capsys, mult_file):
     code, out, _ = run(capsys, "lift", "--structure", mult_file,
                        "--element", "0,1", "-n", "2")

@@ -4,28 +4,30 @@ The oracles here are deliberately primitive: a self-contained dict-based
 polynomial multiplier (independent of the library's term helpers),
 brute-force expansions of e_n over explicit subsets, the classical
 bisymmetric reduction coded independently, the explicit-variable routes
-that expand in x_1..x_K and reduce with express_in_elementary, and
-substitution of integer roots.  Two further routes reach the North-star
-sizes: dual Jacobi-Trudi determinants expanded along rows with a memo
-on the used columns, one expansion per partition and its conjugate, for
-P_n; and the conjugacy-class sum of power-sum products over Fractions
-for P_(m,n).  The library's partition recursions must reproduce them
-all exactly.
+that expand in x_1..x_K and reduce with naive_express, and substitution
+of integer roots.  naive_express itself is cross-checked against sympy's
+formal symmetrization where sympy is installed.  Two further routes
+reach the North-star sizes: dual Jacobi-Trudi determinants expanded
+along rows with a memo on the used columns, one expansion per partition
+and its conjugate, for P_n; and the conjugacy-class sum of power-sum
+products over Fractions for P_(m,n).  The library's partition
+recursions must reproduce them all exactly.
 """
 
 import random
+import threading
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import factorial, prod
 
 import pytest
 
-from wittlam.errors import BoundExceededError, IntegralityError, SymmetryError
+from wittlam.errors import BoundExceededError, IntegralityError
 from wittlam.ground import binom_fraction
-from wittlam.sympoly import (MPoly, _add_into, _avars, _bvars, _conjugate,
-                             _mul, _mul_monomial, _newton_e, _partitions,
-                             _power_sums, _units, elementary_symmetric,
-                             express_in_elementary, format_terms, is_symmetric,
+from wittlam.sympoly import (GLOBAL_CACHE, MPoly, _add_into, _avars, _bvars,
+                             _conjugate, _mul, _mul_monomial, _newton_e,
+                             _partitions, _power_sums, _units, format_terms,
                              parse_poly, universal_P, universal_Pcomp)
 
 # -- independent oracle machinery -------------------------------------------
@@ -51,7 +53,9 @@ def naive_e(k, m):
     return out
 
 
+@lru_cache(maxsize=None)
 def naive_eprod(mu, m):
+    """prod_i e_i^mu_i in m variables; callers must not mutate the result."""
     prod = {(0,) * m: 1}
     for idx, power in enumerate(mu):
         for _ in range(power):
@@ -60,20 +64,32 @@ def naive_eprod(mu, m):
 
 
 def naive_express(f, m):
-    """Classical reduction of a symmetric dict into e-exponents."""
-    work = dict(f)
+    """Classical reduction of a dict symmetric in its first m variables into
+    e-exponents; exponents of any later (inert) variables are carried
+    through, so a key of the result is the e-exponents and then the inert
+    ones.  Each inert slice is reduced alone, and its leading exponent must
+    be weakly decreasing at every step: an input that is not symmetric
+    fails that assertion, as the reduction only ever subtracts symmetric
+    polynomials and so could never reach zero."""
+    slices = {}
+    for e, c in f.items():
+        slices.setdefault(e[m:], {})[e[:m]] = c
     out = {}
-    while work:
-        alpha = max(work)
-        c = work[alpha]
-        mu = tuple(alpha[i] - (alpha[i + 1] if i + 1 < m else 0) for i in range(m))
-        out[mu] = c
-        for e2, c2 in naive_eprod(mu, m).items():
-            v = work.get(e2, 0) - c * c2
-            if v:
-                work[e2] = v
-            elif e2 in work:
-                del work[e2]
+    for inert, work in slices.items():
+        while work:
+            alpha = max(work)
+            assert all(alpha[i] >= alpha[i + 1] for i in range(m - 1)), (
+                f"leading exponent {alpha} is not dominant: not symmetric")
+            c = work[alpha]
+            mu = tuple(alpha[i] - (alpha[i + 1] if i + 1 < m else 0)
+                       for i in range(m))
+            out[mu + inert] = c
+            for e2, c2 in naive_eprod(mu, m).items():
+                v = work.get(e2, 0) - c * c2
+                if v:
+                    work[e2] = v
+                elif e2 in work:
+                    del work[e2]
     return out
 
 
@@ -132,7 +148,7 @@ def brute_universal_Pcomp(m, n):
 
 def explicit_universal_P(n):
     """Expand e_n of the grid products x_i*y_j over x_1..x_n and b_k = e_k(y),
-    then rewrite the x side in a_k = e_k(x).
+    then rewrite the x side in a_k = e_k(x) by naive_express, the b's inert.
 
     The y side is rewritten on the fly by the row identity
     prod_j (1 + x_i y_j t) = sum_k x_i^k b_k t^k.
@@ -152,21 +168,19 @@ def explicit_universal_P(n):
         for m in range(n, 0, -1):
             for k in range(1, m + 1):
                 levels[m] = levels[m] + levels[m - k] * row[k - 1]
-    g = express_in_elementary(levels[n], sym_vars=xs, e_names=av)
-    return g.reorder(av + bv)
+    return MPoly(av + bv, naive_express(levels[n].terms, n))
 
 
 def explicit_universal_Pcomp(m, n):
     """Power sums p_i = e_n(x_1^i, ..., x_K^i) of the subset products,
     rewritten in a_k = e_k(x), then Newton's identity for e_m."""
     K = m * n
-    xs = tuple(f"x{i}" for i in range(1, K + 1))
     av = tuple(f"a{i}" for i in range(1, K + 1))
-    base = elementary_symmetric(n, xs).terms
+    base = naive_e(n, K)
     psums = []
     for i in range(1, m + 1):
         powered = {tuple(v * i for v in e): c for e, c in base.items()}
-        psums.append(express_in_elementary(MPoly(xs, powered), e_names=av))
+        psums.append(MPoly(av, naive_express(powered, K)))
     E = [MPoly.one(av)]
     for j in range(1, m + 1):
         acc = MPoly.zero(av)
@@ -260,65 +274,79 @@ def esym_values(values, top):
     return e
 
 
-# -- elementary symmetric and the reduction ----------------------------------
+# -- the oracle's elementary symmetric polynomials and reduction -------------
+
+
+def sympy_express(f, m):
+    """sympy's formal symmetrization of the term dict f in its first m
+    variables, the rest inert: (term dict over s_1..s_m and then the inert
+    variables, remainder), comparable with naive_express."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.polyfuncs import symmetrize
+
+    gens = sympy.symbols(f"x1:{len(next(iter(f))) + 1}")
+    expr = sum(c * prod(g ** k for g, k in zip(gens, e)) for e, c in f.items())
+    sym, rem, defs = symmetrize(expr, *gens[:m], formal=True)
+    poly = sympy.Poly(sym, *[s for s, _ in defs], *gens[m:])
+    return {e: int(c) for e, c in poly.as_dict().items()}, rem
+
+
+P2_IN_2 = {(2, 0): 1, (0, 2): 1}
+E2_IN_2 = {(1, 1): 1}
+P3_IN_3 = {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1}
+# m_(2,1): the six monomials x_i^2 x_j with i != j
+M21_IN_3 = {(2, 1, 0): 1, (2, 0, 1): 1, (1, 2, 0): 1,
+            (0, 2, 1): 1, (1, 0, 2): 1, (0, 1, 2): 1}
+# symmetric in x1, x2 with t inert
+INERT_T = {(2, 0, 1): 1, (0, 2, 1): 1, (1, 1, 0): 5}
 
 
 def test_elementary_symmetric_small():
-    e0 = elementary_symmetric(0, ("x1", "x2"))
-    assert e0 == MPoly.one(("x1", "x2"))
-    e1 = elementary_symmetric(1, ("x1", "x2"))
-    assert e1.terms == {(1, 0): 1, (0, 1): 1}
-    e2 = elementary_symmetric(2, ("x1", "x2", "x3"))
-    assert e2.terms == {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}
-    with pytest.raises(ValueError):
-        elementary_symmetric(3, ("x1", "x2"))
+    assert naive_e(0, 2) == {(0, 0): 1}
+    assert naive_e(1, 2) == {(1, 0): 1, (0, 1): 1}
+    assert naive_e(2, 3) == {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1}
+    assert naive_e(3, 2) == {}
 
 
 def test_express_power_sums():
-    xs = ("x1", "x2")
-    f = MPoly(xs, {(2, 0): 1, (0, 2): 1})
-    g = express_in_elementary(f)
-    assert g == parse_poly("e1^2 - 2*e2", g.vars)
-
-    f = MPoly(xs, {(1, 1): 1})
-    assert express_in_elementary(f) == parse_poly("e2", ("e1", "e2"))
-
-    xs3 = ("x1", "x2", "x3")
-    f = MPoly(xs3, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
-    g = express_in_elementary(f)
-    assert g == parse_poly("e1^3 - 3*e1*e2 + 3*e3", g.vars)
+    e12 = ("e1", "e2")
+    assert naive_express(P2_IN_2, 2) == parse_poly("e1^2 - 2*e2", e12).terms
+    assert naive_express(E2_IN_2, 2) == parse_poly("e2", e12).terms
+    e123 = ("e1", "e2", "e3")
+    assert naive_express(P3_IN_3, 3) == parse_poly(
+        "e1^3 - 3*e1*e2 + 3*e3", e123).terms
 
 
 def test_express_verified_by_substitution():
     # plugging e_i back into g must reproduce f
     xs = ("x1", "x2", "x3")
-    f = MPoly(xs, {(2, 1, 0): 1, (2, 0, 1): 1, (1, 2, 0): 1,
-                   (0, 2, 1): 1, (1, 0, 2): 1, (0, 1, 2): 1})
-    g = express_in_elementary(f)
-    values = {f"e{k}": elementary_symmetric(k, xs) for k in range(1, 4)}
-    assert g.evaluate(values, MPoly.one(xs)) == f
+    g = MPoly(("e1", "e2", "e3"), naive_express(M21_IN_3, 3))
+    values = {f"e{k}": MPoly(xs, naive_e(k, 3)) for k in range(1, 4)}
+    assert g.evaluate(values, MPoly.one(xs)) == MPoly(xs, M21_IN_3)
 
 
 def test_express_with_inert_variables():
-    # symmetric in x1,x2 with t inert
-    vs = ("x1", "x2", "t")
-    f = MPoly(vs, {(2, 0, 1): 1, (0, 2, 1): 1, (1, 1, 0): 5})
-    g = express_in_elementary(f, sym_vars=("x1", "x2"))
-    assert g == parse_poly("e1^2*t - 2*e2*t + 5*e2", ("e1", "e2", "t"))
+    assert naive_express(INERT_T, 2) == parse_poly(
+        "e1^2*t - 2*e2*t + 5*e2", ("e1", "e2", "t")).terms
 
 
 def test_express_rejects_asymmetric():
-    f = MPoly(("x1", "x2"), {(2, 0): 1})
-    assert not is_symmetric(f)
-    with pytest.raises(SymmetryError):
-        express_in_elementary(f)
+    with pytest.raises(AssertionError, match="not symmetric"):
+        naive_express({(2, 0): 1}, 2)
 
 
-@pytest.mark.parametrize("k,index", [(16, 1), (20, 5)])
-def test_is_symmetric_is_complete_above_eight_variables(k, index):
-    xs = tuple(f"x{i}" for i in range(1, k + 1))
-    assert not is_symmetric(MPoly.gen(xs, xs[index]))
-    assert is_symmetric(elementary_symmetric(2, xs))
+@pytest.mark.parametrize("f,m", [(P2_IN_2, 2), (E2_IN_2, 2), (P3_IN_3, 3),
+                                 (M21_IN_3, 3), (INERT_T, 2)],
+                         ids=["p2", "e2", "p3", "m21", "inert_t"])
+def test_naive_express_agrees_with_sympy(f, m):
+    got, rem = sympy_express(f, m)
+    assert rem == 0
+    assert naive_express(f, m) == got
+
+
+def test_sympy_leaves_a_remainder_where_naive_express_rejects():
+    _, rem = sympy_express({(2, 0): 1}, 2)
+    assert rem != 0
 
 
 # -- universal polynomials ----------------------------------------------------
@@ -331,7 +359,10 @@ def test_universal_P_small_exact():
         "a1^2*b2 + a2*b1^2 - 2*a2*b2", ("a1", "a2", "b1", "b2")
     )
     # rank-one inputs multiply to rank one: P_2(a1, 0; b1, 0) = 0
-    assert P2.set_vars({"a2": 0, "b2": 0}).is_zero()
+    rank_one = ("a1", "b1")
+    values = {"a1": MPoly.gen(rank_one, "a1"), "a2": 0,
+              "b1": MPoly.gen(rank_one, "b1"), "b2": 0}
+    assert P2.evaluate(values, MPoly.one(rank_one)).is_zero()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -463,24 +494,30 @@ def test_cache_returns_same_object():
 
 
 def test_cache_is_thread_safe():
-    import threading
-
-    from wittlam.sympoly import UniversalPolyCache
-
-    cache = UniversalPolyCache()
+    GLOBAL_CACHE.P.clear()
     results = [None] * 8
+    start = threading.Barrier(8)
 
     def worker(k):
-        results[k] = universal_P(5, cache=cache)
+        start.wait()
+        results[k] = universal_P(5)
 
     threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    assert all(r == universal_P(5) for r in results)
-    # idempotent inserts: everyone ends up with the cached object
-    assert all(r is cache.get_P(5) for r in results)
+    # the first insert wins: every thread returns the memo's one object
+    assert all(r is GLOBAL_CACHE.P[5] for r in results)
+    assert results[0].terms == row_expanded_universal_P(5).terms
+
+
+def test_integral_constructor_rejects_non_integer_coefficient():
+    terms = {(1, 0): 2, (0, 1): -1}
+    poly = MPoly._integral(("a1", "a2"), terms, "P_9")
+    assert poly.terms is terms and poly == MPoly(("a1", "a2"), terms)
+    with pytest.raises(IntegralityError, match="P_9 has a non-integer"):
+        MPoly._integral(("a1",), {(1,): Fraction(1, 2)}, "P_9")
 
 
 # -- MPoly basics ---------------------------------------------------------------
@@ -525,7 +562,7 @@ def test_mpoly_evaluate_partial_and_full():
     vs = ("x", "y")
     f = parse_poly("x^2*y + 3*x", vs)
     assert f.evaluate({"x": Fraction(2), "y": Fraction(5)}, Fraction(1)) == 26
-    g = f.set_vars({"y": 1})
+    g = f.evaluate({"x": MPoly.gen(("x",), "x"), "y": 1}, MPoly.one(("x",)))
     assert g == parse_poly("x^2 + 3*x", ("x",))
 
 
