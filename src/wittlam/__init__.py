@@ -25,6 +25,6 @@ from .structures import (Carrier, LambdaStructure, adams_apply, axiom_check,
 from .sympoly import MPoly, universal_P, universal_Pcomp
 from .universal import (GeneratorIndex, HomAssignment, hom_from_structure,
                         relation_V, relation_w, roundtrip_check,
-                        structure_from_hom, u_element, universal_adams)
+                        structure_from_hom, universal_adams)
 
 __version__ = "0.1.0"

@@ -222,7 +222,7 @@ def cmd_universal(args):
         _emit_json(args, S.to_json())
         return 0
     if args.universal_op == "relations":
-        if args.structure:
+        if args.structure is not None:
             h = hom_from_structure(_load_structure(args.structure), depth=args.depth)
         else:
             h = HomAssignment.from_json(_load_json(args.assignment))
@@ -403,8 +403,9 @@ def build_parser():
     common(q, ring=False, N=False)
     q.set_defaults(func=cmd_universal)
     q = us.add_parser("relations")
-    q.add_argument("--structure", default=None)
-    q.add_argument("--assignment", default=None)
+    source = q.add_mutually_exclusive_group(required=True)
+    source.add_argument("--structure")
+    source.add_argument("--assignment")
     q.add_argument("--depth", type=int, default=2)
     common(q, ring=False, N=False, with_json=False)
     q.set_defaults(func=cmd_universal)

@@ -17,6 +17,7 @@ independently at every other window prime.
 from fractions import Fraction
 
 from .errors import LubinHypothesisError, UnsupportedRingError
+from .ground import QPOLY, ZLOC
 from .report import Report
 from .series import TruncSeries, compose, revert
 from .structures import LambdaStructure
@@ -27,25 +28,24 @@ def _scalar_of(elem):
     the one form payloads and MPoly coefficients hold: an int when it is
     integral, a Fraction otherwise.  None when the element is not scalar."""
     ring = elem.ring
-    if ring.kind == "localized_integers":
+    if ring.kind == ZLOC:
         return elem.payload
-    if ring.kind == "rational_poly":
+    if ring.kind == QPOLY:
         p = elem.payload
         if p.is_zero():
             return 0
         if list(p.terms) == [(0,) * len(ring.variables)]:
             return p.constant()
-        return None
     return None
 
 
-def check_alpha(alpha, trunc):
+def check_alpha(alpha):
     """alpha must be neither 0 nor a root of unity.
 
     Over Q the roots of unity are exactly +-1, so the check is exact.
     Non-scalar alpha in a polynomial algebra would push the solver into
     rational-function coefficients, which this library does not
-    represent.
+    represent.  Returns alpha as a scalar.
     """
     a = _scalar_of(alpha)
     if a is None:
@@ -74,34 +74,23 @@ class CommutingProblem:
             raise LubinHypothesisError(
                 "f and g must share their linear coefficient"
             )
-        check_alpha(f.linear_coeff(), f.trunc)
         self.f = f
         self.g = g
-        self.alpha = f.linear_coeff()
+        self.alpha = check_alpha(f.linear_coeff())
         self.c = c
 
 
-def lubin_solve(problem, trunc=None):
+def lubin_solve(problem):
     """The unique h with h(0)=0, h'(0)=c and h(g(x)) = f(h(x)) mod x^{N+1}.
 
     Works over the fraction field of the coefficient ring: the division
     by (alpha^j - alpha) is a division by a nonzero rational scalar.
     """
-    f, g, c = problem.f, problem.g, problem.c
-    N = f.trunc if trunc is None else trunc
-    ff_ring = f.ring.fraction_field()
-
-    def lift(series):
-        return TruncSeries(
-            ff_ring,
-            [ff_ring.element(cc.payload, check=False) for cc in series.coeffs],
-            N,
-            series.xfilt,
-        )
-
-    f = lift(f)
-    g = lift(g)
-    alpha = _scalar_of(f.linear_coeff())
+    alpha, c, N = problem.alpha, problem.c, problem.f.trunc
+    ff_ring = problem.f.ring.fraction_field()
+    # a payload of Z[S^-1] is already one of Q, and Q[y..] is its own field
+    f, g = (TruncSeries._wrap(ff_ring, s._payloads(), N, s.xfilt)
+            for s in (problem.f, problem.g))
     coeffs = [ff_ring.zero()] * (N + 1)
     if N >= 1:
         coeffs[1] = ff_ring.coerce(c)
@@ -156,7 +145,7 @@ def _hypothesis_failures(S1, S2, phi, p0):
             out.append(f"linear coefficients differ at p={p}")
             continue
         try:
-            check_alpha(a1, S1.carrier.series_trunc)
+            check_alpha(a1)
         except (LubinHypothesisError, UnsupportedRingError) as exc:
             out.append(f"p={p}: {exc}")
     return out

@@ -3,7 +3,8 @@
 The co-representing ring is generated by indeterminates v indexed by a
 prime p, a coefficient slot i >= 1, and a finite tail of primes
 (q_1, .., q_n); we never materialize the quotient.  What is computable at
-a finite window is the correspondence itself:
+a finite window is the correspondence itself, and every part of it is an
+evaluation at an assignment (a ring map out of the universal ring):
 
   * from Adams data psi^p(x) = sum r_{(p,i)} x^i over a ring R between
     Z and Q, the depth-0 assignment v_{(p,i)} |-> r_{(p,i)}/p (and
@@ -13,6 +14,10 @@ a finite window is the correspondence itself:
   * from an assignment, the pushforward structure psi^p(x) =
     sum u_{(p,i)} x^i with u_{(p,i)} = p v_{(p,i)} (+1 at i = p),
     accepted only if the commutator coefficients w_{(p,q,l)} vanish.
+
+The presentation itself (the universal Adams series and the w-relations
+over Q[v_p_i ..]) is the same evaluation at the tautological assignment
+`HomAssignment.generic`.
 """
 
 from typing import NamedTuple
@@ -38,30 +43,6 @@ class GeneratorIndex(NamedTuple):
     def label(self):
         bits = [str(self.p), str(self.i), *map(str, self.tail)]
         return "v(" + ",".join(bits) + ")"
-
-
-def u_symbol(p, i):
-    return f"v_{p}_{i}"
-
-
-def u_element(p, i, values=None):
-    """u_{(p,i)} = p*v_{(p,i)}, plus 1 when i = p.
-
-    With `values` (a HomAssignment or a {(p, i): element} map) the scalar
-    is returned; without, a symbolic MPoly in the single variable
-    v_{p}_{i}.
-    """
-    if values is None:
-        name = u_symbol(p, i)
-        v = MPoly.gen((name,), name)
-        out = v * p
-        return out + 1 if i == p else out
-    if isinstance(values, HomAssignment):
-        v = values.get(p, i)
-    else:
-        v = values[(p, i)]
-    out = v * p
-    return out + 1 if i == p else out
 
 
 class HomAssignment:
@@ -99,6 +80,19 @@ class HomAssignment:
         return cls(target, primes, trunc, depth, {
             (p, i): target.coerce(depth0.get((p, i), 0))
             for p in primes for i in range(1, trunc + 1)
+        })
+
+    @classmethod
+    def generic(cls, primes, trunc):
+        """The tautological depth-0 assignment v_{(p,i)} |-> v_p_i into
+        Q[v_p_i ..]: evaluating at it gives the symbolic forms."""
+        _check_window(primes, trunc, 0)  # name a repeated prime as such
+        keys = [(p, i) for p in primes for i in range(1, trunc + 1)]
+        names = tuple(f"v_{p}_{i}" for p, i in keys)
+        ring = GroundRing.rational_poly(names)
+        return cls(ring, primes, trunc, 0, {
+            key: ring.element(MPoly.gen(names, name))
+            for key, name in zip(keys, names)
         })
 
     def _verify(self):
@@ -235,61 +229,32 @@ def relation_V(index, q_next, assignment):
     return v ** q_next - v - v2 * q_next
 
 
-def universal_adams(p, assignment=None, trunc=8, primes=None):
-    """The universal Adams series psi^p(x) = sum_{i<=N} u_{(p,i)} x^i.
-
-    Evaluated under an assignment it is a series over the target ring;
-    without one it is symbolic over Q[v_p_1..v_p_N].
-    """
-    if assignment is not None:
-        ring = assignment.target
-        trunc = assignment.trunc
-        coeffs = [ring.zero()]
-        for i in range(1, trunc + 1):
-            u = assignment.get(p, i) * p
-            if i == p:
-                u = u + 1
-            coeffs.append(u)
-        return TruncSeries(ring, coeffs, trunc)
-    names = tuple(u_symbol(p, i) for i in range(1, trunc + 1))
-    ring = GroundRing.rational_poly(names)
-    coeffs = [ring.zero()]
-    for i in range(1, trunc + 1):
-        u = ring.element(MPoly.gen(names, u_symbol(p, i))) * p
-        if i == p:
-            u = u + 1
-        coeffs.append(u)
-    return TruncSeries(ring, coeffs, trunc)
+def _adams_coeff(p, i, v):
+    """u_{(p,i)} = p v_{(p,i)}, plus 1 at the Frobenius slot i = p."""
+    u = v * p
+    return u + 1 if i == p else u
 
 
-def relation_w(p, q, assignment=None, trunc=8):
-    """Coefficients w_{(p,q,l)} of psi^p(psi^q(x)) - psi^q(psi^p(x)).
+def universal_adams(p, assignment):
+    """The universal Adams series psi^p(x) = sum_{i<=N} u_{(p,i)} x^i,
+    evaluated under an assignment: a series over its target ring."""
+    coeffs = [assignment.target.zero()] + [
+        _adams_coeff(p, i, assignment.get(p, i))
+        for i in range(1, assignment.trunc + 1)
+    ]
+    return TruncSeries(assignment.target, coeffs, assignment.trunc)
+
+
+def relation_w(p, q, assignment):
+    """Coefficients w_{(p,q,l)} of psi^p(psi^q(x)) - psi^q(psi^p(x)) under
+    an assignment.
 
     All zero exactly when the two Adams series commute mod x^{N+1}.
-    Symbolic when no assignment is given (over the v-variables of both
-    primes).
     """
     if p == q:
         raise ValueError("relation_w needs distinct primes")
-    if assignment is not None:
-        fp = universal_adams(p, assignment)
-        fq = universal_adams(q, assignment)
-    else:
-        names = tuple(u_symbol(p, i) for i in range(1, trunc + 1)) + tuple(
-            u_symbol(q, i) for i in range(1, trunc + 1)
-        )
-        ring = GroundRing.rational_poly(names)
-
-        def series(pp):
-            coeffs = [ring.zero()]
-            for i in range(1, trunc + 1):
-                u = ring.element(MPoly.gen(names, u_symbol(pp, i))) * pp
-                if i == pp:
-                    u = u + 1
-                coeffs.append(u)
-            return TruncSeries(ring, coeffs, trunc)
-
-        fp, fq = series(p), series(q)
+    fp = universal_adams(p, assignment)
+    fq = universal_adams(q, assignment)
     diff = compose(fp, fq) - compose(fq, fp)
     return list(diff.coeffs[1:])
 
@@ -351,10 +316,10 @@ def structure_from_hom(assignment, carrier=None, check=True):
 
 
 def roundtrip_check(S, depth=DEFAULT_DEPTH):
-    """structure -> assignment -> structure is the identity (and back)."""
-    h = hom_from_structure(S, depth)
-    S2 = structure_from_hom(h, S.carrier)
-    if S2 != S:
-        return False
-    h2 = hom_from_structure(S2, depth)
-    return h2 == h
+    """structure -> assignment -> structure is the identity.
+
+    The way back to the assignment needs no check of its own:
+    hom_from_structure reads only the carrier, the window and the Adams
+    series, which is what == compares.
+    """
+    return structure_from_hom(hom_from_structure(S, depth), S.carrier) == S

@@ -5,9 +5,14 @@ names: `sympoly.GLOBAL_CACHE.P` and `.Pcomp`, `universal_Pcomp(m, n,
 bound=...)`, `lambda_op(i, f, bound=...)`, the structure builders and
 checks.  Each workload runs for a fraction of a second in a child
 interpreter, so a change that breaks one of those calls, or an op's
-independent check, fails here.
+independent check, fails here.  The tracer in `perfbench/tracing.py`
+finds the names it times by module and attribute path, and reads a name
+it cannot find as 0; a library name it traces that goes missing fails
+here too.
 """
 
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -31,3 +36,26 @@ def test_benchmark_workload_runs_without_failures(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["attempted"] >= 1, result
     assert result["failed"] == 0, (result["failures"], result["examples"])
+
+
+# Traced names the library no longer has: their per-layer metrics read 0
+# until the benchmark drops them.
+GONE = {"kernel.mul", "kernel.add_into", "kernel.mul_monomial",
+        "kernel.scaled", "kernel.power", "sympoly.express_in_elementary",
+        "sympoly.is_symmetric"}
+
+
+def test_every_traced_name_resolves_in_the_library():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    unresolved = set()
+    for mod, path, *_ in tracing.SPANS + tracing.COUNTS:
+        try:
+            owner, attr = tracing._resolve(
+                importlib.import_module(f"wittlam.{mod}"), path)
+            owner.__dict__[attr]
+        except (ImportError, AttributeError, KeyError):
+            unresolved.add(f"{mod}.{path}")
+    assert unresolved <= GONE, sorted(unresolved - GONE)

@@ -838,3 +838,19 @@ def test_universal_negative_depth_is_a_usage_error(capsys, mult6_file, op):
                          "--depth", "-1")
     assert (code, out) == (2, "")
     assert "depth must be an integer >= 0, got -1" in err
+
+
+@pytest.mark.parametrize("sources, message", [
+    pytest.param((), "one of the arguments --structure --assignment is "
+                 "required", id="neither"),
+    pytest.param(("--structure", "--assignment"), "argument --assignment: "
+                 "not allowed with argument --structure", id="both"),
+])
+def test_universal_relations_needs_exactly_one_source(capsys, mult6_file,
+                                                      sources, message):
+    argv = ["universal", "relations"]
+    for flag in sources:
+        argv += [flag, mult6_file]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err

@@ -1,6 +1,7 @@
 """The co-representing correspondence: generators, relations, round trips."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,10 +14,9 @@ from wittlam.ground import GroundRing
 from wittlam.lubin import conjugate_structure, random_unit_series
 from wittlam.series import TruncSeries
 from wittlam.structures import Carrier, standard_structure, validate
-from wittlam.sympoly import parse_poly
 from wittlam.universal import (GeneratorIndex, HomAssignment,
                                hom_from_structure, relation_V, relation_w,
-                               roundtrip_check, structure_from_hom, u_element,
+                               roundtrip_check, structure_from_hom,
                                universal_adams)
 
 Z = GroundRing.integers()
@@ -62,19 +62,6 @@ def eager_json_oracle(target, primes, trunc, depth, values):
     }
 
 
-def test_u_element_symbolic():
-    u = u_element(2, 1)
-    assert u == parse_poly("2*v_2_1", ("v_2_1",))
-    u = u_element(2, 2)
-    assert u == parse_poly("2*v_2_2 + 1", ("v_2_2",))
-
-
-def test_u_element_valued():
-    h = HomAssignment.from_depth0(Z, {(2, 2): 0}, primes=(2,), trunc=2, depth=0)
-    assert u_element(2, 2, h) == Z.one()
-    assert u_element(2, 1, {(2, 1): Z.from_int(3)}) == 6
-
-
 def test_universal_adams_all_zero_gives_power():
     h = HomAssignment.from_depth0(Z, {}, primes=(2, 3), trunc=6, depth=1)
     psi2 = universal_adams(2, h)
@@ -89,7 +76,9 @@ def test_universal_adams_example():
 
 
 def test_universal_adams_symbolic():
-    psi = universal_adams(2, trunc=3)
+    psi = universal_adams(2, HomAssignment.generic((2,), 3))
+    assert psi.ring == GroundRing.rational_poly(("v_2_1", "v_2_2", "v_2_3"))
+    assert psi.trunc == 3 and psi[0].is_zero()
     assert psi[1] == psi.ring.coerce("2*v_2_1")
     assert psi[2] == psi.ring.coerce("1 + 2*v_2_2")
     assert psi[3] == psi.ring.coerce("2*v_2_3")
@@ -114,6 +103,21 @@ def test_relation_w_nonzero():
     ws = relation_w(2, 3, h)
     # 3(x^3)^2 - (3x^2)^3 = 3x^6 - 27x^6 = -24x^6
     assert [v.payload for v in ws] == [0, 0, 0, 0, 0, -24]
+
+
+def test_generic_relation_w_evaluates_to_relation_w():
+    # composition over Q[v] then evaluation, against composition over Z
+    generic = relation_w(2, 3, HomAssignment.generic((2, 3), 5))
+    rng = random.Random(0)
+    for _ in range(4):
+        depth0 = {(p, i): rng.randint(-3, 3) for p in (2, 3)
+                  for i in range(1, 6)}
+        h = HomAssignment.from_depth0(Z, depth0, primes=(2, 3), trunc=5,
+                                      depth=0)
+        values = {f"v_{p}_{i}": v for (p, i), v in depth0.items()}
+        ws = relation_w(2, 3, h)
+        assert any(not w.is_zero() for w in ws)
+        assert [w.payload.evaluate(values, Z.one()) for w in generic] == ws
 
 
 def test_relation_V_examples():
@@ -190,6 +194,12 @@ def test_structure_from_hom_rejects_noncommuting():
     with pytest.raises(RelationViolationError,
                        match=r"FAIL  psi\^2 and psi\^3 commute"):
         structure_from_hom(h)
+    # the congruence holds, so only the way back to a structure rejects it
+    S = structure_from_hom(h, check=False)
+    assert hom_from_structure(S, depth=1) == h
+    with pytest.raises(RelationViolationError,
+                       match=r"FAIL  psi\^2 and psi\^3 commute"):
+        roundtrip_check(S)
 
 
 def test_injectivity_witness():
@@ -307,6 +317,8 @@ def test_window_parameters_checked():
         HomAssignment.from_depth0(Z, {}, primes=(2, 4), trunc=2, depth=0)
     with pytest.raises(InputError, match="repeat"):
         HomAssignment(Z, (2, 2), 1, 0, {(2, 1): Z.zero()})
+    with pytest.raises(InputError, match=r"window primes \[2, 2\] repeat"):
+        HomAssignment.generic((2, 2), 1)
 
 
 def test_missing_fermat_quotient_rejected_at_construction():
