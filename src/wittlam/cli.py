@@ -22,8 +22,8 @@ from .structures import (Carrier, LambdaStructure, axiom_check,
                          dual_iso_test, lambda_values, make_dual_structure,
                          make_family_structure, validate)
 from .sympoly import DEFAULT_PCOMP_BOUND, parse_fraction
-from .universal import (HomAssignment, hom_from_structure, relation_w,
-                        roundtrip_check, structure_from_hom)
+from .universal import (DEFAULT_DEPTH, HomAssignment, hom_from_structure,
+                        relation_w, roundtrip_check, structure_from_hom)
 
 
 def _emit(args, text):
@@ -223,7 +223,11 @@ def cmd_universal(args):
         return 0
     if args.universal_op == "relations":
         if args.structure is not None:
-            h = hom_from_structure(_load_structure(args.structure), depth=args.depth)
+            depth = DEFAULT_DEPTH if args.depth is None else args.depth
+            h = hom_from_structure(_load_structure(args.structure), depth=depth)
+        elif args.depth is not None:
+            raise InputError("--depth applies only with --structure: an "
+                             "assignment has its own depth")
         else:
             h = HomAssignment.from_json(_load_json(args.assignment))
         lines = []
@@ -262,9 +266,7 @@ def cmd_lubin(args):
 def cmd_hasse(args):
     S1 = _load_structure(args.s1)
     S2 = _load_structure(args.s2)
-    phi = TruncSeries(
-        S1.carrier.ring, _parse_coeffs(args.phi), S1.carrier.series_trunc
-    )
+    phi = TruncSeries(S1.carrier.ring, _parse_coeffs(args.phi), S1.carrier.trunc)
     return _emit_report(args, hasse_check(S1, S2, phi, args.prime))
 
 
@@ -395,7 +397,7 @@ def build_parser():
     for op in ("to-hom", "roundtrip"):
         q = us.add_parser(op)
         q.add_argument("--structure", required=True)
-        q.add_argument("--depth", type=int, default=2)
+        q.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
         common(q, ring=False, N=False, with_json=op == "to-hom")
         q.set_defaults(func=cmd_universal)
     q = us.add_parser("from-hom")
@@ -406,7 +408,8 @@ def build_parser():
     source = q.add_mutually_exclusive_group(required=True)
     source.add_argument("--structure")
     source.add_argument("--assignment")
-    q.add_argument("--depth", type=int, default=2)
+    q.add_argument("--depth", type=int, default=None,
+                   help=f"with --structure only (default {DEFAULT_DEPTH})")
     common(q, ring=False, N=False, with_json=False)
     q.set_defaults(func=cmd_universal)
 

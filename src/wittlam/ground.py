@@ -592,7 +592,12 @@ class GroundRing:
         if kind == ZLOC:
             return cls(ZLOC, inverted=PrimeSet.from_json(data["inverted"]))
         if kind == QPOLY:
-            return cls(QPOLY, variables=data["variables"])
+            names = data["variables"]
+            if not isinstance(names, list) or not all(
+                isinstance(v, str) for v in names
+            ):
+                raise InputError(f"variables must be a list of names, got {names!r}")
+            return cls(QPOLY, variables=names)
         if kind == DUAL:
             return cls(DUAL, base=cls.from_json(data["base"]))
         raise ValueError(f"unknown ring kind {kind!r}")

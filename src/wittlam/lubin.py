@@ -19,7 +19,7 @@ from fractions import Fraction
 from .errors import LubinHypothesisError, UnsupportedRingError
 from .ground import QPOLY, ZLOC
 from .report import Report
-from .series import TruncSeries, compose, revert
+from .series import SeriesRing, TruncSeries, compose, revert
 from .structures import LambdaStructure
 
 
@@ -67,7 +67,7 @@ class CommutingProblem:
     __slots__ = ("f", "g", "alpha", "c")
 
     def __init__(self, f, g, c):
-        f._check(g)
+        f.domain.coerce(g)  # RingMismatchError unless g shares f's domain
         if not f.constant_term().is_zero() or not g.constant_term().is_zero():
             raise LubinHypothesisError("f and g must vanish at 0")
         if f.linear_coeff() != g.linear_coeff():
@@ -89,17 +89,17 @@ def lubin_solve(problem):
     alpha, c, N = problem.alpha, problem.c, problem.f.trunc
     ff_ring = problem.f.ring.fraction_field()
     # a payload of Z[S^-1] is already one of Q, and Q[y..] is its own field
-    f, g = (TruncSeries._wrap(ff_ring, s._payloads(), N, s.xfilt)
-            for s in (problem.f, problem.g))
+    ff = SeriesRing(ff_ring, N)
+    f, g = ff._wrap(problem.f.payload), ff._wrap(problem.g.payload)
     coeffs = [ff_ring.zero()] * (N + 1)
     if N >= 1:
         coeffs[1] = ff_ring.coerce(c)
-    h = TruncSeries(ff_ring, coeffs, N, f.xfilt)
+    h = TruncSeries(ff_ring, coeffs, N)
     for j in range(2, N + 1):
         defect = (compose(h, g) - compose(f, h))[j]
         denom = alpha ** j - alpha
         coeffs[j] = defect * (Fraction(-1) / denom)
-        h = TruncSeries(ff_ring, coeffs, N, f.xfilt)
+        h = TruncSeries(ff_ring, coeffs, N)
     return h
 
 
@@ -118,7 +118,7 @@ def conjugate_structure(S, phi):
     return LambdaStructure(S.carrier, S.primes, adams)
 
 
-def random_unit_series(ring, trunc, seed=0, coeff_range=2, xfilt=1):
+def random_unit_series(ring, trunc, seed=0, coeff_range=2):
     """A pseudorandom series x + c_2 x^2 + ... with small integer c_k."""
     import random
 
@@ -126,7 +126,7 @@ def random_unit_series(ring, trunc, seed=0, coeff_range=2, xfilt=1):
     coeffs = [0, 1] + [
         rng.randint(-coeff_range, coeff_range) for _ in range(trunc - 1)
     ]
-    return TruncSeries(ring, coeffs, trunc, xfilt)
+    return TruncSeries(ring, coeffs, trunc)
 
 
 def _hypothesis_failures(S1, S2, phi, p0):

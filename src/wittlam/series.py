@@ -1,15 +1,19 @@
 """Truncated univariate power series with the x-adic filtration.
 
-A TruncSeries holds coefficients c_0..c_N (RingElements over a common
-GroundRing) and is exact modulo x^{N+1}.  The declared filtration degree
-d of x only scales valuations.  SeriesRing packages a truncation as a
-coefficient domain in its own right (A[x]/x^{N+1}), so that Witt vectors
-and lambda-elements can be formed over truncated polynomial rings.
+A TruncSeries is an element of its domain SeriesRing(A, N), the
+truncation A[x]/x^{N+1} of a GroundRing A, and is exact modulo x^{N+1};
+x has filtration degree 1.  Like a RingElement it holds a domain and a
+payload: the tuple of its N + 1 coefficient payloads (see `ground`: over
+Z[S^-1] an int when integral, else a Fraction).  `ring`, `trunc`,
+`coeffs` and `f[k]` are read-only views that wrap coefficients into
+RingElements when they are read.  SeriesRing is also a coefficient
+domain in its own right, so that Witt vectors and lambda-elements can be
+formed over truncated polynomial rings.
 
-The arithmetic kernel works on the ground ring's payloads (see `ground`:
-over Z[S^-1] an int when integral, else a Fraction), not on RingElements.
-Products, powers and compositions read the coefficients' payloads, compute
-on payload lists, and wrap each result coefficient once:
+Series arithmetic is written once, as the SeriesRing payload operations
+(`_padd`, `_pmul`, ...), and the TruncSeries operators call them; a
+scalar operand becomes a constant payload.  Products, powers and
+compositions run on payload lists:
 
   * over Z[S^-1] (Z, Z[1/p], Q) each operand is lifted to integer
     numerators over the lcm of its denominators, the convolution runs in
@@ -22,17 +26,16 @@ on payload lists, and wrap each result coefficient once:
   * over Q[y..] and dual numbers the same loops run on the ring's own
     payload operations (_pmul, _padd, _pis_zero).
 
-`coeffs` stays a tuple of RingElements: indexing, equality, hashing and
-text forms are the public face of a series and keep their ring, and the
-wrapping costs one object per coefficient of a result, not one per
-coefficient product.  Over Z every coefficient payload of a result is an
-int.
+Over Z every coefficient payload of a result is an int.  The JSON form
+keeps the field "x_filtration": 1; reading accepts that or no field.
 """
 
 import math
+import operator
 from fractions import Fraction
 
-from .errors import ExactDivisionError, RingMismatchError, UnsupportedRingError
+from .errors import (ExactDivisionError, InputError, RingMismatchError,
+                     UnsupportedRingError)
 from .ground import ZLOC, GroundRing, XAdicIdeal
 
 
@@ -97,181 +100,150 @@ def _pow_payloads(ring, base, k, n):
 
 
 class TruncSeries:
-    """Power series over a GroundRing, truncated at degree N."""
+    """Power series over a GroundRing, truncated at degree N: an element of
+    its domain SeriesRing(ring, N), held as the tuple of its N + 1
+    coefficient payloads."""
 
-    __slots__ = ("ring", "coeffs", "trunc", "xfilt")
+    __slots__ = ("domain", "payload")
 
-    def __init__(self, ring, coeffs, trunc=None, xfilt=1):
-        coeffs = [ring.coerce(c) for c in coeffs]
+    def __init__(self, ring, coeffs, trunc=None):
+        coeffs = [ring.coerce(c).payload for c in coeffs]
         if trunc is None:
             trunc = len(coeffs) - 1
         if trunc < 0:
             raise ValueError("truncation must be >= 0")
         if len(coeffs) < trunc + 1:
-            coeffs += [ring.zero()] * (trunc + 1 - len(coeffs))
-        elif len(coeffs) > trunc + 1:
-            coeffs = coeffs[: trunc + 1]
-        if xfilt < 1:
-            raise ValueError("x_filtration must be positive")
-        self.ring = ring
-        self.coeffs = tuple(coeffs)
-        self.trunc = trunc
-        self.xfilt = xfilt
-
-    @classmethod
-    def _wrap(cls, ring, payloads, trunc, xfilt):
-        """A series from trunc + 1 payloads that already lie in ring."""
-        out = object.__new__(cls)
-        out.ring = ring
-        out.coeffs = tuple(map(ring._wrap, payloads))
-        out.trunc = trunc
-        out.xfilt = xfilt
-        return out
-
-    def _payloads(self):
-        return [c.payload for c in self.coeffs]
+            coeffs += [ring._pzero()] * (trunc + 1 - len(coeffs))
+        self.domain = SeriesRing(ring, trunc)
+        self.payload = tuple(coeffs[: trunc + 1])
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, ring, trunc, xfilt=1):
-        return cls(ring, [], trunc, xfilt)
+    def zero(cls, ring, trunc):
+        return cls(ring, [], trunc)
 
     @classmethod
-    def const(cls, ring, c, trunc, xfilt=1):
-        return cls(ring, [c], trunc, xfilt)
+    def const(cls, ring, c, trunc):
+        return cls(ring, [c], trunc)
 
     @classmethod
-    def x(cls, ring, trunc, xfilt=1):
-        return cls(ring, [0, 1], trunc, xfilt)
+    def x(cls, ring, trunc):
+        return cls(ring, [0, 1], trunc)
 
     @classmethod
-    def monomial(cls, ring, c, k, trunc, xfilt=1):
+    def monomial(cls, ring, c, k, trunc):
         coeffs = [0] * (trunc + 1)
         if k <= trunc:
             coeffs[k] = c
-        return cls(ring, coeffs, trunc, xfilt)
+        return cls(ring, coeffs, trunc)
 
-    # -- queries -------------------------------------------------------------
+    # -- views and queries: coefficients are wrapped when read ----------------
+
+    @property
+    def ring(self):
+        return self.domain.ground
+
+    @property
+    def trunc(self):
+        return self.domain.trunc
+
+    @property
+    def coeffs(self):
+        return tuple(map(self.domain.ground._wrap, self.payload))
 
     def __getitem__(self, k):
-        return self.coeffs[k]
+        # one coefficient; a slice is a TypeError (slice f.coeffs instead)
+        return self.domain.ground._wrap(self.payload[operator.index(k)])
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
+        return self.domain._pis_zero(self.payload)
 
     def __bool__(self):
         return not self.is_zero()
 
     def constant_term(self):
-        return self.coeffs[0]
+        return self[0]
 
     def linear_coeff(self):
-        return self.coeffs[1] if self.trunc >= 1 else self.ring.zero()
+        return self[1] if self.trunc >= 1 else self.ring.zero()
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.trunc == other.trunc
-            and self.coeffs == other.coeffs
-        )
+        return self.domain == other.domain and self.payload == other.payload
 
     def __hash__(self):
-        return hash((self.ring, self.trunc, self.coeffs))
+        return hash((self.domain, self.payload))
 
-    # -- arithmetic -------------------------------------------------------------
+    # -- arithmetic: the SeriesRing payload operations ---------------------------
 
-    def _check(self, other):
-        if other.ring != self.ring or other.trunc != self.trunc:
-            raise RingMismatchError(
-                "series mismatch: "
-                f"{self.ring} mod x^{self.trunc + 1} vs "
-                f"{other.ring} mod x^{other.trunc + 1}"
-            )
-        return other
-
-    def _scalar(self, other):
-        """other as an element of the ring, or None if coerce cannot take it."""
+    def _operand(self, other):
+        """The payload of other in this series' domain: a series must lie in
+        it, a scalar of the ground ring becomes a constant; None when coerce
+        cannot take other."""
+        dom = self.domain
+        if isinstance(other, TruncSeries):
+            return dom.coerce(other).payload
         try:
-            return self.ring.coerce(other)
+            c = dom.ground.coerce(other)
         except UnsupportedRingError:
             return None
+        return (c.payload,) + dom._pzero()[1:]
 
     def __add__(self, other):
-        ring = self.ring
-        if isinstance(other, TruncSeries):
-            self._check(other)
-            add = ring._padd
-            out = [add(a.payload, b.payload) for a, b in zip(self.coeffs, other.coeffs)]
-            return TruncSeries._wrap(ring, out, self.trunc, self.xfilt)
-        c = self._scalar(other)
-        if c is None:
+        y = self._operand(other)
+        if y is None:
             return NotImplemented
-        payloads = self._payloads()
-        payloads[0] = ring._padd(payloads[0], c.payload)
-        return TruncSeries._wrap(ring, payloads, self.trunc, self.xfilt)
+        return self.domain._wrap(self.domain._padd(self.payload, y))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, TruncSeries):
-            return self + (-other)
-        c = self._scalar(other)
-        if c is None:
+        y = self._operand(other)
+        if y is None:
             return NotImplemented
-        return self + (-c)
+        return self.domain._wrap(self.domain._psub(self.payload, y))
 
     def __rsub__(self, other):
-        return (-self) + other
+        y = self._operand(other)
+        if y is None:
+            return NotImplemented
+        return self.domain._wrap(self.domain._psub(y, self.payload))
 
     def __neg__(self):
-        neg = self.ring._pneg
-        return TruncSeries._wrap(
-            self.ring, [neg(c.payload) for c in self.coeffs], self.trunc, self.xfilt
-        )
+        return self.domain._wrap(self.domain._pneg(self.payload))
 
     def __mul__(self, other):
-        ring, N = self.ring, self.trunc
-        if isinstance(other, TruncSeries):
-            self._check(other)
-            out = _mul_payloads(ring, self._payloads(), other._payloads(), N)
-            return TruncSeries._wrap(ring, out, N, self.xfilt)
-        c = self._scalar(other)
-        if c is None:
+        y = self._operand(other)
+        if y is None:
             return NotImplemented
-        mul, c = ring._pmul, c.payload
-        return TruncSeries._wrap(
-            ring, [mul(a.payload, c) for a in self.coeffs], N, self.xfilt
-        )
+        # the operand goes first: a constant's one nonzero coefficient is
+        # then the convolution's only outer step
+        return self.domain._wrap(self.domain._pmul(y, self.payload))
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        ring, N = self.ring, self.trunc
-        out = _pow_payloads(ring, self._payloads(), k, N)
-        return TruncSeries._wrap(ring, out, N, self.xfilt)
+        return self.domain._wrap(self.domain._ppow(self.payload, k))
 
     def div_int(self, n):
-        div = self.ring.div_int
-        return TruncSeries._wrap(
-            self.ring, [div(c, n).payload for c in self.coeffs], self.trunc, self.xfilt
-        )
+        return self.domain._wrap(self.domain._pdiv_int(self.payload, n))
 
     # -- text and JSON forms -------------------------------------------------------
 
     def coeff_strings(self):
-        return [self.ring.format_payload(c.payload) for c in self.coeffs]
+        return list(map(self.ring.format_payload, self.payload))
 
     def __str__(self):
+        ring = self.ring
         bits = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero():
+        for k, c in enumerate(self.payload):
+            if ring._pis_zero(c):
                 continue
-            cs = self.ring.format_payload(c.payload)
+            cs = ring.format_payload(c)
             neg = False
             if cs.startswith("-") and " " not in cs:
                 neg, cs = True, cs[1:]
@@ -296,14 +268,24 @@ class TruncSeries:
         return {
             "ring": self.ring.to_json(),
             "N": self.trunc,
-            "x_filtration": self.xfilt,
+            "x_filtration": 1,
             "coeffs": self.coeff_strings(),
         }
 
     @classmethod
     def from_json(cls, data):
+        check_x_filtration(data)
         ring = GroundRing.from_json(data["ring"])
-        return cls(ring, data["coeffs"], data["N"], data.get("x_filtration", 1))
+        return cls(ring, data["coeffs"], data["N"])
+
+
+def check_x_filtration(data):
+    """A JSON series or carrier states the degree of x in the x-adic
+    filtration as "x_filtration": 1, the only one the library has; a
+    missing field reads as 1, any other value is an InputError."""
+    d = data.get("x_filtration", 1)
+    if type(d) is not int or d != 1:
+        raise InputError(f"x_filtration must be 1, got {d!r}")
 
 
 def compose(f, g):
@@ -313,11 +295,11 @@ def compose(f, g):
     h_k = h_{k+1} g + f_k, with h_k cut at degree N - k: it is multiplied
     by g^k, which starts at x^k, on its way into h_0 = f(g).
     """
-    f._check(g)
-    if not g.constant_term().is_zero():
+    dom = f.domain
+    fp, gp = f.payload, dom.coerce(g).payload
+    ring, N = dom.ground, dom.trunc
+    if not ring._pis_zero(gp[0]):
         raise ValueError("composition requires g(0) = 0")
-    ring, N = f.ring, f.trunc
-    fp, gp = f._payloads(), g._payloads()
     if ring.kind == ZLOC:
         # all in integers: h_k = h_{k+1} G + F_k d_g^(N-k), f(g) = h_0/(d_f d_g^N)
         F, df = _lift(fp)
@@ -333,7 +315,7 @@ def compose(f, g):
         for k in range(N - 1, -1, -1):
             out = _mul_payloads(ring, out, gp, N - k)
             out[0] = fp[k]
-    return TruncSeries._wrap(ring, out, N, f.xfilt)
+    return dom._wrap(tuple(out))
 
 
 def revert(f):
@@ -344,54 +326,51 @@ def revert(f):
     """
     if not f.constant_term().is_zero():
         raise ValueError("reversion requires f(0) = 0")
-    u = f.ring.try_invert(f.linear_coeff())
+    ring, dom, N = f.ring, f.domain, f.trunc
+    u = ring.try_invert(f.linear_coeff())
     if u is None:
         raise ExactDivisionError(
-            f"linear coefficient {f.linear_coeff()} is not a unit in {f.ring}"
+            f"linear coefficient {f.linear_coeff()} is not a unit in {ring}"
         )
-    N = f.trunc
-    coeffs = [f.ring.zero()] * (N + 1)
+    coeffs = list(dom._pzero())
     if N >= 1:
-        coeffs[1] = u
-    g = TruncSeries(f.ring, coeffs, N, f.xfilt)
+        coeffs[1] = u.payload
+    g = dom._wrap(tuple(coeffs))
     for k in range(2, N + 1):
-        defect = compose(f, g).coeffs[k]
-        coeffs[k] = -(u * defect)
-        g = TruncSeries(f.ring, coeffs, N, f.xfilt)
+        defect = compose(f, g).payload[k]
+        coeffs[k] = ring._pneg(ring._pmul(u.payload, defect))
+        g = dom._wrap(tuple(coeffs))
     return g
 
 
 def congruent_mod(f, g, p):
     """True iff every coefficient of f - g is p-divisible."""
-    f._check(g)
-    diff = f - g
-    return all(f.ring.is_p_divisible(c, p) for c in diff.coeffs)
+    return f.domain.is_p_divisible(f - g, p)
 
 
 def xadic_valuation(f):
-    """Smallest k with c_k != 0, scaled by the filtration degree of x."""
-    for k, c in enumerate(f.coeffs):
-        if not c.is_zero():
-            return k * f.xfilt
+    """Smallest k with c_k != 0 (x has degree 1), or inf for f = 0."""
+    for k, c in enumerate(f.payload):
+        if not f.ring._pis_zero(c):
+            return k
     return math.inf
 
 
 class SeriesRing:
     """A truncation A[x]/x^{N+1} viewed as a coefficient domain.
 
-    Its payload (the protocol of `ground.GroundRing`) is the tuple of the
-    N + 1 ground payloads of a TruncSeries' coefficients.
+    Its elements are TruncSeries, and its payload (the protocol of
+    `ground.GroundRing`) is a series' own `payload`, the tuple of its
+    N + 1 ground payloads, so `_unwrap` and `_wrap` convert nothing.
     `_pmul` and `_ppow` are the convolution `_mul_payloads` (`_conv_int`
-    over Z[S^-1]); the other `_p*` methods act coefficientwise, and
-    `_wrap` builds one TruncSeries per result value.
+    over Z[S^-1]); the other `_p*` methods act coefficientwise.
     """
 
-    __slots__ = ("ground", "trunc", "xfilt")
+    __slots__ = ("ground", "trunc")
 
-    def __init__(self, ground, trunc, xfilt=1):
+    def __init__(self, ground, trunc):
         self.ground = ground
         self.trunc = trunc
-        self.xfilt = xfilt
 
     def __eq__(self, other):
         if self is other:
@@ -400,11 +379,10 @@ class SeriesRing:
             isinstance(other, SeriesRing)
             and self.ground == other.ground
             and self.trunc == other.trunc
-            and self.xfilt == other.xfilt
         )
 
     def __hash__(self):
-        return hash((self.ground, self.trunc, self.xfilt))
+        return hash((self.ground, self.trunc))
 
     def __str__(self):
         return f"{self.ground}[x]/x^{self.trunc + 1}"
@@ -412,27 +390,29 @@ class SeriesRing:
     __repr__ = __str__
 
     def zero(self):
-        return TruncSeries.zero(self.ground, self.trunc, self.xfilt)
+        return self._wrap(self._pzero())
 
     def one(self):
-        return TruncSeries.const(self.ground, 1, self.trunc, self.xfilt)
+        return self._wrap(self._pfrom_int(1))
 
     def from_int(self, n):
-        return TruncSeries.const(self.ground, n, self.trunc, self.xfilt)
+        return TruncSeries.const(self.ground, n, self.trunc)
 
     def x(self):
-        return TruncSeries.x(self.ground, self.trunc, self.xfilt)
+        return TruncSeries.x(self.ground, self.trunc)
 
     def coerce(self, value):
         if isinstance(value, TruncSeries):
-            if value.ring != self.ground or value.trunc != self.trunc:
-                raise RingMismatchError(f"series does not live in {self}")
+            if value.domain != self:
+                raise RingMismatchError(
+                    f"series in {value.domain} used in {self}"
+                )
             return value
         if isinstance(value, (list, tuple)):
-            return TruncSeries(self.ground, list(value), self.trunc, self.xfilt)
+            return TruncSeries(self.ground, list(value), self.trunc)
         if isinstance(value, str):
             return self.parse(value)
-        return TruncSeries.const(self.ground, value, self.trunc, self.xfilt)
+        return TruncSeries.const(self.ground, value, self.trunc)
 
     def div_int(self, f, n):
         return f.div_int(n)
@@ -440,10 +420,13 @@ class SeriesRing:
     # -- payload kernel -------------------------------------------------------
 
     def _unwrap(self, f):
-        return tuple([c.payload for c in f.coeffs])
+        return f.payload
 
     def _wrap(self, payload):
-        return TruncSeries._wrap(self.ground, payload, self.trunc, self.xfilt)
+        out = object.__new__(TruncSeries)
+        out.domain = self
+        out.payload = payload
+        return out
 
     def _pzero(self):
         return (self.ground._pzero(),) * (self.trunc + 1)
@@ -482,8 +465,7 @@ class SeriesRing:
 
     def in_ideal(self, f, ideal):
         if isinstance(ideal, XAdicIdeal):
-            k = min(ideal.k, self.trunc + 1)
-            return all(c.is_zero() for c in f.coeffs[:k])
+            return all(map(self.ground._pis_zero, f.payload[: ideal.k]))
         return all(self.ground.in_ideal(c, ideal) for c in f.coeffs)
 
     def format(self, f):
@@ -491,4 +473,4 @@ class SeriesRing:
 
     def parse(self, text):
         parts = [p.strip() for p in text.split(",")]
-        return TruncSeries(self.ground, parts, self.trunc, self.xfilt)
+        return TruncSeries(self.ground, parts, self.trunc)

@@ -1,5 +1,10 @@
 """Filtered lambda-ring structures presented by Adams-operation data.
 
+A carrier is a ground ring R, the dual numbers R[eps], or a truncation of
+R[[x]] with the x-adic filtration: R[x]/x^deg or R[[x]] mod x^{N+1}.
+Both series kinds hold their top degree N (= deg - 1) as `trunc`, and
+their elements are TruncSeries of the domain SeriesRing(R, N).
+
 A structure is a carrier plus, for each prime p in a finite window, the
 Adams datum psi^p: a power series psi^p(x) with zero constant term on
 series carriers, a multiplier a_p on dual-number carriers, and nothing at
@@ -20,8 +25,8 @@ from .errors import (InputError, IntegralityError, PrimeWindowError,
 from .ground import GroundRing, RingElement, factorize, is_prime
 from .lambda_witt import _from_power_sums
 from .report import Report
-from .series import (SeriesRing, TruncSeries, compose, congruent_mod,
-                     xadic_valuation)
+from .series import (SeriesRing, TruncSeries, check_x_filtration, compose,
+                     congruent_mod, xadic_valuation)
 from .sympoly import DEFAULT_PCOMP_BOUND, universal_P, universal_Pcomp
 
 DEFAULT_PRIMES = (2, 3, 5, 7)
@@ -37,18 +42,12 @@ GROUND, DUAL_NUMBERS, TRUNC_POLY, POWER_SERIES = (
 class Carrier:
     """One of the filtered rings a structure can live on."""
 
-    __slots__ = ("kind", "ring", "deg", "trunc", "xfilt")
+    __slots__ = ("kind", "ring", "trunc")
 
-    def __init__(self, kind, ring, deg=None, trunc=None, xfilt=1):
+    def __init__(self, kind, ring, trunc=None):
         self.kind = kind
         self.ring = ring
-        self.deg = deg
         self.trunc = trunc
-        self.xfilt = xfilt
-        if kind == TRUNC_POLY and (deg is None or deg < 2):
-            raise ValueError("truncated polynomial carrier needs degree >= 2")
-        if kind == POWER_SERIES and (trunc is None or trunc < 1):
-            raise ValueError("power series carrier needs a truncation >= 1")
         if kind == DUAL_NUMBERS and ring.kind == "dual_numbers":
             raise ValueError("dual-number carrier base must not be dual")
 
@@ -62,19 +61,17 @@ class Carrier:
 
     @classmethod
     def trunc_poly(cls, ring, deg):
-        return cls(TRUNC_POLY, ring, deg=deg)
+        check_int("deg", deg, 2)
+        return cls(TRUNC_POLY, ring, deg - 1)
 
     @classmethod
-    def power_series(cls, ring, trunc, xfilt=1):
-        return cls(POWER_SERIES, ring, trunc=trunc, xfilt=xfilt)
+    def power_series(cls, ring, trunc):
+        check_int("N", trunc, 1)
+        return cls(POWER_SERIES, ring, trunc)
 
     @property
     def is_series(self):
         return self.kind in (TRUNC_POLY, POWER_SERIES)
-
-    @property
-    def series_trunc(self):
-        return self.deg - 1 if self.kind == TRUNC_POLY else self.trunc
 
     @property
     def domain(self):
@@ -83,7 +80,7 @@ class Carrier:
             return self.ring
         if self.kind == DUAL_NUMBERS:
             return GroundRing.dual(self.ring)
-        return SeriesRing(self.ring, self.series_trunc, self.xfilt)
+        return SeriesRing(self.ring, self.trunc)
 
     def x(self):
         if not self.is_series:
@@ -94,12 +91,6 @@ class Carrier:
         if self.kind != DUAL_NUMBERS:
             raise UnsupportedRingError(f"{self} has no eps")
         return self.domain.coerce((0, 1))
-
-    def ground_is_q_algebra(self):
-        return self.ring.is_q_algebra()
-
-    def ground_between_Z_and_Q(self):
-        return self.ring.between_Z_and_Q()
 
     def valuation(self, r):
         """Filtration valuation of a carrier element (None if trivial)."""
@@ -115,12 +106,12 @@ class Carrier:
     def __eq__(self, other):
         return (
             isinstance(other, Carrier)
-            and (self.kind, self.ring, self.deg, self.trunc, self.xfilt)
-            == (other.kind, other.ring, other.deg, other.trunc, other.xfilt)
+            and (self.kind, self.ring, self.trunc)
+            == (other.kind, other.ring, other.trunc)
         )
 
     def __hash__(self):
-        return hash((self.kind, self.ring, self.deg, self.trunc, self.xfilt))
+        return hash((self.kind, self.ring, self.trunc))
 
     def __str__(self):
         if self.kind == GROUND:
@@ -128,7 +119,7 @@ class Carrier:
         if self.kind == DUAL_NUMBERS:
             return f"{self.ring}[eps]"
         if self.kind == TRUNC_POLY:
-            return f"{self.ring}[x]/x^{self.deg}"
+            return f"{self.ring}[x]/x^{self.trunc + 1}"
         return f"{self.ring}[[x]] mod x^{self.trunc + 1}"
 
     __repr__ = __str__
@@ -136,10 +127,10 @@ class Carrier:
     def to_json(self):
         data = {"kind": self.kind, "ring": self.ring.to_json()}
         if self.kind == TRUNC_POLY:
-            data["deg"] = self.deg
+            data["deg"] = self.trunc + 1
         if self.kind == POWER_SERIES:
             data["N"] = self.trunc
-            data["x_filtration"] = self.xfilt
+            data["x_filtration"] = 1
         return data
 
     @classmethod
@@ -153,8 +144,15 @@ class Carrier:
         if kind == TRUNC_POLY:
             return cls.trunc_poly(ring, data["deg"])
         if kind == POWER_SERIES:
-            return cls.power_series(ring, data["N"], data.get("x_filtration", 1))
+            check_x_filtration(data)
+            return cls.power_series(ring, data["N"])
         raise ValueError(f"unknown carrier kind {kind!r}")
+
+
+def check_int(name, n, least):
+    """n must be an int (not a bool) >= least; InputError otherwise."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < least:
+        raise InputError(f"{name} must be an integer >= {least}, got {n!r}")
 
 
 def check_window_primes(primes):
@@ -254,14 +252,17 @@ class LambdaStructure:
 
     @classmethod
     def from_json(cls, data, check=True):
-        carrier = Carrier.from_json(data["carrier"])
-        primes = tuple(data["primes"])
-        if carrier.kind == GROUND:
-            return cls(carrier, primes, check=check)
-        if "adams_dual" in data:
-            adams = {int(p): v for p, v in data["adams_dual"].items()}
-        else:
-            adams = {int(p): v for p, v in data["adams"].items()}
+        """Parse a structure; a missing field or a value of the wrong type
+        is an InputError naming the structure as malformed."""
+        try:
+            carrier = Carrier.from_json(data["carrier"])
+            primes = tuple(data["primes"])
+            adams = {}
+            if carrier.kind != GROUND:
+                key = "adams_dual" if "adams_dual" in data else "adams"
+                adams = {int(p): v for p, v in data[key].items()}
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise InputError(f"malformed structure: {exc!r}") from exc
         return cls(carrier, primes, adams, check=check)
 
 
@@ -310,9 +311,7 @@ def validate(S):
                 f"{p} is a unit in {carrier.ring}",
             )
         else:
-            xp = TruncSeries.monomial(
-                carrier.ring, 1, p, carrier.series_trunc, carrier.xfilt
-            )
+            xp = TruncSeries.monomial(carrier.ring, 1, p, carrier.trunc)
             report.add(
                 f"frobenius psi^{p} == x^{p} mod {p}", congruent_mod(psi, xp, p)
             )
@@ -526,7 +525,7 @@ def make_family_structure(carrier, multipliers, primes=None):
     """
     if not carrier.is_series:
         raise UnsupportedRingError("family structures live on series carriers")
-    if not carrier.ground_is_q_algebra():
+    if not carrier.ring.is_q_algebra():
         raise UnsupportedRingError(
             f"{carrier.ring} is not a Q-algebra; the family needs one"
         )
@@ -549,14 +548,14 @@ def make_series_structure(carrier, series_by_prime, primes=None, check=True):
     return LambdaStructure(carrier, primes, dict(series_by_prime), check=check)
 
 
-def standard_structure(kind, ring=None, trunc=8, primes=DEFAULT_PRIMES, xfilt=1):
+def standard_structure(kind, ring=None, trunc=8, primes=DEFAULT_PRIMES):
     """Well-known structures on R[[x]]:
 
     kind="mult":  psi^p(x) = (1+x)^p - 1   (multiplicative formal group)
     kind="power": psi^p(x) = x^p           (pure Frobenius powers)
     """
     ring = ring or GroundRing.integers()
-    carrier = Carrier.power_series(ring, trunc, xfilt)
+    carrier = Carrier.power_series(ring, trunc)
     dom = carrier.domain
     adams = {}
     for p in primes:
@@ -564,7 +563,7 @@ def standard_structure(kind, ring=None, trunc=8, primes=DEFAULT_PRIMES, xfilt=1)
             one = dom.one()
             adams[p] = (dom.x() + one) ** p - one
         elif kind == "power":
-            adams[p] = TruncSeries.monomial(ring, 1, p, trunc, xfilt)
+            adams[p] = TruncSeries.monomial(ring, 1, p, trunc)
         else:
             raise ValueError(f"unknown standard structure {kind!r}")
     return LambdaStructure(carrier, primes, adams)

@@ -28,7 +28,8 @@ from .ground import GroundRing
 from .series import TruncSeries, compose
 from .sympoly import MPoly
 from .structures import (DEFAULT_PRIMES, POWER_SERIES, Carrier,
-                         LambdaStructure, check_window_primes, validate)
+                         LambdaStructure, check_int, check_window_primes,
+                         validate)
 
 DEFAULT_DEPTH = 2
 
@@ -210,9 +211,8 @@ class HomAssignment:
 
 
 def _check_window(primes, trunc, depth):
-    for name, n, least in (("N", trunc, 1), ("depth", depth, 0)):
-        if not isinstance(n, int) or isinstance(n, bool) or n < least:
-            raise InputError(f"{name} must be an integer >= {least}, got {n!r}")
+    check_int("N", trunc, 1)
+    check_int("depth", depth, 0)
     check_window_primes(primes)
 
 
@@ -267,7 +267,7 @@ def hom_from_structure(S, depth=DEFAULT_DEPTH):
     land in R, and failures mean S violates the psi-ring congruence.
     """
     carrier = S.carrier
-    if carrier.kind != POWER_SERIES or not carrier.ground_between_Z_and_Q():
+    if carrier.kind != POWER_SERIES or not carrier.ring.between_Z_and_Q():
         raise UnsupportedRingError(
             "the correspondence needs a power series carrier over a ring "
             "between Z and Q"
@@ -276,7 +276,7 @@ def hom_from_structure(S, depth=DEFAULT_DEPTH):
     depth0 = {}
     for p in S.primes:
         psi = S.adams_series(p)
-        for i in range(1, carrier.series_trunc + 1):
+        for i in range(1, carrier.trunc + 1):
             r = psi[i]
             if i == p:
                 r = r - R.one()
@@ -287,9 +287,7 @@ def hom_from_structure(S, depth=DEFAULT_DEPTH):
                     f"structure violates the psi-ring congruence at "
                     f"(p={p}, i={i}): {exc}"
                 ) from exc
-    return HomAssignment.from_depth0(
-        R, depth0, S.primes, carrier.series_trunc, depth
-    )
+    return HomAssignment.from_depth0(R, depth0, S.primes, carrier.trunc, depth)
 
 
 def structure_from_hom(assignment, carrier=None, check=True):

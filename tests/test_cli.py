@@ -1,6 +1,7 @@
 """CLI: dispatch, exit codes, JSON round trips, determinism."""
 
 import json
+import shlex
 import os
 import subprocess
 import sys
@@ -854,3 +855,83 @@ def test_universal_relations_needs_exactly_one_source(capsys, mult6_file,
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert message in err
+
+
+def test_universal_relations_depth_applies_to_a_structure(capsys, mult6_file):
+    code, out, _ = run(capsys, "universal", "relations", "--structure", mult6_file)
+    assert code == 0 and out.endswith("(depth <= 2)")
+    code, out, _ = run(capsys, "universal", "relations", "--structure", mult6_file,
+                       "--depth", "0")
+    assert code == 0 and out.endswith("(depth <= 0)")
+
+
+def test_universal_relations_depth_with_an_assignment_is_a_usage_error(
+        capsys, tmp_path, mult6_file):
+    code, out, _ = run(capsys, "universal", "to-hom", "--structure", mult6_file)
+    assert code == 0
+    path = tmp_path / "hom.json"
+    path.write_text(out)
+    code, out, _ = run(capsys, "universal", "relations", "--assignment", str(path))
+    assert code == 0 and out.endswith("(depth <= 2)")
+    code, out, err = run(capsys, "universal", "relations", "--assignment",
+                         str(path), "--depth", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --depth applies only with --structure")
+
+
+def _carrier(**fields):
+    return lambda data: data["carrier"].update(fields)
+
+
+def _ring(ring):
+    return _carrier(ring=ring)
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(_carrier(N="4"), id="N-string"),
+    pytest.param(_carrier(N=4.0), id="N-float"),
+    pytest.param(_carrier(N=True), id="N-bool"),
+    pytest.param(lambda data: data["carrier"].pop("N"), id="N-missing"),
+    pytest.param(_carrier(kind="trunc_poly", deg="3"), id="deg-string"),
+    pytest.param(_carrier(kind="trunc_poly", deg=1), id="deg-below-2"),
+    pytest.param(_carrier(x_filtration="a"), id="x_filtration-string"),
+    pytest.param(_carrier(x_filtration=2.5), id="x_filtration-float"),
+    pytest.param(_carrier(x_filtration=2), id="x_filtration-2"),
+    pytest.param(_ring({"kind": "localized_integers",
+                        "inverted": {"finite": ["2"]}}), id="inverted-string"),
+    pytest.param(_ring({"kind": "localized_integers"}), id="inverted-missing"),
+    pytest.param(_ring({"kind": "rational_poly", "variables": "y1"}),
+                 id="variables-string"),
+    pytest.param(lambda data: data.pop("primes"), id="primes-missing"),
+    pytest.param(lambda data: data.pop("adams"), id="adams-missing"),
+    pytest.param(lambda data: data.update(adams=[]), id="adams-list"),
+])
+def test_malformed_structure_is_a_usage_error(capsys, tmp_path, corrupt):
+    data = standard_structure("mult", trunc=4, primes=(2, 3)).to_json()
+    corrupt(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", "--structure", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+def test_structure_file_that_is_a_list_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([standard_structure("mult", trunc=4).to_json()]))
+    code, out, err = run(capsys, "validate", "--structure", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed structure")
+
+
+def test_readme_cli_examples(capsys):
+    """Each `wittlam ...  # -> <out>` line of README's CLI block prints <out>."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [line.partition("# -> ") for line in block.splitlines()
+                if "# -> " in line]
+    assert len(examples) >= 6
+    for command, _, expect in examples:
+        argv = shlex.split(command)
+        assert argv[0] == "wittlam"
+        assert run(capsys, *argv[1:])[:2] == (0, expect.strip()), command

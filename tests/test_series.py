@@ -1,9 +1,10 @@
 """Truncated power series: arithmetic, composition, reversion, congruence.
 
 The payload kernel in `wittlam.series` is checked against the
-RingElement-level routes it replaced, kept here as oracles: the
-coefficient-by-coefficient convolution, Horner's rule on whole series,
-and powers by repeated multiplication.
+RingElement-level routes it replaced, kept here as oracles: sums,
+differences, negation, scalar operations and exact division coefficient
+by coefficient, the coefficient-by-coefficient convolution, Horner's rule
+on whole series, and powers by repeated multiplication.
 """
 
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittlam.errors import (ExactDivisionError, MembershipError,
+from wittlam.errors import (ExactDivisionError, InputError, MembershipError,
                             RingMismatchError)
 from wittlam.ground import DUAL, QPOLY, GroundRing
 from wittlam.series import (SeriesRing, TruncSeries, compose, congruent_mod,
@@ -33,6 +34,35 @@ QY = GroundRing.rational_poly(("y1",))
 # ---------------------------------------------------------------------------
 
 
+def _coeffwise(f, coeffs):
+    return TruncSeries(f.ring, coeffs, f.trunc)
+
+
+def add_oracle(f, g):
+    return _coeffwise(f, [a + b for a, b in zip(f.coeffs, g.coeffs)])
+
+
+def sub_oracle(f, g):
+    return _coeffwise(f, [a - b for a, b in zip(f.coeffs, g.coeffs)])
+
+
+def neg_oracle(f):
+    return _coeffwise(f, [-a for a in f.coeffs])
+
+
+def shift_oracle(f, c):
+    """f + c for a scalar c: c added to the constant coefficient."""
+    return _coeffwise(f, [f.coeffs[0] + c, *f.coeffs[1:]])
+
+
+def scale_oracle(f, c):
+    return _coeffwise(f, [a * c for a in f.coeffs])
+
+
+def div_int_oracle(f, n):
+    return _coeffwise(f, [f.ring.div_int(a, n) for a in f.coeffs])
+
+
 def mul_oracle(f, g):
     """f * g by the RingElement convolution."""
     N = f.trunc
@@ -40,16 +70,15 @@ def mul_oracle(f, g):
     for i, a in enumerate(f.coeffs):
         if a.is_zero():
             continue
-        for j in range(N + 1 - i):
-            b = g.coeffs[j]
+        for j, b in enumerate(g.coeffs[: N + 1 - i]):
             if not b.is_zero():
                 out[i + j] = out[i + j] + a * b
-    return TruncSeries(f.ring, out, N, f.xfilt)
+    return TruncSeries(f.ring, out, N)
 
 
 def pow_oracle(f, k):
     """f ** k by k - 1 multiplications."""
-    out = TruncSeries.const(f.ring, 1, f.trunc, f.xfilt)
+    out = TruncSeries.const(f.ring, 1, f.trunc)
     for _ in range(k):
         out = mul_oracle(out, f)
     return out
@@ -58,9 +87,9 @@ def pow_oracle(f, k):
 def compose_oracle(f, g):
     """f(g) by Horner's rule on whole series, h_k = h_{k+1} * g + f_k."""
     N = f.trunc
-    out = TruncSeries.const(f.ring, f.coeffs[N], N, f.xfilt)
+    out = TruncSeries.const(f.ring, f[N], N)
     for k in range(N - 1, -1, -1):
-        out = mul_oracle(out, g) + f.coeffs[k]
+        out = mul_oracle(out, g) + f[k]
     return out
 
 
@@ -113,8 +142,24 @@ def _kernel_cases(seed):
             yield ring, N, f, g
 
 
-def S(coeffs, trunc=None, ring=Z, d=1):
-    return TruncSeries(ring, coeffs, trunc, d)
+def S(coeffs, trunc=None, ring=Z):
+    return TruncSeries(ring, coeffs, trunc)
+
+
+def test_series_is_an_element_of_its_series_ring():
+    f = S([1, 2, 3], 2)
+    assert TruncSeries.__slots__ == ("domain", "payload")
+    assert f.domain == SeriesRing(Z, 2)
+    assert f.payload == (1, 2, 3)
+    assert f.domain._unwrap(f) is f.payload
+    assert f.domain._wrap(f.payload) == f
+    assert (f.ring, f.trunc) == (Z, 2)
+    assert f.coeffs == tuple(map(Z.from_int, (1, 2, 3)))
+    assert f[2] == f[-1] == Z.from_int(3)
+    with pytest.raises(TypeError):
+        f[1:]
+    with pytest.raises(AttributeError):
+        f.trunc = 3
 
 
 def test_series_arith_examples():
@@ -192,7 +237,7 @@ def test_congruent_mod():
 
 
 def test_xadic_valuation():
-    assert xadic_valuation(S([0, 0, 1], 4, d=4)) == 8
+    assert xadic_valuation(S([0, 0, 1], 4)) == 2
     assert xadic_valuation(S([0, 0, 0], 2)) == math.inf
     assert xadic_valuation(S([1, 1], 2)) == 0
 
@@ -236,11 +281,49 @@ def test_series_text_and_json():
     g = TruncSeries(dual, [(0, 1), (2, 0)], 2)
     assert "eps" in str(g)
     assert TruncSeries.from_json(g.to_json()) == g
+    data = f.to_json()
+    assert data["x_filtration"] == 1
+    del data["x_filtration"]
+    assert TruncSeries.from_json(data) == f
+    for bad in (2, 1.0, True, "1"):
+        data["x_filtration"] = bad
+        with pytest.raises(InputError, match="x_filtration must be 1"):
+            TruncSeries.from_json(data)
 
 
 # ---------------------------------------------------------------------------
 # the payload kernel against the oracles
 # ---------------------------------------------------------------------------
+
+
+def test_linear_operations_agree_with_oracle():
+    for ring, N, f, g in _kernel_cases("linear"):
+        c = g.constant_term()
+        assert f + g == add_oracle(f, g), (ring, N)
+        assert f - g == sub_oracle(f, g), (ring, N)
+        assert -f == neg_oracle(f), (ring, N)
+        assert f + c == c + f == shift_oracle(f, c), (ring, N)
+        assert f - c == shift_oracle(f, -c), (ring, N)
+        assert c - f == neg_oracle(shift_oracle(f, -c)), (ring, N)
+        assert f * c == c * f == scale_oracle(f, c), (ring, N)
+        for n in (-3, 0, 2):
+            assert f + n == n + f == shift_oracle(f, ring.from_int(n)), (ring, N)
+            assert f * n == n * f == scale_oracle(f, ring.from_int(n)), (ring, N)
+
+
+def test_div_int_agrees_with_oracle():
+    for ring, N, f, _ in _kernel_cases("div_int"):
+        for n in (2, 3, -6):
+            assert (f * n).div_int(n) == div_int_oracle(f * n, n) == f, (ring, N)
+            try:
+                expect = div_int_oracle(f, n)
+            except ExactDivisionError:
+                with pytest.raises(ExactDivisionError):
+                    f.div_int(n)
+            else:
+                assert f.div_int(n) == expect, (ring, N, n)
+        with pytest.raises(ZeroDivisionError):
+            f.div_int(0)
 
 
 def test_mul_agrees_with_oracle():
