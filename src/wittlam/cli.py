@@ -17,7 +17,7 @@ from .lambda_witt import (LambdaElem, WittVec, coalgebra_check, exp_iso,
                           exp_iso_inv, ghost, ghosts, lambda_add, lambda_mul,
                           lambda_op, witt_add, witt_mul)
 from .lubin import CommutingProblem, hasse_check, lubin_solve
-from .series import TruncSeries
+from .series import SeriesRing
 from .structures import (Carrier, LambdaStructure, axiom_check,
                          dual_iso_test, lambda_values, make_dual_structure,
                          make_family_structure, validate)
@@ -66,22 +66,16 @@ def _truncation(args, default, least):
     return n
 
 
-def _witt_from_args(args, field):
-    ring = parse_ring(args.ring)
+def _vector_from_args(cls, args, field):
+    """The WittVec or LambdaElem (cls) whose coefficients --<field> lists."""
     coeffs = _parse_coeffs(getattr(args, field))
-    return WittVec(ring, coeffs, _truncation(args, len(coeffs), 1))
-
-
-def _lambda_from_args(args, field):
-    ring = parse_ring(args.ring)
-    coeffs = _parse_coeffs(getattr(args, field))
-    return LambdaElem(ring, coeffs, _truncation(args, len(coeffs), 1))
+    return cls(parse_ring(args.ring), coeffs, _truncation(args, len(coeffs), 1))
 
 
 def _series_from_args(args, field, ring=None):
     ring = ring or parse_ring(args.ring)
     coeffs = _parse_coeffs(getattr(args, field))
-    return TruncSeries(ring, coeffs, _truncation(args, len(coeffs) - 1, 0))
+    return SeriesRing(ring, _truncation(args, len(coeffs) - 1, 0)).coerce(coeffs)
 
 
 def _ground_ring(args):
@@ -118,39 +112,37 @@ def _parse_carrier(text, ring):
 
 
 def cmd_witt(args):
+    a = _vector_from_args(WittVec, args, "a")
     if args.witt_op == "ghost":
-        a = _witt_from_args(args, "a")
         values = [ghost(args.n, a)] if args.n is not None else ghosts(a)
         _emit(args, ",".join(map(a.domain.format, values)))
         return 0
-    a = _witt_from_args(args, "a")
-    b = _witt_from_args(args, "b")
+    b = _vector_from_args(WittVec, args, "b")
     c = witt_add(a, b) if args.witt_op == "add" else witt_mul(a, b)
     _emit_json(args, c.to_json()) if args.json else _emit(args, str(c))
     return 0
 
 
 def cmd_lambda(args):
+    f = _vector_from_args(LambdaElem, args, "f")
     if args.lambda_op_name == "op":
-        f = _lambda_from_args(args, "f")
         r = lambda_op(args.i, f, bound=args.bound)
     else:
-        f = _lambda_from_args(args, "f")
-        g = _lambda_from_args(args, "g")
+        g = _vector_from_args(LambdaElem, args, "g")
         r = lambda_add(f, g) if args.lambda_op_name == "add" else lambda_mul(f, g)
     _emit_json(args, r.to_json()) if args.json else _emit(args, str(r))
     return 0
 
 
 def cmd_exp(args):
-    a = _witt_from_args(args, "a")
+    a = _vector_from_args(WittVec, args, "a")
     r = exp_iso(a)
     _emit_json(args, r.to_json()) if args.json else _emit(args, str(r))
     return 0
 
 
 def cmd_unexp(args):
-    f = _lambda_from_args(args, "f")
+    f = _vector_from_args(LambdaElem, args, "f")
     r = exp_iso_inv(f)
     _emit_json(args, r.to_json()) if args.json else _emit(args, str(r))
     return 0
@@ -266,7 +258,7 @@ def cmd_lubin(args):
 def cmd_hasse(args):
     S1 = _load_structure(args.s1)
     S2 = _load_structure(args.s2)
-    phi = TruncSeries(S1.carrier.ring, _parse_coeffs(args.phi), S1.carrier.trunc)
+    phi = S1.carrier.domain.coerce(_parse_coeffs(args.phi))
     return _emit_report(args, hasse_check(S1, S2, phi, args.prime))
 
 

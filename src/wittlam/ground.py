@@ -79,6 +79,12 @@ def is_prime(n):
     return True
 
 
+def check_int(name, n, least):
+    """n must be an int (not a bool) >= least; InputError otherwise."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < least:
+        raise InputError(f"{name} must be an integer >= {least}, got {n!r}")
+
+
 def factorize(n):
     """Prime factorization of a positive integer as {p: e}."""
     if n < 1:

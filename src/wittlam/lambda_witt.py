@@ -2,10 +2,14 @@
 
 LambdaElem represents 1 + a_1 t + ... + a_N t^N (the leading 1 implicit);
 WittVec represents (a_1, ..., a_N).  Both take their coefficients from a
-"domain": a GroundRing or a SeriesRing.  Every supported domain is
-torsion-free, so the ghost map (power sums) is injective on both functors
-and turns their ring operations into coordinatewise ones (Hazewinkel,
-"Witt vectors. Part 1", arXiv:0804.3888, sections 9-16):
+"domain", a GroundRing or a SeriesRing, and like its elements hold a
+domain and a payload: the tuple of the N coefficient payloads.  `a` (the
+coefficients as elements) and `trunc` (N) are read-only views; the
+constructor `LambdaElem(domain, coeffs, N)` coerces outside values.
+Every supported domain is torsion-free, so the ghost map (power sums) is
+injective on both functors and turns their ring operations into
+coordinatewise ones (Hazewinkel, "Witt vectors. Part 1", arXiv:0804.3888,
+sections 9-16):
 
   * Witt arithmetic adds or multiplies ghost components and solves the
     ghost equations degree by degree;
@@ -20,15 +24,15 @@ and turns their ring operations into coordinatewise ones (Hazewinkel,
 Every routine runs on the domain's payloads (the `_p*` protocol of
 `ground.GroundRing` and `series.SeriesRing`): over Z[S^-1] a scalar is an
 int when it is integral and a Fraction otherwise, and a Z[x]/x^k value is
-a tuple of such scalars.  These are the payloads the public values
-(RingElements, TruncSeries) hold, so reading the inputs and wrapping each
-result coefficient convert nothing; over Z every result scalar is an
-int.  Every division by an integer goes through the domain's exact
-`_pdiv_int`; a failure raises IntegralityError, whose `degree` names the
-failing degree of a Newton inversion.  `structures.lambda_values` lifts
-Adams data through the same Newton inversion.  The universal polynomials
-P_n and P_{m,n} are not used here: they are what the tests and
-`axiom_check` check these routes against.
+a tuple of such scalars.  A routine reads `f.payload` and stores its
+result tuple as it is, so nothing is converted on the way in or out;
+over Z every result scalar is an int.  Every division by an integer goes
+through the domain's exact `_pdiv_int`; a failure raises
+IntegralityError, whose `degree` names the failing degree of a Newton
+inversion.  `structures.lambda_values` lifts Adams data through the same
+Newton inversion.  The universal polynomials P_n and P_{m,n} are not
+used here: they are what the tests and `axiom_check` check these routes
+against.
 """
 
 from .errors import (BoundExceededError, ExactDivisionError, IntegralityError,
@@ -38,32 +42,33 @@ from .sympoly import DEFAULT_PCOMP_BOUND
 
 
 class _Vector:
-    __slots__ = ("domain", "a", "trunc")
+    __slots__ = ("domain", "payload")
 
     def __init__(self, domain, coeffs, trunc=None):
-        coeffs = [domain.coerce(c) for c in coeffs]
+        """Coerce each coefficient into the domain, padding with zeros or
+        cutting to `trunc` coefficients (default: as many as given)."""
+        coeffs = [domain.coerce(c).payload for c in coeffs]
         if trunc is None:
             trunc = len(coeffs)
-        if len(coeffs) < trunc:
-            coeffs += [domain.zero()] * (trunc - len(coeffs))
-        elif len(coeffs) > trunc:
-            coeffs = coeffs[:trunc]
+        coeffs += [domain._pzero()] * (trunc - len(coeffs))
         self.domain = domain
-        self.a = tuple(coeffs)
-        self.trunc = trunc
+        self.payload = tuple(coeffs[:trunc])
 
     @classmethod
     def _from_payloads(cls, domain, payloads):
-        """The vector of the given payloads, each wrapped once."""
+        """The vector holding the given payloads, converted by nothing."""
         out = object.__new__(cls)
         out.domain = domain
-        out.a = tuple(map(domain._wrap, payloads))
-        out.trunc = len(out.a)
+        out.payload = tuple(payloads)
         return out
 
-    def _payloads(self):
-        unwrap = self.domain._unwrap
-        return [unwrap(c) for c in self.a]
+    @property
+    def a(self):
+        return tuple(map(self.domain._wrap, self.payload))
+
+    @property
+    def trunc(self):
+        return len(self.payload)
 
     def _check(self, other):
         if self.domain != other.domain or self.trunc != other.trunc:
@@ -72,14 +77,10 @@ class _Vector:
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return (
-            self.domain == other.domain
-            and self.trunc == other.trunc
-            and self.a == other.a
-        )
+        return self.domain == other.domain and self.payload == other.payload
 
     def __hash__(self):
-        return hash((type(self).__name__, self.domain, self.a))
+        return hash((type(self).__name__, self.domain, self.payload))
 
     def coeff_strings(self):
         return [self.domain.format(c) for c in self.a]
@@ -91,6 +92,8 @@ class _Vector:
 class LambdaElem(_Vector):
     """An element 1 + sum a_i t^i of Lambda(A), truncated at t^N."""
 
+    __slots__ = ()
+
     def __repr__(self):
         return f"LambdaElem({self}; N={self.trunc})"
 
@@ -100,6 +103,8 @@ class LambdaElem(_Vector):
 
 class WittVec(_Vector):
     """A truncated big Witt vector (a_1, ..., a_N)."""
+
+    __slots__ = ()
 
     def __repr__(self):
         return f"WittVec({self}; N={self.trunc})"
@@ -123,7 +128,7 @@ def lambda_add(f, g):
     f._check(g)
     dom = f.domain
     add, mul = dom._padd, dom._pmul
-    a, b = f._payloads(), g._payloads()
+    a, b = f.payload, g.payload
     out = []
     for i in range(f.trunc):
         acc = add(a[i], b[i])  # the terms a_0 b_i and a_i b_0, a_0 = b_0 = 1
@@ -137,7 +142,7 @@ def lambda_neg(f):
     """Additive inverse in Lambda(A): the reciprocal series."""
     dom = f.domain
     sub, mul = dom._psub, dom._pmul
-    a = f._payloads()
+    a = f.payload
     out = []
     for i in range(f.trunc):
         acc = dom._pneg(a[i])
@@ -198,8 +203,8 @@ def lambda_mul(f, g):
     f._check(g)
     dom, N = f.domain, f.trunc
     mul = dom._pmul
-    q = list(map(mul, _power_sums(dom, f._payloads(), N),
-                 _power_sums(dom, g._payloads(), N)))
+    q = list(map(mul, _power_sums(dom, f.payload, N),
+                 _power_sums(dom, g.payload, N)))
     return LambdaElem._from_payloads(dom, _from_power_sums(dom, q))
 
 
@@ -220,10 +225,7 @@ def lambda_op(i, f, out_trunc=None, bound=DEFAULT_PCOMP_BOUND):
     """
     if i < 1:
         raise ValueError("i must be >= 1")
-    if i == 1:
-        cap = f.trunc if out_trunc is None else min(out_trunc, f.trunc)
-        return LambdaElem(f.domain, list(f.a[:cap]), cap)
-    cap = min(f.trunc // i, max(bound, 0) // i)
+    cap = f.trunc if i == 1 else min(f.trunc // i, max(bound, 0) // i)
     if out_trunc is not None:
         if out_trunc > cap:
             raise BoundExceededError(
@@ -232,7 +234,9 @@ def lambda_op(i, f, out_trunc=None, bound=DEFAULT_PCOMP_BOUND):
             )
         cap = out_trunc
     dom = f.domain
-    p = _power_sums(dom, f._payloads(), cap * i)
+    if i == 1:
+        return LambdaElem._from_payloads(dom, f.payload[:cap])
+    p = _power_sums(dom, f.payload, cap * i)
     ghosts = [_from_power_sums(dom, p[j - 1:j * i:j])[i - 1]
               for j in range(1, cap + 1)]
     return LambdaElem._from_payloads(dom, _from_power_sums(dom, ghosts))
@@ -245,7 +249,7 @@ def lambda_adams(k, f):
     if k < 1:
         raise ValueError("k must be >= 1")
     dom, M = f.domain, f.trunc // k
-    p = _power_sums(dom, f._payloads(), M * k)
+    p = _power_sums(dom, f.payload, M * k)
     return LambdaElem._from_payloads(dom, _from_power_sums(dom, p[k - 1::k]))
 
 
@@ -289,14 +293,14 @@ def ghost(n, w):
     """
     if not 1 <= n <= w.trunc:
         raise ValueError(f"ghost index {n} out of range 1..{w.trunc}")
-    return w.domain._wrap(_ghosts(w.domain, w._payloads(), n)[n - 1])
+    return w.domain._wrap(_ghosts(w.domain, w.payload, n)[n - 1])
 
 
 def ghosts(w):
     """All ghost components [w_1, ..., w_N] of w, from one pass; entry n - 1
     equals `ghost(n, w)`."""
     dom = w.domain
-    return list(map(dom._wrap, _ghosts(dom, w._payloads(), w.trunc)))
+    return list(map(dom._wrap, _ghosts(dom, w.payload, w.trunc)))
 
 
 def witt_zero(domain, trunc):
@@ -338,16 +342,16 @@ def _ghost_solve(dom, targets):
 def witt_add(a, b):
     a._check(b)
     dom, N = a.domain, a.trunc
-    targets = list(map(dom._padd, _ghosts(dom, a._payloads(), N),
-                       _ghosts(dom, b._payloads(), N)))
+    targets = list(map(dom._padd, _ghosts(dom, a.payload, N),
+                       _ghosts(dom, b.payload, N)))
     return WittVec._from_payloads(dom, _ghost_solve(dom, targets))
 
 
 def witt_mul(a, b):
     a._check(b)
     dom, N = a.domain, a.trunc
-    targets = list(map(dom._pmul, _ghosts(dom, a._payloads(), N),
-                       _ghosts(dom, b._payloads(), N)))
+    targets = list(map(dom._pmul, _ghosts(dom, a.payload, N),
+                       _ghosts(dom, b.payload, N)))
     return WittVec._from_payloads(dom, _ghost_solve(dom, targets))
 
 
@@ -361,7 +365,7 @@ def exp_iso(w):
     dom, N = w.domain, w.trunc
     add, mul, is_zero = dom._padd, dom._pmul, dom._pis_zero
     c = [dom._pzero()] * N  # c[j - 1] is the coefficient of t^j
-    for i, ai in enumerate(w._payloads(), 1):
+    for i, ai in enumerate(w.payload, 1):
         if is_zero(ai):
             continue
         # multiply by 1 + a_i t^i, from the top down
@@ -381,7 +385,7 @@ def exp_iso_inv(f):
     O(N^2) products, no division."""
     dom, N = f.domain, f.trunc
     sub, mul, is_zero = dom._psub, dom._pmul, dom._pis_zero
-    g = f._payloads()  # g[n - 1]: a_n once n <= k, else the quotient's t^n
+    g = list(f.payload)  # g[n - 1]: a_n once n <= k, else the quotient's t^n
     for k in range(1, (N - 1) // 2 + 1):
         ak = g[k - 1]
         if is_zero(ak):
@@ -435,6 +439,6 @@ def coalgebra_check(S, samples, M=3):
         for i in range(1, M + 1):
             lhs = S.lambda_values(M, lam[i])  # lambda_t(lambda^i(a)) to deg M
             rhs = lambda_op(i, L, out_trunc=M, bound=K)
-            ok = all(lhs[j] == rhs.a[j - 1] for j in range(1, M + 1))
+            ok = lhs[1:] == list(rhs.a)
             report.add(f"coassociativity at outer degree {i}{at}", ok)
     return report

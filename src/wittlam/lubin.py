@@ -19,7 +19,7 @@ from fractions import Fraction
 from .errors import LubinHypothesisError, UnsupportedRingError
 from .ground import QPOLY, ZLOC
 from .report import Report
-from .series import SeriesRing, TruncSeries, compose, revert
+from .series import SeriesRing, compose, revert
 from .structures import LambdaStructure
 
 
@@ -94,12 +94,12 @@ def lubin_solve(problem):
     coeffs = [ff_ring.zero()] * (N + 1)
     if N >= 1:
         coeffs[1] = ff_ring.coerce(c)
-    h = TruncSeries(ff_ring, coeffs, N)
+    h = ff.coerce(coeffs)
     for j in range(2, N + 1):
         defect = (compose(h, g) - compose(f, h))[j]
         denom = alpha ** j - alpha
         coeffs[j] = defect * (Fraction(-1) / denom)
-        h = TruncSeries(ff_ring, coeffs, N)
+        h = ff.coerce(coeffs)
     return h
 
 
@@ -118,15 +118,13 @@ def conjugate_structure(S, phi):
     return LambdaStructure(S.carrier, S.primes, adams)
 
 
-def random_unit_series(ring, trunc, seed=0, coeff_range=2):
-    """A pseudorandom series x + c_2 x^2 + ... with small integer c_k."""
+def random_unit_series(ring, trunc, seed=0):
+    """A pseudorandom series x + c_2 x^2 + ... with integers -2 <= c_k <= 2."""
     import random
 
     rng = random.Random(seed)
-    coeffs = [0, 1] + [
-        rng.randint(-coeff_range, coeff_range) for _ in range(trunc - 1)
-    ]
-    return TruncSeries(ring, coeffs, trunc)
+    coeffs = [0, 1] + [rng.randint(-2, 2) for _ in range(trunc - 1)]
+    return SeriesRing(ring, trunc).coerce(coeffs)
 
 
 def _hypothesis_failures(S1, S2, phi, p0):

@@ -4,9 +4,12 @@ A TruncSeries is an element of its domain SeriesRing(A, N), the
 truncation A[x]/x^{N+1} of a GroundRing A, and is exact modulo x^{N+1};
 x has filtration degree 1.  Like a RingElement it holds a domain and a
 payload: the tuple of its N + 1 coefficient payloads (see `ground`: over
-Z[S^-1] an int when integral, else a Fraction).  `ring`, `trunc`,
-`coeffs` and `f[k]` are read-only views that wrap coefficients into
-RingElements when they are read.  SeriesRing is also a coefficient
+Z[S^-1] an int when integral, else a Fraction).  `TruncSeries(domain,
+payload)` trusts its payload and converts nothing; outside values (a
+coefficient list, the text form, a scalar) become a series only through
+`SeriesRing.coerce`, which `from_int`, `x` and `parse` call.  `ring`,
+`trunc`, `coeffs` and `f[k]` are read-only views that wrap coefficients
+into RingElements when they are read.  SeriesRing is also a coefficient
 domain in its own right, so that Witt vectors and lambda-elements can be
 formed over truncated polynomial rings.
 
@@ -27,7 +30,8 @@ compositions run on payload lists:
     payload operations (_pmul, _padd, _pis_zero).
 
 Over Z every coefficient payload of a result is an int.  The JSON form
-keeps the field "x_filtration": 1; reading accepts that or no field.
+keeps the field "x_filtration": 1; reading accepts that or no field, and
+a missing or mistyped field is an InputError.
 """
 
 import math
@@ -36,7 +40,7 @@ from fractions import Fraction
 
 from .errors import (ExactDivisionError, InputError, RingMismatchError,
                      UnsupportedRingError)
-from .ground import ZLOC, GroundRing, XAdicIdeal
+from .ground import ZLOC, GroundRing, XAdicIdeal, check_int
 
 
 def _lift(payloads):
@@ -106,37 +110,9 @@ class TruncSeries:
 
     __slots__ = ("domain", "payload")
 
-    def __init__(self, ring, coeffs, trunc=None):
-        coeffs = [ring.coerce(c).payload for c in coeffs]
-        if trunc is None:
-            trunc = len(coeffs) - 1
-        if trunc < 0:
-            raise ValueError("truncation must be >= 0")
-        if len(coeffs) < trunc + 1:
-            coeffs += [ring._pzero()] * (trunc + 1 - len(coeffs))
-        self.domain = SeriesRing(ring, trunc)
-        self.payload = tuple(coeffs[: trunc + 1])
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, ring, trunc):
-        return cls(ring, [], trunc)
-
-    @classmethod
-    def const(cls, ring, c, trunc):
-        return cls(ring, [c], trunc)
-
-    @classmethod
-    def x(cls, ring, trunc):
-        return cls(ring, [0, 1], trunc)
-
-    @classmethod
-    def monomial(cls, ring, c, k, trunc):
-        coeffs = [0] * (trunc + 1)
-        if k <= trunc:
-            coeffs[k] = c
-        return cls(ring, coeffs, trunc)
+    def __init__(self, domain, payload):
+        self.domain = domain
+        self.payload = payload
 
     # -- views and queries: coefficients are wrapped when read ----------------
 
@@ -272,11 +248,19 @@ class TruncSeries:
             "coeffs": self.coeff_strings(),
         }
 
-    @classmethod
-    def from_json(cls, data):
-        check_x_filtration(data)
-        ring = GroundRing.from_json(data["ring"])
-        return cls(ring, data["coeffs"], data["N"])
+    @staticmethod
+    def from_json(data):
+        """Parse a series; a missing field or a value of the wrong type is
+        an InputError naming the series as malformed."""
+        try:
+            check_x_filtration(data)
+            dom = SeriesRing(GroundRing.from_json(data["ring"]), data["N"])
+            coeffs = data["coeffs"]
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise InputError(f"malformed series: {exc!r}") from exc
+        if not isinstance(coeffs, list):
+            raise InputError(f"malformed series: coeffs {coeffs!r} is not a list")
+        return dom.coerce(coeffs)
 
 
 def check_x_filtration(data):
@@ -369,6 +353,7 @@ class SeriesRing:
     __slots__ = ("ground", "trunc")
 
     def __init__(self, ground, trunc):
+        check_int("N", trunc, 0)
         self.ground = ground
         self.trunc = trunc
 
@@ -396,23 +381,29 @@ class SeriesRing:
         return self._wrap(self._pfrom_int(1))
 
     def from_int(self, n):
-        return TruncSeries.const(self.ground, n, self.trunc)
+        return self.coerce([self.ground.from_int(n)])
 
     def x(self):
-        return TruncSeries.x(self.ground, self.trunc)
+        return self.coerce([0, 1])
 
     def coerce(self, value):
+        """The series of a value: a series of this ring; a list or tuple of
+        coefficients, padded with zeros and cut at degree N; the text form
+        (see `parse`); or a scalar of the ground ring, as a constant.  The
+        one place where outside values become a series payload."""
         if isinstance(value, TruncSeries):
             if value.domain != self:
                 raise RingMismatchError(
                     f"series in {value.domain} used in {self}"
                 )
             return value
-        if isinstance(value, (list, tuple)):
-            return TruncSeries(self.ground, list(value), self.trunc)
         if isinstance(value, str):
             return self.parse(value)
-        return TruncSeries.const(self.ground, value, self.trunc)
+        if not isinstance(value, (list, tuple)):
+            value = [value]
+        coeffs = [self.ground.coerce(c).payload for c in value]
+        coeffs += self._pzero()[len(coeffs):]
+        return TruncSeries(self, tuple(coeffs[: self.trunc + 1]))
 
     def div_int(self, f, n):
         return f.div_int(n)
@@ -423,10 +414,7 @@ class SeriesRing:
         return f.payload
 
     def _wrap(self, payload):
-        out = object.__new__(TruncSeries)
-        out.domain = self
-        out.payload = payload
-        return out
+        return TruncSeries(self, payload)
 
     def _pzero(self):
         return (self.ground._pzero(),) * (self.trunc + 1)
@@ -472,5 +460,4 @@ class SeriesRing:
         return ",".join(f.coeff_strings())
 
     def parse(self, text):
-        parts = [p.strip() for p in text.split(",")]
-        return TruncSeries(self.ground, parts, self.trunc)
+        return self.coerce([p.strip() for p in text.split(",")])

@@ -22,11 +22,11 @@ import math
 
 from .errors import (InputError, IntegralityError, PrimeWindowError,
                      RingMismatchError, UnsupportedRingError, WilkersonError)
-from .ground import GroundRing, RingElement, factorize, is_prime
+from .ground import GroundRing, RingElement, check_int, factorize, is_prime
 from .lambda_witt import _from_power_sums
 from .report import Report
-from .series import (SeriesRing, TruncSeries, check_x_filtration, compose,
-                     congruent_mod, xadic_valuation)
+from .series import (SeriesRing, check_x_filtration, compose, congruent_mod,
+                     xadic_valuation)
 from .sympoly import DEFAULT_PCOMP_BOUND, universal_P, universal_Pcomp
 
 DEFAULT_PRIMES = (2, 3, 5, 7)
@@ -149,12 +149,6 @@ class Carrier:
         raise ValueError(f"unknown carrier kind {kind!r}")
 
 
-def check_int(name, n, least):
-    """n must be an int (not a bool) >= least; InputError otherwise."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < least:
-        raise InputError(f"{name} must be an integer >= {least}, got {n!r}")
-
-
 def check_window_primes(primes):
     """Every entry of a prime window must be an int (not a bool) and a
     prime, and no prime may repeat; InputError otherwise.  Structures and
@@ -171,8 +165,8 @@ class LambdaStructure:
 
     `adams` maps each window prime p to its datum: a TruncSeries psi^p(x)
     on series carriers, an element a_p of the base on dual carriers, and
-    is empty on ground carriers.  The window must not be empty, and no
-    prime may repeat in it.
+    is empty on ground carriers.  The window must not be empty, no prime
+    may repeat in it, and no datum may be given for a prime outside it.
     Constructing with check=True enforces
     psi^p(0) = 0 and, on dual carriers, p-divisibility of a_p; pass
     check=False to build a candidate for `validate` to diagnose.
@@ -190,12 +184,16 @@ class LambdaStructure:
         self.primes = primes
         adams = dict(adams or {})
         missing = [p for p in primes if p not in adams]
+        outside = sorted(set(adams) - set(primes))
         if carrier.kind == GROUND:
             if adams:
                 raise ValueError("ground carriers carry no Adams data (psi = id)")
             self.adams = {}
         elif missing:
             raise ValueError(f"missing Adams data for window primes {missing}")
+        elif outside:
+            raise InputError(f"Adams data for primes {outside} outside window "
+                             f"{list(primes)}")
         elif carrier.kind == DUAL_NUMBERS:
             self.adams = {p: carrier.ring.coerce(adams[p]) for p in primes}
             if check:
@@ -237,14 +235,12 @@ class LambdaStructure:
 
     def to_json(self):
         data = {"carrier": self.carrier.to_json(), "primes": list(self.primes)}
-        if self.carrier.kind == GROUND:
-            pass
-        elif self.carrier.kind == DUAL_NUMBERS:
+        if self.carrier.kind == DUAL_NUMBERS:
             data["adams_dual"] = {
                 str(p): self.carrier.ring.format_payload(self.adams[p].payload)
                 for p in self.primes
             }
-        else:
+        elif self.carrier.kind != GROUND:
             data["adams"] = {
                 str(p): self.adams[p].coeff_strings() for p in self.primes
             }
@@ -311,7 +307,7 @@ def validate(S):
                 f"{p} is a unit in {carrier.ring}",
             )
         else:
-            xp = TruncSeries.monomial(carrier.ring, 1, p, carrier.trunc)
+            xp = carrier.domain.coerce([0] * p + [1])
             report.add(
                 f"frobenius psi^{p} == x^{p} mod {p}", congruent_mod(psi, xp, p)
             )
@@ -532,20 +528,20 @@ def make_family_structure(carrier, multipliers, primes=None):
     primes = tuple(sorted(multipliers)) if primes is None else tuple(primes)
     dom = carrier.domain
     adams = {}
-    for p in primes:
-        ap = carrier.ring.coerce(multipliers[p])
+    for p, ap in multipliers.items():
+        ap = carrier.ring.coerce(ap)
         if carrier.ring.try_invert(ap) is None:
             raise ValueError(f"a_{p} = {ap} is not a unit in {carrier.ring}")
         adams[p] = dom.x() * ap
     return LambdaStructure(carrier, primes, adams)
 
 
-def make_series_structure(carrier, series_by_prime, primes=None, check=True):
+def make_series_structure(carrier, series_by_prime, primes=None):
     """Structure from explicit psi^p(x) series (coefficient lists allowed)."""
     primes = (
         tuple(sorted(series_by_prime)) if primes is None else tuple(primes)
     )
-    return LambdaStructure(carrier, primes, dict(series_by_prime), check=check)
+    return LambdaStructure(carrier, primes, dict(series_by_prime))
 
 
 def standard_structure(kind, ring=None, trunc=8, primes=DEFAULT_PRIMES):
@@ -563,7 +559,7 @@ def standard_structure(kind, ring=None, trunc=8, primes=DEFAULT_PRIMES):
             one = dom.one()
             adams[p] = (dom.x() + one) ** p - one
         elif kind == "power":
-            adams[p] = TruncSeries.monomial(ring, 1, p, trunc)
+            adams[p] = dom.coerce([0] * p + [1])
         else:
             raise ValueError(f"unknown standard structure {kind!r}")
     return LambdaStructure(carrier, primes, adams)

@@ -24,12 +24,11 @@ from typing import NamedTuple
 
 from .errors import (ExactDivisionError, InputError, MembershipError,
                      RelationViolationError, UnsupportedRingError)
-from .ground import GroundRing
-from .series import TruncSeries, compose
+from .ground import GroundRing, check_int
+from .series import SeriesRing, compose
 from .sympoly import MPoly
 from .structures import (DEFAULT_PRIMES, POWER_SERIES, Carrier,
-                         LambdaStructure, check_int, check_window_primes,
-                         validate)
+                         LambdaStructure, check_window_primes, validate)
 
 DEFAULT_DEPTH = 2
 
@@ -242,7 +241,7 @@ def universal_adams(p, assignment):
         _adams_coeff(p, i, assignment.get(p, i))
         for i in range(1, assignment.trunc + 1)
     ]
-    return TruncSeries(assignment.target, coeffs, assignment.trunc)
+    return SeriesRing(assignment.target, assignment.trunc).coerce(coeffs)
 
 
 def relation_w(p, q, assignment):
@@ -290,26 +289,23 @@ def hom_from_structure(S, depth=DEFAULT_DEPTH):
     return HomAssignment.from_depth0(R, depth0, S.primes, carrier.trunc, depth)
 
 
-def structure_from_hom(assignment, carrier=None, check=True):
-    """Pushforward of the universal Adams series along an assignment.
+def structure_from_hom(assignment):
+    """Pushforward of the universal Adams series along an assignment, a
+    structure on target[[x]] mod x^{N+1}.
 
-    With `check`, rejects assignments whose pushforward fails validation,
-    in particular images that do not commute (a nonzero w-relation).
+    Rejects assignments whose pushforward fails validation, in particular
+    images that do not commute (a nonzero w-relation).
     """
-    if carrier is None:
-        carrier = Carrier.power_series(assignment.target, assignment.trunc)
-    if carrier.ring != assignment.target:
-        raise UnsupportedRingError("carrier ground ring must match the target")
+    carrier = Carrier.power_series(assignment.target, assignment.trunc)
     adams = {p: universal_adams(p, assignment) for p in assignment.primes}
     S = LambdaStructure(carrier, assignment.primes, adams)
-    if check:
-        # validate composes every pair of Adams series both ways, which is
-        # the w-relation; a FAIL line names the pair that does not commute
-        report = validate(S)
-        if not report.passed:
-            raise RelationViolationError(
-                "pushforward structure fails validation:\n" + str(report)
-            )
+    # validate composes every pair of Adams series both ways, which is the
+    # w-relation; a FAIL line names the pair that does not commute
+    report = validate(S)
+    if not report.passed:
+        raise RelationViolationError(
+            "pushforward structure fails validation:\n" + str(report)
+        )
     return S
 
 
@@ -320,4 +316,4 @@ def roundtrip_check(S, depth=DEFAULT_DEPTH):
     hom_from_structure reads only the carrier, the window and the Adams
     series, which is what == compares.
     """
-    return structure_from_hom(hom_from_structure(S, depth), S.carrier) == S
+    return structure_from_hom(hom_from_structure(S, depth)) == S

@@ -127,7 +127,7 @@ def test_validate_and_exit_codes(capsys, tmp_path, mult_file):
     from wittlam.structures import Carrier, make_series_structure
 
     carrier = Carrier.power_series(Z, 6)
-    bad = make_series_structure(carrier, {2: carrier.domain.x()}, check=True)
+    bad = make_series_structure(carrier, {2: carrier.domain.x()})
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad.to_json()))
     code, out, _ = run(capsys, "validate", "--structure", str(path))
@@ -512,7 +512,7 @@ def check_files(tmp_path, mult_file):
     from wittlam.structures import Carrier, make_series_structure
 
     carrier = Carrier.power_series(Z, 6)
-    bad = make_series_structure(carrier, {2: carrier.domain.x()}, check=True)
+    bad = make_series_structure(carrier, {2: carrier.domain.x()})
     phi = random_unit_series(Z, 8, seed=3)
     conj = conjugate_structure(standard_structure("mult", trunc=8), phi)
     return {
@@ -935,3 +935,39 @@ def test_readme_cli_examples(capsys):
         argv = shlex.split(command)
         assert argv[0] == "wittlam"
         assert run(capsys, *argv[1:])[:2] == (0, expect.strip()), command
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["dual", "make", "--ring", "Z", "--a", "2=2,3=6,5=5",
+                  "--primes", "2,3"], id="dual"),
+    pytest.param(["family", "make", "--ring", "Q", "--carrier", "series:4",
+                  "--a", "2=2,3=6,5=5", "--primes", "2,3"], id="family"),
+])
+def test_adams_data_outside_the_window_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: Adams data for primes [5] outside window [2, 3]"
+
+
+def test_family_without_data_for_a_window_prime_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "family", "make", "--ring", "Q", "--carrier",
+                         "series:4", "--a", "2=2", "--primes", "2,3")
+    assert (code, out) == (2, "")
+    assert err == "error: missing Adams data for window primes [3]"
+
+
+@pytest.mark.parametrize("key", ["adams_dual", "adams"])
+def test_structure_file_with_data_outside_the_window_is_a_usage_error(
+        capsys, tmp_path, key):
+    if key == "adams_dual":
+        data = make_dual_structure(Z, {2: 2, 3: 6}).to_json()
+        data[key]["5"] = "5"
+    else:
+        data = standard_structure("mult", trunc=4, primes=(2, 3)).to_json()
+        data[key]["5"] = data[key]["3"]
+    path = tmp_path / "outside.json"
+    path.write_text(json.dumps(data))
+    for argv in (["validate"], ["lift", "-n", "5", "--element", "1"]):
+        code, out, err = run(capsys, *argv, "--structure", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: Adams data for primes [5] outside window [2, 3]"

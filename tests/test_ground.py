@@ -11,7 +11,7 @@ from wittlam.errors import (ExactDivisionError, InputError, MembershipError,
 from wittlam.ground import (EpsIdeal, GroundRing, PrimeIdeal, PrimeSet,
                             RingElement, binom_fraction, binomial, factorize,
                             is_p_divisible, is_prime, parse_ring)
-from wittlam.series import TruncSeries
+from wittlam.series import SeriesRing
 from wittlam.structures import Carrier, LambdaStructure
 from wittlam.universal import HomAssignment
 
@@ -274,7 +274,8 @@ def test_kernel_wrap_unwrap():
     assert a == b and hash(a) == hash(b)
     da, db = RingElement(DZ, (Fraction(2), Fraction(-1))), DZ.coerce((2, -1))
     assert da == db and hash(da) == hash(db)
-    fa, fb = TruncSeries(Z, [0, a, 1]), TruncSeries(Z, [0, 3, 1])
+    Z2x = SeriesRing(Z, 2)
+    fa, fb = Z2x.coerce([0, a, 1]), Z2x.coerce([0, 3, 1])
     assert fa == fb and hash(fa) == hash(fb)
     dual = Carrier.dual_numbers(Z)
     assert LambdaStructure(dual, (2,), {2: RingElement(Z, Fraction(2))}) == \

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittlam.ground import GroundRing
-from wittlam.series import TruncSeries
+from wittlam.series import SeriesRing, TruncSeries
 from wittlam.structures import Carrier, LambdaStructure
 from wittlam.sympoly import MPoly
 
@@ -48,7 +48,7 @@ def series(draw, ring, N, constant=True):
     coeffs = [draw(scalars(ring)) for _ in range(N + 1)]
     if not constant:
         coeffs[0] = ring.zero()
-    return TruncSeries(ring, coeffs, N)
+    return SeriesRing(ring, N).coerce(coeffs)
 
 
 @st.composite
@@ -86,7 +86,7 @@ def test_series_json_round_trip(ring, N, data):
         coeffs = data.draw(st.lists(st.tuples(st.integers(-9, 9),
                                               st.integers(-9, 9)),
                                     min_size=N + 1, max_size=N + 1))
-        f = TruncSeries(ring, coeffs, N)
+        f = SeriesRing(ring, N).coerce(coeffs)
     else:
         f = data.draw(series(ring, N))
     assert TruncSeries.from_json(f.to_json()) == f

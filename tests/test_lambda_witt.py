@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittlam.errors import IntegralityError
+from wittlam.errors import BoundExceededError, IntegralityError
 from wittlam.ground import (DUAL, QPOLY, ZLOC, GroundRing, PrimeIdeal,
                            PrimeSet, XAdicIdeal)
 from wittlam.lambda_witt import (LambdaElem, WittVec, _from_power_sums,
@@ -29,7 +29,7 @@ from wittlam.lambda_witt import (LambdaElem, WittVec, _from_power_sums,
                                  exp_iso, exp_iso_inv, filtration_member,
                                  ghost, lambda_adams, lambda_add, lambda_mul,
                                  lambda_neg, lambda_one, lambda_op,
-                                 lambda_zero, witt_add, witt_mul)
+                                 lambda_zero, witt_add, witt_mul, witt_zero)
 from wittlam.series import SeriesRing, TruncSeries, compose, revert
 from wittlam.structures import adams_apply, lambda_values, standard_structure
 from wittlam.sympoly import MPoly, universal_P, universal_Pcomp
@@ -189,10 +189,17 @@ def test_lambda_op():
     assert op2.trunc == 3  # 6 // 2 with the default bound 6
     # lambda^2 (1 + a t): degree-1 coefficient is 0
     assert lambda_op(2, L([5, 0])).a[0] == 0
-    from wittlam.errors import BoundExceededError
-
     with pytest.raises(BoundExceededError):
         lambda_op(2, f, out_trunc=5)
+
+
+def test_lambda_op_1_refuses_a_truncation_past_n():
+    f = L([3, 1, 4, 1, 5, 9, 2, 6])
+    assert lambda_op(1, f, out_trunc=8) == f
+    assert lambda_op(1, f, out_trunc=3) == L([3, 1, 4])
+    with pytest.raises(BoundExceededError, match=r"lambda\^1 computable only "
+                       r"to degree 8 \(requested 20"):
+        lambda_op(1, f, out_trunc=20)
 
 
 def _random_scalar(rng, dom):
@@ -309,12 +316,40 @@ def test_ghost_matches_log_derivative_oracle():
             assert ghost(n, w).payload == ghost_oracle(coords, n), (coords, n)
 
 
+def test_vectors_hold_a_domain_and_a_payload():
+    for cls in (LambdaElem, WittVec):
+        assert cls.__slots__ == ()
+        v = cls(Z, [1, "2", Z.from_int(3)], 4)
+        assert v.payload == (1, 2, 3, 0)
+        assert v.a == tuple(map(Z.from_int, (1, 2, 3, 0)))
+        assert v.trunc == 4
+        assert cls(Z, [1, 2, 3], 2).payload == (1, 2)
+        # a and trunc are read-only, and with no __dict__ nothing else is stored
+        for name in ("a", "trunc", "coeffs"):
+            with pytest.raises(AttributeError):
+                setattr(v, name, None)
+        payload = (Fraction(1, 2), 2)
+        w = cls._from_payloads(GroundRing.rationals(), payload)
+        assert w.payload is payload
+    assert LambdaElem.__mro__[1].__slots__ == ("domain", "payload")
+    assert hash(W([1, 2])) == hash(W([Fraction(1), Fraction(2)]))
+
+
 def test_witt_add_example():
     # E-transport: (1+t)^2 = 1 + 2t + t^2 pulls back to (2, 1, -2, 4)
     a = W([1, 0, 0, 0])
     c = witt_add(a, a)
     assert [x.payload for x in c.a] == [2, 1, -2, 4]
     assert witt_add(a, W([0, 0, 0, 0])) == a
+
+
+def test_witt_zero_is_the_additive_identity():
+    rng = random.Random(5)
+    for dom in (Z, GroundRing.dual(Z), SeriesRing(Z, 2)):
+        zero = witt_zero(dom, 4)
+        assert zero == W([0, 0, 0, 0], ring=dom)
+        w = WittVec(dom, [_random_scalar(rng, dom) for _ in range(4)], 4)
+        assert witt_add(w, zero) == witt_add(zero, w) == w
 
 
 def test_witt_mul_identity():
@@ -583,9 +618,9 @@ def test_no_kernel_int_escapes_into_results(dom):
                    lambda_zero(dom, N), lambda_one(dom, N)]
         scalars = [x for v in results for c in v.a for x in _scalars(c)]
         scalars += _scalars(ghost(N, w))
-        s = TruncSeries(ground, [_mixed_scalar(rng, ground) for _ in range(N)])
-        g = TruncSeries(ground, [0, 1] + [_mixed_scalar(rng, ground)
-                                          for _ in range(N - 2)])
+        sdom = SeriesRing(ground, N - 1)
+        s = sdom.coerce([_mixed_scalar(rng, ground) for _ in range(N)])
+        g = sdom.coerce([0, 1] + [_mixed_scalar(rng, ground) for _ in range(N - 2)])
         for h in (s + s, s - g, -s, s * g, s * 3, s ** 3, compose(s, g), revert(g)):
             scalars += _scalars(h)
         assert all(type(x) in allowed for x in scalars), (dom, scalars)

@@ -221,7 +221,7 @@ def test_lambda_routines_match_element_oracles(dom, N, coords):
     f, g = (LambdaElem(dom, c, N) for c in coords)
     assert lambda_add(f, g) == oracle_lambda_add(f, g)
     assert lambda_neg(f) == oracle_lambda_neg(f)
-    p = _power_sums(dom, f._payloads(), N)
+    p = _power_sums(dom, f.payload, N)
     expect_p = oracle_power_sums(f.a, N)
     assert _wrapped(dom, p) == expect_p
     assert _wrapped(dom, _from_power_sums(dom, p)) == \

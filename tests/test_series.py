@@ -35,7 +35,7 @@ QY = GroundRing.rational_poly(("y1",))
 
 
 def _coeffwise(f, coeffs):
-    return TruncSeries(f.ring, coeffs, f.trunc)
+    return f.domain.coerce(coeffs)
 
 
 def add_oracle(f, g):
@@ -73,12 +73,12 @@ def mul_oracle(f, g):
         for j, b in enumerate(g.coeffs[: N + 1 - i]):
             if not b.is_zero():
                 out[i + j] = out[i + j] + a * b
-    return TruncSeries(f.ring, out, N)
+    return f.domain.coerce(out)
 
 
 def pow_oracle(f, k):
     """f ** k by k - 1 multiplications."""
-    out = TruncSeries.const(f.ring, 1, f.trunc)
+    out = f.domain.one()
     for _ in range(k):
         out = mul_oracle(out, f)
     return out
@@ -87,7 +87,7 @@ def pow_oracle(f, k):
 def compose_oracle(f, g):
     """f(g) by Horner's rule on whole series, h_k = h_{k+1} * g + f_k."""
     N = f.trunc
-    out = TruncSeries.const(f.ring, f[N], N)
+    out = f.domain.coerce(f[N])
     for k in range(N - 1, -1, -1):
         out = mul_oracle(out, g) + f[k]
     return out
@@ -130,7 +130,7 @@ def _random_series(rng, ring, N, den, constant=True):
     coeffs = [_random_payload(rng, ring, den) for _ in range(N + 1)]
     if not constant:
         coeffs[0] = ring.zero().payload
-    return TruncSeries(ring, [ring.element(c) for c in coeffs], N)
+    return SeriesRing(ring, N).coerce([ring.element(c) for c in coeffs])
 
 
 def _kernel_cases(seed):
@@ -142,8 +142,8 @@ def _kernel_cases(seed):
             yield ring, N, f, g
 
 
-def S(coeffs, trunc=None, ring=Z):
-    return TruncSeries(ring, coeffs, trunc)
+def S(coeffs, trunc, ring=Z):
+    return SeriesRing(ring, trunc).coerce(coeffs)
 
 
 def test_series_is_an_element_of_its_series_ring():
@@ -176,7 +176,7 @@ def test_series_mismatch():
     with pytest.raises(RingMismatchError):
         S([1], 2) + S([1], 3)
     with pytest.raises(RingMismatchError):
-        S([1], 2) * TruncSeries(Q, [1], 2)
+        S([1], 2) * SeriesRing(Q, 2).coerce([1])
 
 
 def test_compose_examples():
@@ -184,8 +184,8 @@ def test_compose_examples():
     g = S([0, 2, 1], 4)  # 2x + x^2
     assert compose(f, g) == S([0, 0, 4, 4, 1], 4)
     h = S([3, 1, 4, 1, 5], 4)
-    assert compose(h, TruncSeries.x(Z, 4)) == h
-    assert compose(TruncSeries.x(Z, 4), g) == g
+    assert compose(h, SeriesRing(Z, 4).x()) == h
+    assert compose(SeriesRing(Z, 4).x(), g) == g
     with pytest.raises(ValueError):
         compose(f, S([1, 1], 4))
 
@@ -200,19 +200,19 @@ def test_compose_associative_on_samples():
 
 
 def test_revert_examples():
-    x = TruncSeries.x(Z, 3)
+    x = SeriesRing(Z, 3).x()
     assert revert(x) == x
     f = S([0, 1, 1], 3)  # x + x^2
     g = revert(f)
     assert g == S([0, 1, -1, 2], 3)
-    assert compose(f, g) == TruncSeries.x(Z, 3)
-    assert compose(g, f) == TruncSeries.x(Z, 3)
+    assert compose(f, g) == SeriesRing(Z, 3).x()
+    assert compose(g, f) == SeriesRing(Z, 3).x()
     with pytest.raises(ExactDivisionError):
         revert(S([0, 2], 3))  # 2 is not a unit of Z
     # but it is a unit of Z[1/2]
     Z2 = GroundRing.localized([2])
-    r = revert(TruncSeries(Z2, [0, 2, 1], 3))
-    assert compose(TruncSeries(Z2, [0, 2, 1], 3), r) == TruncSeries.x(Z2, 3)
+    r = revert(SeriesRing(Z2, 3).coerce([0, 2, 1]))
+    assert compose(r.domain.coerce([0, 2, 1]), r) == r.domain.x()
 
 
 def test_revert_roundtrip_on_samples():
@@ -220,8 +220,8 @@ def test_revert_roundtrip_on_samples():
     for _ in range(10):
         f = S([0, rng.choice([1, -1])] + [rng.randint(-4, 4) for _ in range(6)], 7)
         g = revert(f)
-        assert compose(f, g) == TruncSeries.x(Z, 7)
-        assert compose(g, f) == TruncSeries.x(Z, 7)
+        assert compose(f, g) == SeriesRing(Z, 7).x()
+        assert compose(g, f) == SeriesRing(Z, 7).x()
 
 
 def test_congruent_mod():
@@ -230,10 +230,11 @@ def test_congruent_mod():
     assert congruent_mod(f, g, 2)
     assert not congruent_mod(S([0, 3, 1], 2), g, 2)
     # any pair over Q: p is a unit
-    assert congruent_mod(TruncSeries(Q, [0, 1, 7], 2), TruncSeries(Q, [0], 2), 5)
+    Q2 = SeriesRing(Q, 2)
+    assert congruent_mod(Q2.coerce([0, 1, 7]), Q2.coerce([0]), 5)
     # psi^2(x) = (1+x)^2 - 1 == x^2 mod 2
-    psi = (TruncSeries.x(Z, 8) + 1) ** 2 - 1
-    assert congruent_mod(psi, TruncSeries.monomial(Z, 1, 2, 8), 2)
+    psi = (SeriesRing(Z, 8).x() + 1) ** 2 - 1
+    assert congruent_mod(psi, SeriesRing(Z, 8).coerce([0, 0, 1]), 2)
 
 
 def test_xadic_valuation():
@@ -267,10 +268,10 @@ def test_series_ring_domain():
 def test_revert_over_dual_numbers():
     D = GroundRing.dual(Z)
     # linear coefficient 1 + 2*eps is a unit of Z[eps]
-    f = TruncSeries(D, [(0, 0), (1, 2), (3, -1), (0, 5)], 3)
+    f = SeriesRing(D, 3).coerce([(0, 0), (1, 2), (3, -1), (0, 5)])
     g = revert(f)
-    assert compose(f, g) == TruncSeries.x(D, 3)
-    assert compose(g, f) == TruncSeries.x(D, 3)
+    assert compose(f, g) == SeriesRing(D, 3).x()
+    assert compose(g, f) == SeriesRing(D, 3).x()
 
 
 def test_series_text_and_json():
@@ -278,7 +279,7 @@ def test_series_text_and_json():
     assert str(f) == "1 - 2*x^2"
     assert TruncSeries.from_json(f.to_json()) == f
     dual = GroundRing.dual(Z)
-    g = TruncSeries(dual, [(0, 1), (2, 0)], 2)
+    g = SeriesRing(dual, 2).coerce([(0, 1), (2, 0)])
     assert "eps" in str(g)
     assert TruncSeries.from_json(g.to_json()) == g
     data = f.to_json()
@@ -289,6 +290,41 @@ def test_series_text_and_json():
         data["x_filtration"] = bad
         with pytest.raises(InputError, match="x_filtration must be 1"):
             TruncSeries.from_json(data)
+
+
+def _series_data(**fields):
+    data = SeriesRing(Z, 2).coerce([1, 2, 3]).to_json()
+    data.update(fields)
+    return {k: v for k, v in data.items() if v is not None}
+
+
+@pytest.mark.parametrize("data, match", [
+    pytest.param(_series_data(N=None), "malformed series: KeyError", id="N-missing"),
+    pytest.param(_series_data(N="3"), "N must be an integer >= 0, got '3'",
+                 id="N-string"),
+    pytest.param(_series_data(N=True), "N must be an integer >= 0, got True",
+                 id="N-bool"),
+    pytest.param(_series_data(N=-1), "N must be an integer >= 0, got -1",
+                 id="N-negative"),
+    pytest.param(_series_data(coeffs="1,2,3"), "coeffs .* is not a list",
+                 id="coeffs-string"),
+    pytest.param(_series_data(coeffs=7), "coeffs .* is not a list", id="coeffs-int"),
+    pytest.param(_series_data(coeffs=None), "malformed series: KeyError",
+                 id="coeffs-missing"),
+    pytest.param(_series_data(ring=None), "malformed series: KeyError",
+                 id="ring-missing"),
+    pytest.param([1, 2, 3], "malformed series: AttributeError", id="list"),
+])
+def test_malformed_series_json_is_an_input_error(data, match):
+    with pytest.raises(InputError, match=match):
+        TruncSeries.from_json(data)
+
+
+def test_series_ring_needs_a_truncation():
+    assert SeriesRing(Z, 0).x() == SeriesRing(Z, 0).zero()
+    for bad in (-1, "3", True, 2.0, None):
+        with pytest.raises(InputError, match="N must be an integer >= 0"):
+            SeriesRing(Z, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +384,11 @@ def test_compose_agrees_with_oracle():
 
 def test_compose_of_localized_series_keeps_its_denominators():
     # f = x/2 + x^2/3 over Q, g = x/4 + x^2: d_f = 6, d_g = 4
-    f = TruncSeries(Q, [0, Fraction(1, 2), Fraction(1, 3)], 3)
-    g = TruncSeries(Q, [0, Fraction(1, 4), 1], 3)
+    f = SeriesRing(Q, 3).coerce([0, Fraction(1, 2), Fraction(1, 3)])
+    g = SeriesRing(Q, 3).coerce([0, Fraction(1, 4), 1])
     # f(g) = g/2 + g^2/3 = x/8 + (1/2 + 1/48) x^2 + (1/6) x^3
-    assert compose(f, g) == TruncSeries(
-        Q, [0, Fraction(1, 8), Fraction(25, 48), Fraction(1, 6)], 3
+    assert compose(f, g) == SeriesRing(Q, 3).coerce(
+        [0, Fraction(1, 8), Fraction(25, 48), Fraction(1, 6)]
     )
     assert compose(f, g) == compose_oracle(f, g)
 
@@ -371,18 +407,18 @@ def test_element_pow_agrees_with_oracle():
 
 
 def test_kernel_results_stay_in_the_ring():
-    f = TruncSeries(Z2, [1, Fraction(1, 2), Fraction(3, 4)], 4)
+    f = SeriesRing(Z2, 4).coerce([1, Fraction(1, 2), Fraction(3, 4)])
     for h in (f * f, f ** 3, compose(f, f - 1)):
         assert all(c.ring is Z2 for c in h.coeffs)
         assert all(Z2.contains_payload(c.payload) for c in h.coeffs)
 
 
 def test_scalar_operands():
-    f = TruncSeries(Z, [1, 2, 3], 2)
-    assert f * 2 == 2 * f == TruncSeries(Z, [2, 4, 6], 2)
-    assert f + 1 == 1 + f == TruncSeries(Z, [2, 2, 3], 2)
-    assert f - 1 == TruncSeries(Z, [0, 2, 3], 2)
-    assert 1 - f == TruncSeries(Z, [0, -2, -3], 2)
+    f = SeriesRing(Z, 2).coerce([1, 2, 3])
+    assert f * 2 == 2 * f == SeriesRing(Z, 2).coerce([2, 4, 6])
+    assert f + 1 == 1 + f == SeriesRing(Z, 2).coerce([2, 2, 3])
+    assert f - 1 == SeriesRing(Z, 2).coerce([0, 2, 3])
+    assert 1 - f == SeriesRing(Z, 2).coerce([0, -2, -3])
     assert f * Z.from_int(-1) == -f
     # a value coerce cannot take is left to the other operand: TypeError
     for op in (lambda: f * object(), lambda: object() * f, lambda: f + object(),
@@ -403,8 +439,8 @@ def test_scalar_operands():
     tail=st.lists(st.integers(-5, 5), min_size=11, max_size=11),
 )
 def test_revert_is_a_two_sided_inverse(N, unit, tail):
-    f = TruncSeries(Z, [0, unit] + tail[: N - 1], N)
+    f = SeriesRing(Z, N).coerce([0, unit] + tail[: N - 1])
     g = revert(f)
-    x = TruncSeries.x(Z, N)
+    x = SeriesRing(Z, N).x()
     assert compose(f, g) == x
     assert compose(g, f) == x

@@ -38,7 +38,7 @@ def test_validate_over_p_local_ground():
     # and a structure that only breaks the non-inverted prime is caught
     carrier = Carrier.power_series(R, 6)
     x = carrier.domain.x()
-    bad = make_series_structure(carrier, {2: x * 9, 3: x * 9}, check=True)
+    bad = make_series_structure(carrier, {2: x * 9, 3: x * 9})
     report = validate(bad)
     by_name = {name: ok for name, ok, _ in report.checks}
     assert by_name["frobenius psi^2 == x^2 mod 2"]  # vacuous: 2 inverted
@@ -99,7 +99,7 @@ def test_newton_lambda_binomial_values():
 def test_newton_lambda_wilkerson_failure():
     carrier = Carrier.power_series(Z, 6)
     x = carrier.domain.x()
-    S = make_series_structure(carrier, {p: x for p in (2, 3, 5)}, check=True)
+    S = make_series_structure(carrier, {p: x for p in (2, 3, 5)})
     # psi = id on Z[[x]] is not a lambda-ring datum: lambda^2(x) = (x - x^2)/2
     with pytest.raises(WilkersonError):
         lambda_values(S, 2, x)
@@ -108,7 +108,7 @@ def test_newton_lambda_wilkerson_failure():
 def test_newton_lift_stops_at_its_first_failed_division():
     carrier = Carrier.power_series(Z, 6)
     x = carrier.domain.x()
-    S = make_series_structure(carrier, {p: x for p in (2, 3)}, check=True)
+    S = make_series_structure(carrier, {p: x for p in (2, 3)})
     # lambda^2(x) = (x - x^2)/2 fails, so psi^5, outside the window, is never needed
     with pytest.raises(WilkersonError) as info:
         lambda_values(S, 5, x)
