@@ -37,6 +37,7 @@ against.
 
 from .errors import (BoundExceededError, ExactDivisionError, IntegralityError,
                      RingMismatchError)
+from .ground import check_int
 from .report import Report
 from .sympoly import DEFAULT_PCOMP_BOUND
 
@@ -50,6 +51,7 @@ class _Vector:
         coeffs = [domain.coerce(c).payload for c in coeffs]
         if trunc is None:
             trunc = len(coeffs)
+        check_int("N", trunc, 0)
         coeffs += [domain._pzero()] * (trunc - len(coeffs))
         self.domain = domain
         self.payload = tuple(coeffs[:trunc])
@@ -227,6 +229,7 @@ def lambda_op(i, f, out_trunc=None, bound=DEFAULT_PCOMP_BOUND):
         raise ValueError("i must be >= 1")
     cap = f.trunc if i == 1 else min(f.trunc // i, max(bound, 0) // i)
     if out_trunc is not None:
+        check_int("out_trunc", out_trunc, 0)
         if out_trunc > cap:
             raise BoundExceededError(
                 f"lambda^{i} computable only to degree {cap} "

@@ -22,18 +22,30 @@ compositions run on payload lists:
     numerators over the lcm of its denominators, the convolution runs in
     Python ints, and a Fraction is built per output coefficient only
     when the common denominator is not 1;
-    compose runs the whole Horner loop in integers,
-    f(g) = sum_k F_k G^k d_g^(N-k) / (d_f d_g^N), where f = F/d_f and
-    g = G/d_g, cutting the k-th Horner value at degree N - k because it
-    is later multiplied by g^k, which starts at x^k;
   * over Q[y..] and dual numbers the same loops run on the ring's own
     payload operations (_pmul, _padd, _pis_zero).
+
+Composition and reversion over Z[S^-1] read power tables, in integers.
+With f = F/d_f and g = G/d_g,
+f(g) = sum_k F_k d_g^(N-k) G^k / (d_f d_g^N), so coefficient j of f(g)
+is the dot product of the scaled F with column j of the powers of G,
+((G^k)_j for k <= j).  `_power_table` builds those columns once per inner
+series and memoises them by g's payload tuple in a bounded LRU table, so
+composing many f into the same g (both orders of a pair of Adams series,
+phi and its inverse in a conjugation, psi^p applied repeatedly) builds
+the powers once; a fresh g costs about what Horner's rule did.  `revert`
+grows its own table (s^k)_j of an integral rescaling s of the inverse
+one degree j at a time (`_powers_at`): for k >= 2 it reads only
+s_1..s_(j-1), so the degree-j equation gives s_j directly, O(N^3) in
+all, where one composition per degree was O(N^4).  Over Q[y..] and dual
+numbers compose is Horner's rule and revert composes once per degree.
 
 Over Z every coefficient payload of a result is an int.  The JSON form
 keeps the field "x_filtration": 1; reading accepts that or no field, and
 a missing or mistyped field is an InputError.
 """
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -101,6 +113,30 @@ def _pow_payloads(ring, base, k, n):
         if k:
             base = _mul_payloads(ring, base, base, n)
     return out
+
+
+def _powers_at(g, rows, j):
+    """Fill rows[k][j] = (g^k)_j for 2 <= k <= j, where rows[1] is g and
+    each rows[k - 1] is known below degree j:
+    (g^k)_j = sum_i g_i (g^(k-1))_(j-i) reads only g_1..g_(j-1)."""
+    mul = operator.mul
+    for k in range(2, j + 1):
+        rows[k][j] = sum(map(mul, g[1 : j - k + 2],
+                             rows[k - 1][j - 1 : k - 2 : -1]))
+
+
+@functools.lru_cache(maxsize=32)
+def _power_table(gp):
+    """The powers of g (g(0) = 0, payloads gp over Z[S^-1]) by column:
+    (T, d) with G = d g integral and T[j] = ((G^k)_j for k = 0..j), the
+    terms of degree j of G^0, ..., G^j (G^k starts at x^k).  Memoised by
+    gp; the bound keeps the memory flat however many series pass."""
+    G, d = _lift(gp)
+    N = len(G) - 1
+    rows = [[1] + [0] * N, G] + [[0] * (N + 1) for _ in range(2, N + 1)]
+    for j in range(2, N + 1):
+        _powers_at(G, rows, j)
+    return tuple(col[: j + 1] for j, col in enumerate(zip(*rows))), d
 
 
 class TruncSeries:
@@ -275,9 +311,12 @@ def check_x_filtration(data):
 def compose(f, g):
     """f(g(x)) mod x^{N+1}; requires g(0) = 0.
 
-    Horner's rule from the top coefficient down, h_N = f_N and
-    h_k = h_{k+1} g + f_k, with h_k cut at degree N - k: it is multiplied
-    by g^k, which starts at x^k, on its way into h_0 = f(g).
+    Over Z[S^-1], coefficient j is the dot product of f's scaled integer
+    numerators with column j of the power table of g (`_power_table`,
+    memoised by g).  Elsewhere Horner's rule from the top coefficient
+    down, h_N = f_N and h_k = h_{k+1} g + f_k, with h_k cut at degree
+    N - k: it is multiplied by g^k, which starts at x^k, on its way into
+    h_0 = f(g).
     """
     dom = f.domain
     fp, gp = f.payload, dom.coerce(g).payload
@@ -285,15 +324,13 @@ def compose(f, g):
     if not ring._pis_zero(gp[0]):
         raise ValueError("composition requires g(0) = 0")
     if ring.kind == ZLOC:
-        # all in integers: h_k = h_{k+1} G + F_k d_g^(N-k), f(g) = h_0/(d_f d_g^N)
+        # f(g) = sum_k F_k d_g^(N-k) G^k / (d_f d_g^N)
         F, df = _lift(fp)
-        G, dg = _lift(gp)
-        h, dpow = [F[N]], 1
-        for k in range(N - 1, -1, -1):
-            dpow *= dg
-            h = _conv_int(h, G, N - k)
-            h[0] = F[k] * dpow
-        out = _unlift(h, df * dpow)
+        T, dg = _power_table(gp)
+        if dg != 1:
+            F = [c * dg ** (N - k) for k, c in enumerate(F)]
+        mul = operator.mul
+        out = _unlift([sum(map(mul, F, col)) for col in T], df * dg ** N)
     else:
         out = fp[N:]
         for k in range(N - 1, -1, -1):
@@ -305,8 +342,18 @@ def compose(f, g):
 def revert(f):
     """Compositional inverse g with f(g) = x = g(f) mod x^{N+1}.
 
-    Requires f(0) = 0 and the linear coefficient a unit of the ring; the
-    coefficients of g are found degree by degree.
+    Requires f(0) = 0 and the linear coefficient f_1 a unit of the ring.
+    The coefficients of g are found degree by degree from
+    f(g)_j = f_1 g_j + sum_{k >= 2} f_k (g^k)_j = 0.
+
+    Over Z[S^-1] the series is first made integral with linear
+    coefficient 1: with f = F/d and a = F_1, f(x) = (a^2/d) t(x/a) for
+    t = x + sum_{k >= 2} F_k a^(k-2) x^k, so g_k = s_k d^k / a^(2k-1) for
+    the inverse s of t, which is integral.  The table rows[k][j] =
+    (s^k)_j grows with j (`_powers_at`, which for k >= 2 reads only
+    s_1..s_(j-1)), and s_j = -sum_{k >= 2} t_k (s^k)_j: O(N^3) integer
+    operations in all.  Elsewhere each g_j is read off one composition
+    f(g) with g known to degree j - 1.
     """
     if not f.constant_term().is_zero():
         raise ValueError("reversion requires f(0) = 0")
@@ -317,8 +364,18 @@ def revert(f):
             f"linear coefficient {f.linear_coeff()} is not a unit in {ring}"
         )
     coeffs = list(dom._pzero())
-    if N >= 1:
-        coeffs[1] = u.payload
+    coeffs[1] = u.payload  # N >= 1: at N = 0 the linear coefficient is 0
+    if ring.kind == ZLOC:
+        F, d = _lift(f.payload)
+        a = F[1]
+        t = [0, 1] + [F[k] * a ** (k - 2) for k in range(2, N + 1)]
+        s = [0, 1] + [0] * (N - 1)
+        rows = [None, s] + [[0] * (N + 1) for _ in range(2, N + 1)]
+        for j in range(2, N + 1):
+            _powers_at(s, rows, j)
+            s[j] = -sum(t[k] * rows[k][j] for k in range(2, j + 1))
+            coeffs[j] = ring._pdiv_int(s[j] * d ** j, a ** (2 * j - 1))
+        return dom._wrap(tuple(coeffs))
     g = dom._wrap(tuple(coeffs))
     for k in range(2, N + 1):
         defect = compose(f, g).payload[k]

@@ -135,6 +135,41 @@ def test_validate_and_exit_codes(capsys, tmp_path, mult_file):
     assert "FAIL" in out
 
 
+def _dual_ground_structures(base, primes):
+    """A power-series structure psi^p = x^p over dual(base) at N = 3, and
+    the ground structure (psi = id) on dual(base) itself."""
+    from wittlam.structures import (Carrier, LambdaStructure,
+                                    make_series_structure)
+
+    ring = GroundRing.dual(base)
+    carrier = Carrier.power_series(ring, 3)
+    x = carrier.domain.x()
+    series = make_series_structure(carrier, {p: x ** p for p in primes}, primes)
+    return series, LambdaStructure(Carrier.ground(ring), primes)
+
+
+def test_validate_checks_frobenius_on_the_ground_generators(capsys, tmp_path):
+    # psi fixes eps, and eps^p - eps = -eps is not p-divisible in dual(Z):
+    # no lambda-ring, which lift finds at lambda^2(eps)
+    path = tmp_path / "dual.json"
+    for S in _dual_ground_structures(Z, (2, 3)):
+        path.write_text(json.dumps(S.to_json()))
+        code, out, _ = run(capsys, "validate", "--structure", str(path))
+        assert code == 1
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert [line.split("  [")[1] for line in fails] == [
+            f"eps^{p} - eps is not {p}-divisible in dual(Z)]" for p in (2, 3)]
+        element = "eps" if S.carrier.kind == "ground" else "eps,0,0,0"
+        code, out, err = run(capsys, "lift", "--structure", str(path), "-n", "2",
+                             "--element", element)
+        assert code == 2 and "not a lambda-ring" in err
+    # where every window prime is a unit of the base, eps passes
+    for S in _dual_ground_structures(GroundRing.localized([2]), (2,)):
+        path.write_text(json.dumps(S.to_json()))
+        code, out, _ = run(capsys, "validate", "--structure", str(path))
+        assert code == 0 and "FAIL" not in out
+
+
 def test_validate_empty_window_is_a_usage_error(capsys, tmp_path):
     data = standard_structure("mult", trunc=4, primes=(2,)).to_json()
     data["primes"], data["adams"] = [], {}

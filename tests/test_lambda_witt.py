@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wittlam.errors import BoundExceededError, IntegralityError
+from wittlam.errors import BoundExceededError, InputError, IntegralityError
 from wittlam.ground import (DUAL, QPOLY, ZLOC, GroundRing, PrimeIdeal,
                            PrimeSet, XAdicIdeal)
 from wittlam.lambda_witt import (LambdaElem, WittVec, _from_power_sums,
@@ -200,6 +200,19 @@ def test_lambda_op_1_refuses_a_truncation_past_n():
     with pytest.raises(BoundExceededError, match=r"lambda\^1 computable only "
                        r"to degree 8 \(requested 20"):
         lambda_op(1, f, out_trunc=20)
+
+
+def test_negative_truncations_are_input_errors():
+    with pytest.raises(InputError, match="N must be an integer >= 0, got -1"):
+        LambdaElem(Z, [1, 2, 3], -1)
+    with pytest.raises(InputError, match="N must be an integer >= 0, got -2"):
+        WittVec(Z, [1, 2, 3], -2)
+    f = L([3, 1, 4, 1, 5])
+    for i in (1, 2):
+        with pytest.raises(InputError,
+                           match="out_trunc must be an integer >= 0, got -2"):
+            lambda_op(i, f, out_trunc=-2)
+    assert lambda_op(2, f, out_trunc=0).trunc == 0
 
 
 def _random_scalar(rng, dom):

@@ -4,7 +4,8 @@ The payload kernel in `wittlam.series` is checked against the
 RingElement-level routes it replaced, kept here as oracles: sums,
 differences, negation, scalar operations and exact division coefficient
 by coefficient, the coefficient-by-coefficient convolution, Horner's rule
-on whole series, and powers by repeated multiplication.
+on whole series, powers by repeated multiplication, and reversion by one
+composition per degree.
 """
 
 import math
@@ -18,8 +19,8 @@ from hypothesis import strategies as st
 from wittlam.errors import (ExactDivisionError, InputError, MembershipError,
                             RingMismatchError)
 from wittlam.ground import DUAL, QPOLY, GroundRing
-from wittlam.series import (SeriesRing, TruncSeries, compose, congruent_mod,
-                            revert, xadic_valuation)
+from wittlam.series import (SeriesRing, TruncSeries, _power_table, compose,
+                            congruent_mod, revert, xadic_valuation)
 from wittlam.sympoly import MPoly
 
 Z = GroundRing.integers()
@@ -91,6 +92,20 @@ def compose_oracle(f, g):
     for k in range(N - 1, -1, -1):
         out = mul_oracle(out, g) + f[k]
     return out
+
+
+def revert_oracle(f):
+    """The inverse of f by one composition per degree: g_k is read off
+    f(g) with g known to degree k - 1."""
+    ring, dom, N = f.ring, f.domain, f.trunc
+    u = ring.try_invert(f.linear_coeff())
+    if not f.constant_term().is_zero() or u is None:
+        raise ValueError("no compositional inverse")
+    coeffs = [ring.zero()] * (N + 1)
+    coeffs[1] = u
+    for k in range(2, N + 1):
+        coeffs[k] = -u * compose(f, dom.coerce(coeffs))[k]
+    return dom.coerce(coeffs)
 
 
 def element_pow_oracle(a, k):
@@ -382,6 +397,28 @@ def test_compose_agrees_with_oracle():
         assert compose(g, g) == compose_oracle(g, g), (ring, N)
 
 
+def test_compose_into_one_inner_series_agrees_with_oracle():
+    # the power table of g is built by the first composition and read by
+    # the rest
+    for ring, den_f, den_g in KERNEL_RINGS[:3]:
+        rng = random.Random(f"one g:{ring}")
+        for N in (1, 7, 16):
+            g = _random_series(rng, ring, N, den_g, constant=False)
+            for _ in range(12):
+                f = _random_series(rng, ring, N, den_f)
+                assert compose(f, g) == compose_oracle(f, g), (ring, N)
+
+
+def test_power_table_memo_stays_bounded():
+    maxsize = _power_table.cache_info().maxsize
+    rng = random.Random("memo")
+    f = S([1, 2, 3, 4, 5, 6], 5)
+    for _ in range(maxsize + 10):
+        g = S([0] + [rng.randint(-50, 50) for _ in range(5)], 5)
+        assert compose(f, g) == compose_oracle(f, g)
+    assert _power_table.cache_info().currsize <= maxsize
+
+
 def test_compose_of_localized_series_keeps_its_denominators():
     # f = x/2 + x^2/3 over Q, g = x/4 + x^2: d_f = 6, d_g = 4
     f = SeriesRing(Q, 3).coerce([0, Fraction(1, 2), Fraction(1, 3)])
@@ -430,6 +467,38 @@ def test_scalar_operands():
         f * Fraction(1, 2)
     with pytest.raises(RingMismatchError):
         f + Q.from_int(1)
+
+
+def _unit(rng, ring):
+    """A random unit of Z, Z[1/2] or Q."""
+    if ring == Z:
+        return rng.choice([1, -1])
+    if ring == Z2:
+        return rng.choice([1, -1]) * Fraction(2) ** rng.randint(-3, 3)
+    return Fraction(rng.choice([1, -1]) * rng.randint(1, 9), rng.randint(1, 9))
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 7, 16, 32])
+def test_revert_agrees_with_oracle(N):
+    for ring, den, _ in KERNEL_RINGS[:3]:
+        rng = random.Random(f"revert:{ring}:{N}")
+        for _ in range(4 if N > 16 else 10):
+            f = _random_series(rng, ring, N, den, constant=False)
+            if N == 0:
+                with pytest.raises(ExactDivisionError):
+                    revert(f)
+                with pytest.raises(ValueError):
+                    revert_oracle(f)
+                continue
+            f = f.domain.coerce([0, ring.element(_unit(rng, ring)),
+                                 *f.coeffs[2:]])
+            g = revert(f)
+            assert g == revert_oracle(f), (ring, N)
+            assert all(ring.contains_payload(c) for c in g.payload)
+            if ring == Z:
+                assert all(type(c) is int for c in g.payload)
+            x = f.domain.x()
+            assert compose(f, g) == x and compose(g, f) == x, (ring, N)
 
 
 @settings(max_examples=60, deadline=None, database=None)
