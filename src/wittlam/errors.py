@@ -31,14 +31,24 @@ class ExactDivisionError(WittlamError):
 
 class IntegralityError(WittlamError):
     """A quantity that must be integral came out non-integral (engine bug,
-    or Adams data that do not lift).  `degree` is the failing degree of a
-    Newton inversion, None where no degree applies."""
+    or Adams data that do not lift).  `degree` is the failing degree n of
+    a Newton inversion and `prime` a prime p whose power p^e exactly
+    dividing n does not divide, both None where they do not apply."""
 
     degree = None
+    prime = None
 
 
 class WilkersonError(WittlamError):
-    """The Adams data do not lift: a Newton division failed in the ring."""
+    """The Adams data do not lift: a Newton division failed in the ring.
+    lambda^degree(element) needs a division by `degree` that fails at
+    `prime`; each field is None where it is not known."""
+
+    def __init__(self, message, prime=None, degree=None, element=None):
+        super().__init__(message)
+        self.prime = prime
+        self.degree = degree
+        self.element = element
 
 
 class BoundExceededError(WittlamError):

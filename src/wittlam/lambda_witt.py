@@ -37,7 +37,7 @@ against.
 
 from .errors import (BoundExceededError, ExactDivisionError, IntegralityError,
                      RingMismatchError)
-from .ground import check_int
+from .ground import check_int, factorize
 from .report import Report
 from .sympoly import DEFAULT_PCOMP_BOUND
 
@@ -178,8 +178,9 @@ def _from_power_sums(dom, sums):
     only once c_{n-1} is known.
 
     Each division by n is exact when q are the power sums of an element of
-    Lambda(A); a failed division raises IntegralityError with `degree` n,
-    caused by the ExactDivisionError, and reads no further q.
+    Lambda(A); a failed division raises IntegralityError with `degree` n
+    and the failing `prime`, caused by the ExactDivisionError, and reads
+    no further q.
     """
     add, sub, mul, div = dom._padd, dom._psub, dom._pmul, dom._pdiv_int
     c, q = [], []
@@ -194,8 +195,20 @@ def _from_power_sums(dom, sums):
         except ExactDivisionError as exc:
             err = IntegralityError(f"power-sum inversion failed at degree {n}: {exc}")
             err.degree = n
+            err.prime = _failing_prime(dom, acc, n)
             raise err from exc
     return c
+
+
+def _failing_prime(dom, x, n):
+    """A prime p such that p^e, the power of p exactly dividing n, does
+    not divide the payload x in dom; one exists whenever n does not."""
+    for p, e in factorize(n).items():
+        try:
+            dom._pdiv_int(x, p ** e)
+        except ExactDivisionError:
+            return p
+    return None
 
 
 def lambda_mul(f, g):

@@ -1,16 +1,27 @@
 """Filtered lambda-ring structures presented by Adams-operation data.
 
-A carrier is a ground ring R, the dual numbers R[eps], or a truncation of
-R[[x]] with the x-adic filtration: R[x]/x^deg or R[[x]] mod x^{N+1}.
-Both series kinds hold their top degree N (= deg - 1) as `trunc`, and
-their elements are TruncSeries of the domain SeriesRing(R, N).
+Every carrier is a truncation R[x]/x^{N+1} of R[[x]] with the x-adic
+filtration, named by a tag: `ground` is R itself (N = 0, where x = 0),
+`dual_numbers` is R[eps] (N = 1, x = eps), and `trunc_poly` (R[x]/x^deg,
+N = deg - 1) and `power_series` (R[[x]] mod x^{N+1}) take any N >= 1.
+A Carrier holds the tag, R and N.  Its elements live in its `domain`,
+chosen by the tag: R on a ground carrier, GroundRing.dual(R) on dual
+numbers, SeriesRing(R, N) on both series kinds.  A ground payload c is
+the series payload (c,), and a dual payload (a, b) and a series payload
+already are coefficient tuples, so an element becomes a series of
+`carrier.series` = SeriesRing(R, N) without copying.
 
 A structure is a carrier plus, for each prime p in a finite window, the
-Adams datum psi^p: a power series psi^p(x) with zero constant term on
-series carriers, a multiplier a_p on dual-number carriers, and nothing at
-all on plain ground carriers (where every ring endomorphism fixing the
-ring is the identity, so psi^n = id and the lift is the binomial
-structure).  Lambda-operations are recovered through the Newton formula
+Adams datum psi^p, always held as a series of SeriesRing(R, N) with zero
+constant term: the given series on series carriers, a_p*x for the
+multiplier a_p on dual numbers, and x = 0 on a ground carrier, where
+every ring endomorphism fixing R is the identity, so psi^n = id for
+every n and the lift is the binomial structure.  Validation, Adams
+application and the Newton lift run one computation on every carrier;
+the tag decides only how a carrier prints and travels as JSON, how its
+data are written, the labels of report lines, its default samples, and
+which carriers the Lubin solver and the universal ring accept.
+Lambda-operations are recovered through the Newton formula
 
     psi^n(r) - lambda^1(r) psi^{n-1}(r) + ... + (-1)^n n lambda^n(r) = 0,
 
@@ -18,12 +29,9 @@ whose division by n is the Wilkerson integrality condition: if it fails
 in the carrier, the Adams data do not come from a lambda-ring.
 """
 
-import math
-
 from .errors import (InputError, IntegralityError, PrimeWindowError,
                      RingMismatchError, UnsupportedRingError, WilkersonError)
-from .ground import (DUAL, GroundRing, RingElement, check_int, factorize,
-                     is_prime)
+from .ground import DUAL, GroundRing, check_int, factorize, is_prime
 from .lambda_witt import _from_power_sums
 from .report import Report
 from .series import (SeriesRing, check_x_filtration, compose, congruent_mod,
@@ -39,26 +47,34 @@ GROUND, DUAL_NUMBERS, TRUNC_POLY, POWER_SERIES = (
     "power_series",
 )
 
+#: the JSON key of each tag's Adams data (a ground carrier has none)
+ADAMS_KEYS = {GROUND: None, DUAL_NUMBERS: "adams_dual", TRUNC_POLY: "adams",
+              POWER_SERIES: "adams"}
+
 
 class Carrier:
-    """One of the filtered rings a structure can live on."""
+    """The filtered ring R[x]/x^{N+1} under a tag: `kind`, `ring` (R) and
+    `trunc` (N), with the element `domain` the tag chooses and the
+    `series` ring SeriesRing(R, N) that holds Adams data."""
 
-    __slots__ = ("kind", "ring", "trunc")
+    __slots__ = ("kind", "ring", "trunc", "domain", "series")
 
-    def __init__(self, kind, ring, trunc=None):
+    def __init__(self, kind, ring, trunc, domain=None):
         self.kind = kind
         self.ring = ring
         self.trunc = trunc
-        if kind == DUAL_NUMBERS and ring.kind == "dual_numbers":
-            raise ValueError("dual-number carrier base must not be dual")
+        self.series = SeriesRing(ring, trunc)
+        self.domain = self.series if domain is None else domain
 
     @classmethod
     def ground(cls, ring):
-        return cls(GROUND, ring)
+        return cls(GROUND, ring, 0, ring)
 
     @classmethod
     def dual_numbers(cls, base):
-        return cls(DUAL_NUMBERS, base)
+        if base.kind == DUAL:
+            raise InputError("dual-number carrier base must not be dual")
+        return cls(DUAL_NUMBERS, base, 1, GroundRing.dual(base))
 
     @classmethod
     def trunc_poly(cls, ring, deg):
@@ -74,35 +90,24 @@ class Carrier:
     def is_series(self):
         return self.kind in (TRUNC_POLY, POWER_SERIES)
 
-    @property
-    def domain(self):
-        """The coefficient domain carrier elements live in."""
-        if self.kind == GROUND:
-            return self.ring
-        if self.kind == DUAL_NUMBERS:
-            return GroundRing.dual(self.ring)
-        return SeriesRing(self.ring, self.trunc)
+    def to_series(self, r):
+        """A carrier element as a series of SeriesRing(R, N), sharing its
+        payload; `from_series` is the way back."""
+        return self.series._wrap((r.payload,) if not self.trunc else r.payload)
+
+    def from_series(self, f):
+        return self.domain._wrap(f.payload if self.trunc else f.payload[0])
 
     def x(self):
-        if not self.is_series:
+        """The generator of the filtration ideal: x, or eps on dual numbers."""
+        if not self.trunc:
             raise UnsupportedRingError(f"{self} has no indeterminate x")
-        return self.domain.x()
-
-    def eps(self):
-        if self.kind != DUAL_NUMBERS:
-            raise UnsupportedRingError(f"{self} has no eps")
-        return self.domain.coerce((0, 1))
+        return self.from_series(self.series.x())
 
     def valuation(self, r):
-        """Filtration valuation of a carrier element (None if trivial)."""
-        if self.is_series:
-            return xadic_valuation(r)
-        if self.kind == DUAL_NUMBERS:
-            a, b = r.payload
-            if not self.ring._pis_zero(a):
-                return 0
-            return math.inf if self.ring._pis_zero(b) else 1
-        return None
+        """x-adic valuation of a carrier element; None on a ground carrier,
+        whose filtration ideal xR[x]/x is zero."""
+        return xadic_valuation(self.to_series(r)) if self.trunc else None
 
     def __eq__(self, other):
         return (
@@ -124,6 +129,27 @@ class Carrier:
         return f"{self.ring}[[x]] mod x^{self.trunc + 1}"
 
     __repr__ = __str__
+
+    # -- written forms: JSON, and the Adams data a structure is given ------
+
+    def read_datum(self, p, value, check):
+        """psi^p from its written form: on dual numbers the multiplier a_p
+        of psi^p = a_p*x, elsewhere the series.  A checked dual datum must
+        be p-divisible, since lambda^p(eps) = +-a_p*eps/p (Wilkerson)."""
+        if self.kind != DUAL_NUMBERS:
+            return self.series.coerce(value)
+        a = self.ring.coerce(value)
+        if check and not self.ring.is_p_divisible(a, p):
+            raise WilkersonError(
+                f"a_{p} = {a} is not {p}-divisible in {self.ring}",
+                prime=p, degree=p, element=self.x(),
+            )
+        return self.series.coerce((0, a))
+
+    def datum_json(self, psi):
+        if self.kind == DUAL_NUMBERS:
+            return self.ring.format_payload(psi.payload[1])
+        return psi.coeff_strings()
 
     def to_json(self):
         data = {"kind": self.kind, "ring": self.ring.to_json()}
@@ -147,7 +173,7 @@ class Carrier:
         if kind == POWER_SERIES:
             check_x_filtration(data)
             return cls.power_series(ring, data["N"])
-        raise ValueError(f"unknown carrier kind {kind!r}")
+        raise InputError(f"unknown carrier kind {kind!r}")
 
 
 def check_window_primes(primes):
@@ -164,13 +190,14 @@ def check_window_primes(primes):
 class LambdaStructure:
     """Adams data for a filtered lambda-ring structure on a carrier.
 
-    `adams` maps each window prime p to its datum: a TruncSeries psi^p(x)
-    on series carriers, an element a_p of the base on dual carriers, and
-    is empty on ground carriers.  The window must not be empty, no prime
-    may repeat in it, and no datum may be given for a prime outside it.
-    Constructing with check=True enforces
-    psi^p(0) = 0 and, on dual carriers, p-divisibility of a_p; pass
-    check=False to build a candidate for `validate` to diagnose.
+    `adams` maps each window prime p to psi^p, a series of
+    `carrier.series` (see the module docstring); it is given in the
+    carrier's written form (`Carrier.read_datum`), and not at all on a
+    ground carrier.  The window must not be empty, no prime may repeat in
+    it, and no datum may be given for a prime outside it.  Constructing
+    with check=True enforces psi^p(0) = 0 and, on dual carriers,
+    p-divisibility of a_p; pass check=False to build a candidate for
+    `validate` to diagnose.
     """
 
     __slots__ = ("carrier", "primes", "adams")
@@ -184,40 +211,34 @@ class LambdaStructure:
         self.carrier = carrier
         self.primes = primes
         adams = dict(adams or {})
+        if not carrier.trunc:
+            # on R[x]/x every series without constant term is x = 0, so
+            # psi^p = x = id is forced and no datum can be given
+            if adams:
+                raise InputError("ground carriers carry no Adams data (psi = id)")
+            adams = dict.fromkeys(primes, carrier.series.x())
         missing = [p for p in primes if p not in adams]
         outside = sorted(set(adams) - set(primes))
-        if carrier.kind == GROUND:
-            if adams:
-                raise ValueError("ground carriers carry no Adams data (psi = id)")
-            self.adams = {}
-        elif missing:
-            raise ValueError(f"missing Adams data for window primes {missing}")
-        elif outside:
+        if missing:
+            raise InputError(f"missing Adams data for window primes {missing}")
+        if outside:
             raise InputError(f"Adams data for primes {outside} outside window "
                              f"{list(primes)}")
-        elif carrier.kind == DUAL_NUMBERS:
-            self.adams = {p: carrier.ring.coerce(adams[p]) for p in primes}
-            if check:
-                for p in primes:
-                    if not carrier.ring.is_p_divisible(self.adams[p], p):
-                        raise WilkersonError(
-                            f"a_{p} = {self.adams[p]} is not {p}-divisible in "
-                            f"{carrier.ring}"
-                        )
-        else:
-            dom = carrier.domain
-            self.adams = {p: dom.coerce(adams[p]) for p in primes}
-            if check:
-                for p in primes:
-                    if not self.adams[p].constant_term().is_zero():
-                        raise ValueError(f"psi^{p}(0) != 0")
+        self.adams = {p: carrier.read_datum(p, adams[p], check) for p in primes}
+        if check:
+            for p in primes:
+                if not self.adams[p].constant_term().is_zero():
+                    raise InputError(f"psi^{p}(0) != 0")
 
     def adams_series(self, p):
-        if not self.carrier.is_series:
-            raise UnsupportedRingError("no Adams series on this carrier")
         if p not in self.adams:
             raise PrimeWindowError(f"prime {p} outside window {self.primes}")
         return self.adams[p]
+
+    def reaches(self, n):
+        """True when psi^n is known: every prime factor of n is in the
+        window, or N = 0, where psi^n = id for every n."""
+        return not self.carrier.trunc or all(p in self.adams for p in factorize(n))
 
     def lambda_values(self, n, r):
         return lambda_values(self, n, r)
@@ -235,29 +256,30 @@ class LambdaStructure:
         return f"LambdaStructure on {self.carrier}, window {self.primes}"
 
     def to_json(self):
-        data = {"carrier": self.carrier.to_json(), "primes": list(self.primes)}
-        if self.carrier.kind == DUAL_NUMBERS:
-            data["adams_dual"] = {
-                str(p): self.carrier.ring.format_payload(self.adams[p].payload)
-                for p in self.primes
-            }
-        elif self.carrier.kind != GROUND:
-            data["adams"] = {
-                str(p): self.adams[p].coeff_strings() for p in self.primes
-            }
+        carrier = self.carrier
+        data = {"carrier": carrier.to_json(), "primes": list(self.primes)}
+        key = ADAMS_KEYS[carrier.kind]
+        if key:
+            data[key] = {str(p): carrier.datum_json(self.adams[p])
+                         for p in self.primes}
         return data
 
     @classmethod
     def from_json(cls, data, check=True):
-        """Parse a structure; a missing field or a value of the wrong type
-        is an InputError naming the structure as malformed."""
+        """Parse a structure; a missing field, a value of the wrong type or
+        an Adams key that the carrier's kind does not name is an
+        InputError naming the structure as malformed."""
         try:
             carrier = Carrier.from_json(data["carrier"])
             primes = tuple(data["primes"])
-            adams = {}
-            if carrier.kind != GROUND:
-                key = "adams_dual" if "adams_dual" in data else "adams"
-                adams = {int(p): v for p, v in data[key].items()}
+            key = ADAMS_KEYS[carrier.kind]
+            stray = [k for k in ("adams", "adams_dual") if k in data and k != key]
+            if stray:
+                raise InputError(
+                    f"malformed structure: a {carrier.kind} carrier takes "
+                    + (f"its Adams data under {key!r}" if key else "no Adams data")
+                    + f", not under {stray[0]!r}")
+            adams = {int(p): v for p, v in data[key].items()} if key else {}
         except (KeyError, TypeError, AttributeError) as exc:
             raise InputError(f"malformed structure: {exc!r}") from exc
         return cls(carrier, primes, adams, check=check)
@@ -269,10 +291,10 @@ class LambdaStructure:
 
 
 def _ground_frobenius_failure(ring, p):
-    """The Adams operations of a ground or series carrier fix the ground
-    ring R, so they lift Frobenius at p only if r^p == r mod p on R.
-    That holds on every ring between Z and Q (Fermat) and wherever p is a
-    unit; on dual numbers it is the condition on the generator eps, whose
+    """The Adams operations of every carrier fix the ground ring R, so
+    they lift Frobenius at p only if r^p == r mod p on R.  That holds on
+    every ring between Z and Q (Fermat) and wherever p is a unit; on dual
+    numbers it is the condition on the generator eps, whose
     eps^p - eps = -eps is p-divisible only when p is a unit.  Returns the
     failure as text, or "" when R passes."""
     if ring.kind != DUAL:
@@ -286,59 +308,51 @@ def _ground_frobenius_failure(ring, p):
 def validate(S):
     """Check the psi-ring conditions for all window primes.
 
-    Frobenius congruence psi^p(x) == x^p (mod p) passes automatically
-    when p is invertible in the ground ring; otherwise it is checked on x
-    and on the ground ring's generators, which psi^p fixes.  Commutation
-    is checked by composing the Adams series both ways modulo the
-    truncation.
+    For each p: psi^p(0) = 0, and the Frobenius congruence
+    psi^p(x) == x^p (mod p) on x and on the ground ring, which psi^p
+    fixes (`_ground_frobenius_failure`).  On dual numbers x^p = 0, so the
+    congruence says a_p is p-divisible; on a ground carrier x = 0 and only
+    the ground ring is left.  Commutation is checked by composing the
+    Adams series both ways modulo the truncation.
     """
-    report = Report()
     carrier = S.carrier
-    if carrier.kind == GROUND:
-        samples = [carrier.ring.from_int(v) for v in (-3, -1, 0, 1, 2, 3)]
-        for p in S.primes:
-            ok = all(
-                carrier.ring.is_p_divisible(r ** p - r, p) for r in samples
-            )
-            failure = _ground_frobenius_failure(carrier.ring, p)
-            report.add(f"frobenius psi^{p}(r) == r^{p} mod {p} (psi = id)",
-                       ok and not failure, failure)
-        report.add("commutation (identity maps)", True)
-        return report
-
-    if carrier.kind == DUAL_NUMBERS:
-        for p in S.primes:
-            ap = S.adams[p]
-            report.add(
-                f"a_{p} is {p}-divisible (frobenius for psi^{p})",
-                carrier.ring.is_p_divisible(ap, p),
-                f"a_{p} = {ap}",
-            )
-        report.add("commutation (multipliers commute)", True)
-        return report
-
+    frobenius = {}
     for p in S.primes:
-        psi = S.adams_series(p)
-        report.add(f"psi^{p}(0) = 0", psi.constant_term().is_zero())
-        if carrier.ring.is_q_algebra():
-            report.add(
-                f"frobenius psi^{p} == x^{p} mod {p}",
-                True,
-                f"{p} is a unit in {carrier.ring}",
-            )
-        else:
-            xp = carrier.domain.coerce([0] * p + [1])
-            failure = _ground_frobenius_failure(carrier.ring, p)
-            report.add(
-                f"frobenius psi^{p} == x^{p} mod {p}",
-                congruent_mod(psi, xp, p) and not failure,
-                failure,
-            )
+        psi = S.adams[p]
+        failure = _ground_frobenius_failure(carrier.ring, p)
+        xp = carrier.series.coerce([0] * p + [1])
+        frobenius[p] = (psi.constant_term().is_zero(),
+                        congruent_mod(psi, xp, p) and not failure, failure)
+    commute = {}
     for i, p in enumerate(S.primes):
         for q in S.primes[i + 1 :]:
-            pq = compose(S.adams_series(p), S.adams_series(q))
-            qp = compose(S.adams_series(q), S.adams_series(p))
-            report.add(f"psi^{p} and psi^{q} commute", pq == qp)
+            pq = compose(S.adams[p], S.adams[q])
+            commute[p, q] = pq == compose(S.adams[q], S.adams[p])
+    return _validation_report(S, frobenius, commute)
+
+
+def _validation_report(S, frobenius, commute):
+    """The report lines of `validate`, labelled by the carrier's kind."""
+    report = Report()
+    kind, ring = S.carrier.kind, S.carrier.ring
+    for p, (zero, ok, failure) in frobenius.items():
+        if kind == GROUND:
+            report.add(f"frobenius psi^{p}(r) == r^{p} mod {p} (psi = id)",
+                       ok, failure)
+        elif kind == DUAL_NUMBERS:
+            report.add(f"a_{p} is {p}-divisible (frobenius for psi^{p})",
+                       ok, f"a_{p} = {S.adams[p].linear_coeff()}")
+        else:
+            report.add(f"psi^{p}(0) = 0", zero)
+            unit = f"{p} is a unit in {ring}" if ring.is_q_algebra() else failure
+            report.add(f"frobenius psi^{p} == x^{p} mod {p}", ok, unit)
+    if kind == GROUND:
+        report.add("commutation (identity maps)", all(commute.values()))
+    elif kind == DUAL_NUMBERS:
+        report.add("commutation (multipliers commute)", all(commute.values()))
+    else:
+        for (p, q), ok in commute.items():
+            report.add(f"psi^{p} and psi^{q} commute", ok)
     return report
 
 
@@ -348,34 +362,31 @@ def validate(S):
 
 
 def adams_apply(S, n, r):
-    """psi^n(r), where n factors into window primes; psi^1 = id."""
+    """psi^n(r), where n factors into window primes; psi^1 = id.
+
+    r becomes a series of SeriesRing(R, N), which each psi^p of the
+    factorisation of n is composed into, and comes back to the carrier's
+    domain.  At N = 0 the series is its constant term, unchanged by every
+    psi^p = x = 0, in the window or not.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    r = S.carrier.domain.coerce(r)
+    carrier = S.carrier
+    r = carrier.domain.coerce(r)
     if n == 1:
         return r
     factors = factorize(n)
-    outside = [p for p in factors if p not in S.primes and S.carrier.kind != GROUND]
-    if outside:
+    if not S.reaches(n):
+        outside = [p for p in factors if p not in S.primes]
         raise PrimeWindowError(
             f"psi^{n} needs primes {outside} outside window {list(S.primes)}"
         )
-    if S.carrier.kind == GROUND:
-        return r
-    if S.carrier.kind == DUAL_NUMBERS:
-        base = S.carrier.ring
-        mult = base.one()
-        for p, e in factors.items():
-            mult = mult * S.adams[p] ** e
-        a, b = r.payload
-        return S.carrier.domain.element(
-            (a, (RingElement(base, b) * mult).payload)
-        )
-    out = r
+    f = carrier.to_series(r)
     for p, e in sorted(factors.items()):
+        psi = S.adams.get(p, carrier.series.x())
         for _ in range(e):
-            out = compose(out, S.adams_series(p))
-    return out
+            f = compose(f, psi)
+    return carrier.from_series(f)
 
 
 def lambda_values(S, n, r):
@@ -385,7 +396,8 @@ def lambda_values(S, n, r):
     Adams operations are the power sums of lambda_t(r), so the lift is
     `lambda_witt._from_power_sums` on the payloads of psi^1(r)..psi^n(r),
     each computed only when the recursion reaches it.  The division by n
-    must be exact in the carrier (Wilkerson).
+    must be exact in the carrier (Wilkerson); a WilkersonError names the
+    failing prime, degree and element as fields.
     """
     dom = S.carrier.domain
     r = dom.coerce(r)
@@ -396,7 +408,8 @@ def lambda_values(S, n, r):
         k = exc.degree
         raise WilkersonError(
             f"not a lambda-ring under these Adams data: "
-            f"lambda^{k}({dom.format(r)}) needs division by {k}: {exc.__cause__}"
+            f"lambda^{k}({dom.format(r)}) needs division by {k}: {exc.__cause__}",
+            prime=exc.prime, degree=k, element=r,
         ) from exc
     return [dom.one()] + list(map(dom._wrap, lam))
 
@@ -417,14 +430,26 @@ def default_samples(carrier):
     return [x, x + x * x, dom.from_int(2) * x]
 
 
-def axiom_check(S, samples=None, nmax=3, bound=DEFAULT_PCOMP_BOUND):
+def window_depth(S):
+    """The largest d <= DEFAULT_PCOMP_BOUND with psi^n known for every
+    n <= d: 4 on the window (2, 3), 6 on (2, 3, 5) and on a ground carrier."""
+    d = 1
+    while d < DEFAULT_PCOMP_BOUND and S.reaches(d + 1):
+        d += 1
+    return d
+
+
+def axiom_check(S, samples=None, nmax=3, bound=None):
     """Evaluate the lambda-ring axiom list on sampled elements.
 
     Covers: lambda^0 = 1, lambda^1 = id, lambda^n(1) = 0 for n > 1,
     additivity via the Cauchy convolution, products via P_n, compositions
-    via P_{m,n} for mn <= bound, plus filtration closure
-    val(lambda^i(r)) >= val(r) on samples inside the filtration ideal.
+    via P_{m,n} for mn <= bound (by default `window_depth(S)`), plus
+    filtration closure val(lambda^i(r)) >= val(r) on samples inside the
+    filtration ideal.
     """
+    if bound is None:
+        bound = window_depth(S)
     report = Report()
     dom = S.carrier.domain
     samples = [dom.coerce(s) for s in (samples or default_samples(S.carrier))]
@@ -523,17 +548,20 @@ def make_dual_structure(base, multipliers, primes=None):
 
 
 def dual_iso_test(S1, S2):
-    """Isomorphism decision over a common dual-number carrier.
+    """Isomorphism decision over a common carrier R[x]/x^2 (N = 1): dual
+    numbers, or truncated polynomials of degree 2.
 
-    Two dual structures are isomorphic iff their multiplier sequences
-    agree: any filtered lambda-iso sends eps to u*eps and forces
-    a_p = b_p; conversely equal data give the identity isomorphism.
+    Two such structures are isomorphic iff their multiplier sequences,
+    the linear coefficients a_p of psi^p = a_p*x, agree: any filtered
+    lambda-iso sends x to u*x and forces a_p = b_p; conversely equal data
+    give the identity isomorphism.
     """
-    if S1.carrier.kind != DUAL_NUMBERS or S1.carrier != S2.carrier:
+    if S1.carrier.trunc != 1 or S1.carrier != S2.carrier:
         raise RingMismatchError("dual_iso_test needs one common dual carrier")
     if S1.primes != S2.primes:
         raise RingMismatchError("prime windows differ")
-    return all(S1.adams[p] == S2.adams[p] for p in S1.primes)
+    return all(S1.adams[p].linear_coeff() == S2.adams[p].linear_coeff()
+               for p in S1.primes)
 
 
 def make_family_structure(carrier, multipliers, primes=None):

@@ -119,12 +119,12 @@ def test_newton_lift_stops_at_its_first_failed_division():
     assert isinstance(cause, IntegralityError) and cause.degree == 2
     D = make_dual_structure(Z, {2: 2, 3: 3})
     with pytest.raises(PrimeWindowError):  # every division holds, so psi^5 is reached
-        lambda_values(D, 5, D.carrier.eps())
+        lambda_values(D, 5, D.carrier.x())
 
 
 def test_newton_lambda_on_dual():
     S = make_dual_structure(Z, {2: 2, 3: 3})
-    eps = S.carrier.eps()
+    eps = S.carrier.x()
     # lambda^2(eps) = -(psi^2(eps) - eps*eps)/2 = -(2 eps)/2 = -eps
     assert lambda_values(S, 2, eps)[2] == S.carrier.domain.coerce((0, -1))
 
@@ -211,7 +211,7 @@ def test_coalgebra_check_examples():
     rep = coalgebra_check(Sb, [3], M=3)
     assert rep.passed
     Sd = make_dual_structure(Z, {2: 2, 3: 6})
-    rep = coalgebra_check(Sd, [Sd.carrier.eps()], M=2)
+    rep = coalgebra_check(Sd, [Sd.carrier.x()], M=2)
     assert rep.passed
 
 
