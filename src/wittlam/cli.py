@@ -351,7 +351,9 @@ def build_parser():
     q = sub.add_parser("axiom-check", help="lambda-ring axiom report")
     q.add_argument("--structure", required=True)
     q.add_argument("--nmax", type=int, default=3)
-    q.add_argument("--bound", type=int, default=DEFAULT_PCOMP_BOUND)
+    q.add_argument("--bound", type=int, default=None,
+                   help="composition depth (default: the largest d <= "
+                        f"{DEFAULT_PCOMP_BOUND} whose n all factor over the window)")
     common(q, ring=False, N=False)
     q.set_defaults(func=cmd_axiom_check)
 

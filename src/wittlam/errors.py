@@ -46,9 +46,7 @@ class WilkersonError(WittlamError):
 
     def __init__(self, message, prime=None, degree=None, element=None):
         super().__init__(message)
-        self.prime = prime
-        self.degree = degree
-        self.element = element
+        self.prime, self.degree, self.element = prime, degree, element
 
 
 class BoundExceededError(WittlamError):

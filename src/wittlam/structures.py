@@ -1,26 +1,21 @@
 """Filtered lambda-ring structures presented by Adams-operation data.
 
 Every carrier is a truncation R[x]/x^{N+1} of R[[x]] with the x-adic
-filtration, named by a tag: `ground` is R itself (N = 0, where x = 0),
-`dual_numbers` is R[eps] (N = 1, x = eps), and `trunc_poly` (R[x]/x^deg,
-N = deg - 1) and `power_series` (R[[x]] mod x^{N+1}) take any N >= 1.
-A Carrier holds the tag, R and N.  Its elements live in its `domain`,
-chosen by the tag: R on a ground carrier, GroundRing.dual(R) on dual
-numbers, SeriesRing(R, N) on both series kinds.  A ground payload c is
-the series payload (c,), and a dual payload (a, b) and a series payload
-already are coefficient tuples, so an element becomes a series of
-`carrier.series` = SeriesRing(R, N) without copying.
+filtration, under a tag: `ground` is R (N = 0, so x = 0), `dual_numbers`
+is R[eps] (N = 1, x = eps), `trunc_poly` is R[x]/x^deg (N = deg - 1) and
+`power_series` is R[[x]] mod x^{N+1}.  Elements live in the carrier's
+`domain`: R, GroundRing.dual(R), or SeriesRing(R, N) on both series
+kinds.  A ground payload c becomes the series payload (c,); dual and
+series payloads already are coefficient tuples.
 
-A structure is a carrier plus, for each prime p in a finite window, the
-Adams datum psi^p, always held as a series of SeriesRing(R, N) with zero
-constant term: the given series on series carriers, a_p*x for the
-multiplier a_p on dual numbers, and x = 0 on a ground carrier, where
-every ring endomorphism fixing R is the identity, so psi^n = id for
-every n and the lift is the binomial structure.  Validation, Adams
-application and the Newton lift run one computation on every carrier;
-the tag decides only how a carrier prints and travels as JSON, how its
-data are written, the labels of report lines, its default samples, and
-which carriers the Lubin solver and the universal ring accept.
+Every Adams datum psi^p is a series of SeriesRing(R, N) with zero
+constant term: the given series, a_p*x for a dual multiplier a_p, and
+x = 0 on a ground carrier, where psi^n = id for every n and the lift is
+the binomial structure.  Validation, Adams application and the Newton
+lift run one computation on every carrier; the tag decides only how a
+carrier prints, how it and its data are written (JSON and constructor
+arguments), the labels of report lines, the default samples, and which
+carriers the Lubin solver and the universal ring accept.
 Lambda-operations are recovered through the Newton formula
 
     psi^n(r) - lambda^1(r) psi^{n-1}(r) + ... + (-1)^n n lambda^n(r) = 0,
@@ -48,14 +43,13 @@ GROUND, DUAL_NUMBERS, TRUNC_POLY, POWER_SERIES = (
 )
 
 #: the JSON key of each tag's Adams data (a ground carrier has none)
-ADAMS_KEYS = {GROUND: None, DUAL_NUMBERS: "adams_dual", TRUNC_POLY: "adams",
+_ADAMS_KEYS = {GROUND: None, DUAL_NUMBERS: "adams_dual", TRUNC_POLY: "adams",
               POWER_SERIES: "adams"}
 
 
 class Carrier:
-    """The filtered ring R[x]/x^{N+1} under a tag: `kind`, `ring` (R) and
-    `trunc` (N), with the element `domain` the tag chooses and the
-    `series` ring SeriesRing(R, N) that holds Adams data."""
+    """R[x]/x^{N+1} under a tag: `kind`, `ring` (R), `trunc` (N), the
+    element `domain`, and `series` = SeriesRing(R, N) for Adams data."""
 
     __slots__ = ("kind", "ring", "trunc", "domain", "series")
 
@@ -91,9 +85,8 @@ class Carrier:
         return self.kind in (TRUNC_POLY, POWER_SERIES)
 
     def to_series(self, r):
-        """A carrier element as a series of SeriesRing(R, N), sharing its
-        payload; `from_series` is the way back."""
-        return self.series._wrap((r.payload,) if not self.trunc else r.payload)
+        """A carrier element as a series, sharing its payload."""
+        return self.series._wrap(r.payload if self.trunc else (r.payload,))
 
     def from_series(self, f):
         return self.domain._wrap(f.payload if self.trunc else f.payload[0])
@@ -133,9 +126,9 @@ class Carrier:
     # -- written forms: JSON, and the Adams data a structure is given ------
 
     def read_datum(self, p, value, check):
-        """psi^p from its written form: on dual numbers the multiplier a_p
-        of psi^p = a_p*x, elsewhere the series.  A checked dual datum must
-        be p-divisible, since lambda^p(eps) = +-a_p*eps/p (Wilkerson)."""
+        """psi^p from its written form, the multiplier a_p of a_p*x on dual
+        numbers and the series elsewhere.  A checked a_p must be
+        p-divisible: lambda^p(eps) = +-a_p*eps/p (Wilkerson)."""
         if self.kind != DUAL_NUMBERS:
             return self.series.coerce(value)
         a = self.ring.coerce(value)
@@ -190,14 +183,12 @@ def check_window_primes(primes):
 class LambdaStructure:
     """Adams data for a filtered lambda-ring structure on a carrier.
 
-    `adams` maps each window prime p to psi^p, a series of
-    `carrier.series` (see the module docstring); it is given in the
-    carrier's written form (`Carrier.read_datum`), and not at all on a
-    ground carrier.  The window must not be empty, no prime may repeat in
-    it, and no datum may be given for a prime outside it.  Constructing
-    with check=True enforces psi^p(0) = 0 and, on dual carriers,
-    p-divisibility of a_p; pass check=False to build a candidate for
-    `validate` to diagnose.
+    `adams` maps each window prime p to the series psi^p.  It is given in
+    the carrier's written form (`Carrier.read_datum`), and not at all on
+    a ground carrier.  The window must not be empty or repeat a prime,
+    and no datum may lie outside it.  check=True enforces psi^p(0) = 0
+    and, on dual carriers, p-divisibility of a_p; check=False builds a
+    candidate for `validate` to diagnose.
     """
 
     __slots__ = ("carrier", "primes", "adams")
@@ -212,8 +203,7 @@ class LambdaStructure:
         self.primes = primes
         adams = dict(adams or {})
         if not carrier.trunc:
-            # on R[x]/x every series without constant term is x = 0, so
-            # psi^p = x = id is forced and no datum can be given
+            # on R[x]/x, x = 0 is the only series without constant term
             if adams:
                 raise InputError("ground carriers carry no Adams data (psi = id)")
             adams = dict.fromkeys(primes, carrier.series.x())
@@ -225,10 +215,9 @@ class LambdaStructure:
             raise InputError(f"Adams data for primes {outside} outside window "
                              f"{list(primes)}")
         self.adams = {p: carrier.read_datum(p, adams[p], check) for p in primes}
-        if check:
-            for p in primes:
-                if not self.adams[p].constant_term().is_zero():
-                    raise InputError(f"psi^{p}(0) != 0")
+        for p in primes if check else ():
+            if not self.adams[p].constant_term().is_zero():
+                raise InputError(f"psi^{p}(0) != 0")
 
     def adams_series(self, p):
         if p not in self.adams:
@@ -246,11 +235,8 @@ class LambdaStructure:
     def __eq__(self, other):
         if not isinstance(other, LambdaStructure):
             return NotImplemented
-        return (
-            self.carrier == other.carrier
-            and self.primes == other.primes
-            and self.adams == other.adams
-        )
+        return (self.carrier, self.primes, self.adams) == (
+            other.carrier, other.primes, other.adams)
 
     def __repr__(self):
         return f"LambdaStructure on {self.carrier}, window {self.primes}"
@@ -258,7 +244,7 @@ class LambdaStructure:
     def to_json(self):
         carrier = self.carrier
         data = {"carrier": carrier.to_json(), "primes": list(self.primes)}
-        key = ADAMS_KEYS[carrier.kind]
+        key = _ADAMS_KEYS[carrier.kind]
         if key:
             data[key] = {str(p): carrier.datum_json(self.adams[p])
                          for p in self.primes}
@@ -272,13 +258,13 @@ class LambdaStructure:
         try:
             carrier = Carrier.from_json(data["carrier"])
             primes = tuple(data["primes"])
-            key = ADAMS_KEYS[carrier.kind]
+            key = _ADAMS_KEYS[carrier.kind]
             stray = [k for k in ("adams", "adams_dual") if k in data and k != key]
             if stray:
-                raise InputError(
-                    f"malformed structure: a {carrier.kind} carrier takes "
-                    + (f"its Adams data under {key!r}" if key else "no Adams data")
-                    + f", not under {stray[0]!r}")
+                takes = f"reads Adams data only from {key!r}" if key else \
+                    "takes no Adams data"
+                raise InputError(f"malformed structure: a {carrier.kind} carrier "
+                                 f"{takes}, but the structure has {stray[0]!r}")
             adams = {int(p): v for p, v in data[key].items()} if key else {}
         except (KeyError, TypeError, AttributeError) as exc:
             raise InputError(f"malformed structure: {exc!r}") from exc
@@ -308,44 +294,33 @@ def _ground_frobenius_failure(ring, p):
 def validate(S):
     """Check the psi-ring conditions for all window primes.
 
-    For each p: psi^p(0) = 0, and the Frobenius congruence
-    psi^p(x) == x^p (mod p) on x and on the ground ring, which psi^p
-    fixes (`_ground_frobenius_failure`).  On dual numbers x^p = 0, so the
-    congruence says a_p is p-divisible; on a ground carrier x = 0 and only
-    the ground ring is left.  Commutation is checked by composing the
-    Adams series both ways modulo the truncation.
+    For each p: psi^p(0) = 0, and psi^p(x) == x^p (mod p) on x and on the
+    ground ring, which psi^p fixes (`_ground_frobenius_failure`); on dual
+    numbers x^p = 0, so this says a_p is p-divisible, and on a ground
+    carrier x = 0.  Commutation composes the Adams series both ways.  The
+    carrier's kind only names the lines.
     """
-    carrier = S.carrier
-    frobenius = {}
+    carrier, report = S.carrier, Report()
+    kind, ring = carrier.kind, carrier.ring
     for p in S.primes:
-        psi = S.adams[p]
-        failure = _ground_frobenius_failure(carrier.ring, p)
-        xp = carrier.series.coerce([0] * p + [1])
-        frobenius[p] = (psi.constant_term().is_zero(),
-                        congruent_mod(psi, xp, p) and not failure, failure)
-    commute = {}
-    for i, p in enumerate(S.primes):
-        for q in S.primes[i + 1 :]:
-            pq = compose(S.adams[p], S.adams[q])
-            commute[p, q] = pq == compose(S.adams[q], S.adams[p])
-    return _validation_report(S, frobenius, commute)
-
-
-def _validation_report(S, frobenius, commute):
-    """The report lines of `validate`, labelled by the carrier's kind."""
-    report = Report()
-    kind, ring = S.carrier.kind, S.carrier.ring
-    for p, (zero, ok, failure) in frobenius.items():
+        psi, failure = S.adams[p], _ground_frobenius_failure(ring, p)
+        ok = congruent_mod(psi, carrier.series.coerce([0] * p + [1]), p)
+        ok = ok and not failure
         if kind == GROUND:
             report.add(f"frobenius psi^{p}(r) == r^{p} mod {p} (psi = id)",
                        ok, failure)
         elif kind == DUAL_NUMBERS:
             report.add(f"a_{p} is {p}-divisible (frobenius for psi^{p})",
-                       ok, f"a_{p} = {S.adams[p].linear_coeff()}")
+                       ok, f"a_{p} = {psi.linear_coeff()}")
         else:
-            report.add(f"psi^{p}(0) = 0", zero)
+            report.add(f"psi^{p}(0) = 0", psi.constant_term().is_zero())
             unit = f"{p} is a unit in {ring}" if ring.is_q_algebra() else failure
             report.add(f"frobenius psi^{p} == x^{p} mod {p}", ok, unit)
+    commute = {}
+    for i, p in enumerate(S.primes):
+        for q in S.primes[i + 1 :]:
+            pq = compose(S.adams[p], S.adams[q])
+            commute[p, q] = pq == compose(S.adams[q], S.adams[p])
     if kind == GROUND:
         report.add("commutation (identity maps)", all(commute.values()))
     elif kind == DUAL_NUMBERS:
@@ -364,10 +339,8 @@ def _validation_report(S, frobenius, commute):
 def adams_apply(S, n, r):
     """psi^n(r), where n factors into window primes; psi^1 = id.
 
-    r becomes a series of SeriesRing(R, N), which each psi^p of the
-    factorisation of n is composed into, and comes back to the carrier's
-    domain.  At N = 0 the series is its constant term, unchanged by every
-    psi^p = x = 0, in the window or not.
+    r, as a series, is composed into each psi^p of the factorisation of
+    n.  At N = 0 every psi^p is x = 0, in the window or not.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -454,70 +427,45 @@ def axiom_check(S, samples=None, nmax=3, bound=None):
     dom = S.carrier.domain
     samples = [dom.coerce(s) for s in (samples or default_samples(S.carrier))]
     one = dom.one()
-    zero = dom.zero()
+    lam = [S.lambda_values(max(nmax, bound), r) for r in samples]
 
-    lam = {}
-    need = max(nmax, bound)
-    for r in samples:
-        lam[id(r)] = (r, S.lambda_values(need, r))
-
-    report.add("lambda^0(r) = 1", all(v[1][0] == one for v in lam.values()))
-    report.add("lambda^1(r) = r", all(v[1][1] == v[0] for v in lam.values()))
+    report.add("lambda^0(r) = 1", all(lr[0] == one for lr in lam))
+    report.add("lambda^1(r) = r", all(lr[1] == r for r, lr in zip(samples, lam)))
     lam_one = S.lambda_values(nmax, one)
-    report.add(
-        f"lambda^n(1) = 0 for 1 < n <= {nmax}",
-        all(lam_one[k] == zero for k in range(2, nmax + 1)),
-    )
+    report.add(f"lambda^n(1) = 0 for 1 < n <= {nmax}",
+               all(v == dom.zero() for v in lam_one[2:]))
 
-    pairs = [(samples[i], samples[j]) for i in range(len(samples))
-             for j in range(i, len(samples))]
-    for r, s in pairs:
-        lr, ls = lam[id(r)][1], lam[id(s)][1]
-        lsum = S.lambda_values(nmax, r + s)
-        for n in range(1, nmax + 1):
-            acc = None
-            for i in range(n + 1):
-                term = lr[i] * ls[n - i]
-                acc = term if acc is None else acc + term
-            report.add(
-                f"additivity lambda^{n}(r+s) at ({dom.format(r)}; {dom.format(s)})",
-                lsum[n] == acc,
-            )
-        lprod = S.lambda_values(nmax, r * s)
-        for n in range(1, nmax + 1):
-            P = universal_P(n)
-            values = {}
-            for k in range(1, n + 1):
-                values[f"a{k}"] = lr[k]
-                values[f"b{k}"] = ls[k]
-            report.add(
-                f"product lambda^{n}(rs) at ({dom.format(r)}; {dom.format(s)})",
-                lprod[n] == P.evaluate(values, one),
-            )
+    for i, (r, lr) in enumerate(zip(samples, lam)):
+        for s, ls in zip(samples[i:], lam[i:]):
+            at = f"at ({dom.format(r)}; {dom.format(s)})"
+            lsum = S.lambda_values(nmax, r + s)
+            for n in range(1, nmax + 1):
+                acc = lr[0] * ls[n]
+                for k in range(1, n + 1):
+                    acc = acc + lr[k] * ls[n - k]
+                report.add(f"additivity lambda^{n}(r+s) {at}", lsum[n] == acc)
+            lprod = S.lambda_values(nmax, r * s)
+            for n in range(1, nmax + 1):
+                values = {f"{c}{k}": v[k] for k in range(1, n + 1)
+                          for c, v in (("a", lr), ("b", ls))}
+                report.add(f"product lambda^{n}(rs) {at}",
+                           lprod[n] == universal_P(n).evaluate(values, one))
 
-    for r in samples:
-        lr = lam[id(r)][1]
+    for r, lr in zip(samples, lam):
         for m in range(1, bound + 1):
-            for n in range(1, bound // m + 1):
-                if m == 1 and n == 1:
-                    continue
+            for n in range(2 if m == 1 else 1, bound // m + 1):
                 P = universal_Pcomp(m, n, bound=bound)
                 values = {f"a{k}": lr[k] for k in range(1, m * n + 1)}
-                lhs = lambda_values(S, m, lr[n])[m]
                 report.add(
                     f"composition lambda^{m}(lambda^{n}(r)) at {dom.format(r)}",
-                    lhs == P.evaluate(values, one),
+                    lambda_values(S, m, lr[n])[m] == P.evaluate(values, one),
                 )
 
-    for r in samples:
+    for r, lr in zip(samples, lam):
         val = S.carrier.valuation(r)
-        if val is None or val < 1:
-            continue
-        lr = lam[id(r)][1]
-        ok = all(
-            S.carrier.valuation(lr[i]) >= val for i in range(1, nmax + 1)
-        )
-        report.add(f"filtration closure at {dom.format(r)}", ok)
+        if val is not None and val >= 1:
+            ok = all(S.carrier.valuation(v) >= val for v in lr[1 : nmax + 1])
+            report.add(f"filtration closure at {dom.format(r)}", ok)
     return report
 
 
@@ -543,8 +491,7 @@ def make_dual_structure(base, multipliers, primes=None):
     here, at construction.
     """
     primes = tuple(sorted(multipliers)) if primes is None else tuple(primes)
-    carrier = Carrier.dual_numbers(base)
-    return LambdaStructure(carrier, primes, dict(multipliers), check=True)
+    return LambdaStructure(Carrier.dual_numbers(base), primes, multipliers)
 
 
 def dual_iso_test(S1, S2):
@@ -589,10 +536,8 @@ def make_family_structure(carrier, multipliers, primes=None):
 
 def make_series_structure(carrier, series_by_prime, primes=None):
     """Structure from explicit psi^p(x) series (coefficient lists allowed)."""
-    primes = (
-        tuple(sorted(series_by_prime)) if primes is None else tuple(primes)
-    )
-    return LambdaStructure(carrier, primes, dict(series_by_prime))
+    primes = tuple(sorted(series_by_prime)) if primes is None else tuple(primes)
+    return LambdaStructure(carrier, primes, series_by_prime)
 
 
 def standard_structure(kind, ring=None, trunc=8, primes=DEFAULT_PRIMES):
@@ -601,16 +546,10 @@ def standard_structure(kind, ring=None, trunc=8, primes=DEFAULT_PRIMES):
     kind="mult":  psi^p(x) = (1+x)^p - 1   (multiplicative formal group)
     kind="power": psi^p(x) = x^p           (pure Frobenius powers)
     """
-    ring = ring or GroundRing.integers()
-    carrier = Carrier.power_series(ring, trunc)
-    dom = carrier.domain
-    adams = {}
-    for p in primes:
-        if kind == "mult":
-            one = dom.one()
-            adams[p] = (dom.x() + one) ** p - one
-        elif kind == "power":
-            adams[p] = dom.coerce([0] * p + [1])
-        else:
-            raise ValueError(f"unknown standard structure {kind!r}")
+    carrier = Carrier.power_series(ring or GroundRing.integers(), trunc)
+    x, one = carrier.domain.x(), carrier.domain.one()
+    if kind not in ("mult", "power"):
+        raise ValueError(f"unknown standard structure {kind!r}")
+    adams = {p: (x + one) ** p - one if kind == "mult" else x ** p
+             for p in primes}
     return LambdaStructure(carrier, primes, adams)

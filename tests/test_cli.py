@@ -1006,3 +1006,62 @@ def test_structure_file_with_data_outside_the_window_is_a_usage_error(
         code, out, err = run(capsys, *argv, "--structure", str(path))
         assert (code, out) == (2, "")
         assert err == "error: Adams data for primes [5] outside window [2, 3]"
+
+
+def _ground_with_adams():
+    from wittlam.structures import make_binomial_structure
+
+    data = make_binomial_structure(primes=(2, 3)).to_json()
+    data["adams"] = {"2": ["0", "2", "1"], "3": ["0", "3", "3"]}
+    return data
+
+
+def _dual_with_both_keys():
+    data = make_dual_structure(Z, {2: 2, 3: 6}).to_json()
+    data["adams"] = {"2": ["0", "4"], "3": ["0", "6"]}
+    return data
+
+
+def _dual_keyed_adams():
+    data = make_dual_structure(Z, {2: 2, 3: 6}).to_json()
+    data["adams"] = data.pop("adams_dual")
+    return data
+
+
+def _series_keyed_adams_dual():
+    data = standard_structure("mult", trunc=4, primes=(2, 3)).to_json()
+    data["adams_dual"] = data.pop("adams")
+    return data
+
+
+@pytest.mark.parametrize("make, stray", [
+    pytest.param(_ground_with_adams, "adams", id="ground-with-adams"),
+    pytest.param(_dual_with_both_keys, "adams", id="dual-with-both-keys"),
+    pytest.param(_dual_keyed_adams, "adams", id="dual-keyed-adams"),
+    pytest.param(_series_keyed_adams_dual, "adams_dual",
+                 id="series-keyed-adams_dual"),
+])
+def test_structure_file_reads_only_the_adams_key_its_kind_names(
+        capsys, tmp_path, make, stray):
+    data = make()
+    path = tmp_path / "keys.json"
+    path.write_text(json.dumps(data))
+    kind = data["carrier"]["kind"]
+    for argv in (["validate"], ["lift", "-n", "2", "--element", "1"]):
+        code, out, err = run(capsys, *argv, "--structure", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: malformed structure: a {kind} carrier ")
+        assert err.endswith(f", but the structure has {stray!r}")
+
+
+def test_axiom_check_on_a_two_prime_window_uses_the_window_depth(
+        capsys, tmp_path):
+    code, out, _ = run(capsys, "dual", "make", "--ring", "Z", "--a", "2=2,3=6")
+    path = tmp_path / "dual23.json"
+    path.write_text(out)
+    code, out, _ = run(capsys, "axiom-check", "--structure", str(path))
+    assert code == 0 and "composition lambda^4(lambda^1(r)) at 0 + 1*eps" in out
+    code, out, err = run(capsys, "axiom-check", "--structure", str(path),
+                         "--bound", "6")
+    assert (code, out, err) == (
+        2, "", "error: psi^5 needs primes [5] outside window [2, 3]")

@@ -1,10 +1,11 @@
 """Structures: validation, Adams application, the Newton lift, axioms."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from wittlam.errors import (IntegralityError, PrimeWindowError,
+from wittlam.errors import (InputError, IntegralityError, PrimeWindowError,
                             RingMismatchError, UnsupportedRingError,
                             WilkersonError)
 from wittlam.ground import GroundRing, binom_fraction
@@ -14,7 +15,7 @@ from wittlam.structures import (Carrier, LambdaStructure, adams_apply,
                                 lambda_values, make_binomial_structure,
                                 make_dual_structure, make_family_structure,
                                 make_series_structure, standard_structure,
-                                validate)
+                                validate, window_depth)
 
 Z = GroundRing.integers()
 Q = GroundRing.rationals()
@@ -244,3 +245,123 @@ def test_default_samples_shapes():
     assert len(default_samples(Carrier.ground(Z))) == 3
     assert len(default_samples(Carrier.dual_numbers(Z))) == 3
     assert len(default_samples(Carrier.power_series(Z, 5))) == 3
+
+
+def _payloads(values):
+    return [v.payload for v in values]
+
+
+def _frobenius_flags(report):
+    """The Frobenius verdicts of a validate report, one per window prime."""
+    return [ok for name, ok, _ in report.checks if "frobenius" in name]
+
+
+def test_dual_numbers_agree_with_the_degree_two_truncation():
+    # R[eps] is R[x]/x^2: psi^p = a_p x must act, lift and validate alike,
+    # also for multipliers that are not p-divisible (unchecked candidates)
+    rng = random.Random(17)
+    for ring in (Z, GroundRing.localized([2]), Q):
+        for _ in range(6):
+            mult = {p: rng.randint(-3, 3) * rng.choice((1, p)) for p in (2, 3, 5)}
+            D = LambdaStructure(Carrier.dual_numbers(ring), (2, 3, 5), mult,
+                                check=False)
+            carrier = Carrier.trunc_poly(ring, 2)
+            x = carrier.domain.x()
+            T = make_series_structure(carrier, {p: x * a for p, a in mult.items()})
+            assert _frobenius_flags(validate(D)) == _frobenius_flags(validate(T))
+            assert validate(D).passed == validate(T).passed
+            for _ in range(4):
+                a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+                r = D.carrier.domain.coerce((a, b))
+                s = T.carrier.domain.coerce([a, b])
+                for n in (1, 2, 3, 4, 6, 9, 10):
+                    assert (adams_apply(D, n, r).payload
+                            == adams_apply(T, n, s).payload)
+                try:
+                    lam = _payloads(lambda_values(D, 6, r))
+                except WilkersonError as exc:
+                    with pytest.raises(WilkersonError) as info:
+                        lambda_values(T, 6, s)
+                    assert info.value.degree == exc.degree
+                else:
+                    assert lam == _payloads(lambda_values(T, 6, s))
+    D1 = make_dual_structure(Z, {2: 2, 3: 3})
+    T1 = make_series_structure(Carrier.trunc_poly(Z, 2), {2: [0, 2], 3: [0, 3]})
+    T2 = make_series_structure(Carrier.trunc_poly(Z, 2), {2: [0, 4], 3: [0, 3]})
+    assert dual_iso_test(D1, D1) and dual_iso_test(T1, T1)
+    assert not dual_iso_test(T1, T2)
+
+
+def test_ground_structure_agrees_with_its_image_mod_x():
+    # psi fixes R, so on the constants of any series structure over R the
+    # lift is the ground (binomial) one: its image in R[x]/x is the ground
+    rng = random.Random(5)
+    for ring, dens in ((Z, (1,)), (GroundRing.localized([2]), (1, 2, 4)),
+                       (Q, (1, 3, 10))):
+        S = make_binomial_structure(ring)
+        T = standard_structure("mult", ring=ring, trunc=3)
+        for _ in range(8):
+            r = ring.coerce(Fraction(rng.randint(-20, 20), rng.choice(dens)))
+            c = T.carrier.domain.coerce(r)
+            assert adams_apply(S, 30, r) == r  # psi^n = id, any n
+            lam = lambda_values(S, 6, r)
+            assert _payloads(lam) == [v.payload[0] for v in lambda_values(T, 6, c)]
+            assert S.carrier.to_series(r).payload == (r.payload,)
+    # over dual(Z) the ground fails Frobenius exactly where a series
+    # structure over dual(Z) does: at eps, for every window prime
+    DZ = GroundRing.dual(Z)
+    G = LambdaStructure(Carrier.ground(DZ), (2, 3))
+    carrier = Carrier.power_series(DZ, 3)
+    x = carrier.domain.x()
+    T = make_series_structure(carrier, {p: x ** p for p in (2, 3)})
+    assert _frobenius_flags(validate(G)) == _frobenius_flags(validate(T)) == [False] * 2
+
+
+def test_carrier_and_structure_errors_are_input_errors():
+    with pytest.raises(InputError, match="unknown carrier kind"):
+        Carrier.from_json({"kind": "laurent", "ring": Z.to_json()})
+    with pytest.raises(InputError, match="must not be dual"):
+        Carrier.dual_numbers(GroundRing.dual(Z))
+    with pytest.raises(InputError, match="missing Adams data"):
+        LambdaStructure(Carrier.power_series(Z, 4), (2, 3), {2: [0, 2, 1]})
+    with pytest.raises(InputError, match=r"psi\^2\(0\) != 0"):
+        LambdaStructure(Carrier.power_series(Z, 4), (2,), {2: [1, 2, 1]})
+    with pytest.raises(InputError, match="carry no Adams data"):
+        LambdaStructure(Carrier.ground(Z), (2,), {2: [0, 1]})
+
+
+def test_wilkerson_errors_name_prime_degree_and_element():
+    with pytest.raises(WilkersonError) as info:
+        make_dual_structure(Z, {2: 2, 3: 4})
+    err = info.value
+    assert str(err) == "a_3 = 4 is not 3-divisible in Z"
+    assert (err.prime, err.degree) == (3, 3)
+    assert err.element == Carrier.dual_numbers(Z).x()
+    carrier = Carrier.power_series(Z, 6)
+    x = carrier.domain.x()
+    S = make_series_structure(carrier, {p: x for p in (2, 3)})
+    with pytest.raises(WilkersonError) as info:
+        lambda_values(S, 5, x + x * x)
+    err = info.value
+    assert (err.prime, err.degree, err.element) == (2, 2, x + x * x)
+    G = LambdaStructure(Carrier.ground(GroundRing.dual(Z)), (2, 3))
+    r = G.carrier.domain.coerce((2, 1))
+    with pytest.raises(WilkersonError) as info:
+        lambda_values(G, 4, r)
+    assert (info.value.prime, info.value.degree, info.value.element) == (2, 2, r)
+
+
+def test_axiom_check_depth_follows_the_window():
+    assert window_depth(make_dual_structure(Z, {2: 2, 3: 6})) == 4
+    assert window_depth(standard_structure("mult", trunc=4, primes=(2,))) == 2
+    assert window_depth(standard_structure("mult", trunc=4, primes=(2, 3, 5))) == 6
+    assert window_depth(standard_structure("mult", trunc=4, primes=(3, 5))) == 1
+    assert window_depth(make_binomial_structure(primes=(2,))) == 6
+    S = standard_structure("mult", trunc=6, primes=(2, 3))
+    report = axiom_check(S)
+    assert report.passed
+    names = [name for name, _, _ in report.checks]
+    assert "composition lambda^4(lambda^1(r)) at 0,1,0,0,0,0,0" in names
+    assert not any("lambda^5" in name for name in names)
+    with pytest.raises(PrimeWindowError):
+        axiom_check(S, bound=6)  # an explicit depth is kept
