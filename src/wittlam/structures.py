@@ -340,7 +340,7 @@ def adams_apply(S, n, r):
     """psi^n(r), where n factors into window primes; psi^1 = id.
 
     r, as a series, is composed into each psi^p of the factorisation of
-    n.  At N = 0 every psi^p is x = 0, in the window or not.
+    n.  At N = 0 every psi^p is x = 0 = id, in the window or not.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -356,9 +356,10 @@ def adams_apply(S, n, r):
         )
     f = carrier.to_series(r)
     for p, e in sorted(factors.items()):
-        psi = S.adams.get(p, carrier.series.x())
+        if p not in S.adams:
+            continue  # N = 0, where psi^p = x = 0 fixes every constant
         for _ in range(e):
-            f = compose(f, psi)
+            f = compose(f, S.adams[p])
     return carrier.from_series(f)
 
 
