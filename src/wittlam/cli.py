@@ -352,8 +352,7 @@ def build_parser():
     q.add_argument("--structure", required=True)
     q.add_argument("--nmax", type=int, default=3)
     q.add_argument("--bound", type=int, default=None,
-                   help="composition depth (default: the largest d <= "
-                        f"{DEFAULT_PCOMP_BOUND} whose n all factor over the window)")
+                   help="composition depth (default: derived from the window)")
     common(q, ring=False, N=False)
     q.set_defaults(func=cmd_axiom_check)
 

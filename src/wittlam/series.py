@@ -323,6 +323,8 @@ def compose(f, g):
     ring, N = dom.ground, dom.trunc
     if not ring._pis_zero(gp[0]):
         raise ValueError("composition requires g(0) = 0")
+    if N == 0:
+        return f  # g = 0 mod x, so f(g) = f(0) = f
     if ring.kind == ZLOC:
         # f(g) = sum_k F_k d_g^(N-k) G^k / (d_f d_g^N)
         F, df = _lift(fp)

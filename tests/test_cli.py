@@ -1065,3 +1065,30 @@ def test_axiom_check_on_a_two_prime_window_uses_the_window_depth(
                          "--bound", "6")
     assert (code, out, err) == (
         2, "", "error: psi^5 needs primes [5] outside window [2, 3]")
+
+
+def test_dual_iso_compares_any_common_carrier_with_N_1(capsys, tmp_path):
+    paths = {}
+    for name, argv in [
+        ("t23", ["family", "make", "--ring", "Q", "--carrier", "trunc:2",
+                 "--a", "2=2,3=3"]),
+        ("t25", ["family", "make", "--ring", "Q", "--carrier", "trunc:2",
+                 "--a", "2=2,3=5"]),
+        ("t3", ["family", "make", "--ring", "Q", "--carrier", "trunc:3",
+                "--a", "2=2,3=3"]),
+        ("dual", ["dual", "make", "--ring", "Q", "--a", "2=2,3=3"]),
+    ]:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(out)
+
+    def iso(a, b):
+        return run(capsys, "dual", "iso", "--s1", str(paths[a]),
+                   "--s2", str(paths[b]))
+
+    assert iso("t23", "t23") == (0, "isomorphic", "")
+    assert iso("t23", "t25") == (1, "not isomorphic", "")
+    mismatch = "error: dual_iso_test needs one common carrier with N = 1"
+    for a, b in [("t3", "t3"), ("t23", "dual")]:
+        assert iso(a, b) == (2, "", mismatch)

@@ -10,7 +10,9 @@ from wittlam.errors import (InputError, IntegralityError, PrimeWindowError,
                             WilkersonError)
 from wittlam.ground import GroundRing, binom_fraction
 from wittlam.lambda_witt import coalgebra_check
-from wittlam.structures import (Carrier, LambdaStructure, adams_apply,
+from wittlam.series import SeriesRing
+from wittlam.structures import (DUAL_NUMBERS, GROUND, TRUNC_POLY, Carrier,
+                                LambdaStructure, adams_apply,
                                 axiom_check, default_samples, dual_iso_test,
                                 lambda_values, make_binomial_structure,
                                 make_dual_structure, make_family_structure,
@@ -322,12 +324,27 @@ def test_carrier_and_structure_errors_are_input_errors():
         Carrier.from_json({"kind": "laurent", "ring": Z.to_json()})
     with pytest.raises(InputError, match="must not be dual"):
         Carrier.dual_numbers(GroundRing.dual(Z))
+    with pytest.raises(InputError, match="must not be dual"):
+        Carrier(DUAL_NUMBERS, GroundRing.dual(Z), 1)
     with pytest.raises(InputError, match="missing Adams data"):
         LambdaStructure(Carrier.power_series(Z, 4), (2, 3), {2: [0, 2, 1]})
     with pytest.raises(InputError, match=r"psi\^2\(0\) != 0"):
         LambdaStructure(Carrier.power_series(Z, 4), (2,), {2: [1, 2, 1]})
     with pytest.raises(InputError, match="carry no Adams data"):
         LambdaStructure(Carrier.ground(Z), (2,), {2: [0, 1]})
+
+
+def test_the_kind_fixes_the_domain_and_the_ground_and_dual_truncations():
+    for carrier, trunc, domain in [
+        (Carrier(GROUND, Z, 0), 0, Z),
+        (Carrier(GROUND, Z, 3), 0, Z),
+        (Carrier(DUAL_NUMBERS, Z), 1, GroundRing.dual(Z)),
+        (Carrier(TRUNC_POLY, Z, 1), 1, SeriesRing(Z, 1)),
+    ]:
+        assert (carrier.trunc, carrier.domain) == (trunc, domain)
+        assert carrier.series == SeriesRing(Z, trunc)
+    assert Carrier(GROUND, Z, 0) == Carrier.ground(Z)
+    assert Carrier(DUAL_NUMBERS, Z, 1) == Carrier.dual_numbers(Z)
 
 
 def test_wilkerson_errors_name_prime_degree_and_element():
