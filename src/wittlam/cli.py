@@ -350,7 +350,8 @@ def build_parser():
 
     q = sub.add_parser("axiom-check", help="lambda-ring axiom report")
     q.add_argument("--structure", required=True)
-    q.add_argument("--nmax", type=int, default=3)
+    q.add_argument("--nmax", type=int, default=None,
+                   help="top product degree (default: min(3, window depth))")
     q.add_argument("--bound", type=int, default=None,
                    help="composition depth (default: derived from the window)")
     common(q, ring=False, N=False)

@@ -403,7 +403,13 @@ def lambda_values(S, n, r):
 #: Documented deterministic sample sets for axiom and filtration checks.
 def default_samples(carrier):
     if carrier.kind == GROUND:
-        return [carrier.ring.from_int(v) for v in (-2, 2, 3)]
+        ring = carrier.ring
+        samples = [ring.from_int(v) for v in (-2, 2, 3)]
+        if ring.kind == DUAL:
+            # the integers never reach eps, where psi^p = id can fail to lift
+            # Frobenius (see `_ground_frobenius_failure`)
+            samples += [ring.coerce((0, 1)), ring.coerce((2, 1))]
+        return samples
     if carrier.kind == DUAL_NUMBERS:
         dom = carrier.domain
         return [dom.coerce((0, 1)), dom.coerce((2, 3)), dom.coerce((-1, 2))]
@@ -421,15 +427,17 @@ def window_depth(S):
     return d
 
 
-def axiom_check(S, samples=None, nmax=3, bound=None):
+def axiom_check(S, samples=None, nmax=None, bound=None):
     """Evaluate the lambda-ring axiom list on sampled elements.
 
     Covers: lambda^0 = 1, lambda^1 = id, lambda^n(1) = 0 for n > 1,
-    additivity via the Cauchy convolution, products via P_n, compositions
-    via P_{m,n} for mn <= bound (by default `window_depth(S)`), plus
-    filtration closure val(lambda^i(r)) >= val(r) on samples inside the
-    filtration ideal.
+    additivity and products via P_n for n <= nmax (by default
+    min(3, `window_depth(S)`)), compositions via P_{m,n} for mn <= bound
+    (by default `window_depth(S)`), plus filtration closure
+    val(lambda^i(r)) >= val(r) on samples inside the filtration ideal.
     """
+    if nmax is None:
+        nmax = min(3, window_depth(S))
     if bound is None:
         bound = window_depth(S)
     report = Report()

@@ -20,6 +20,18 @@ Both constructions run in integer term dicts, and each result is checked
 integral where it is built, before it enters the memo `GLOBAL_CACHE`.
 Polynomials are sparse dicts from exponent tuples to int/Fraction
 coefficients ("term dicts"); zero coefficients are never stored.
+
+Inside the builders a monomial is one packed int (Monagan and Pearce,
+CASC 2007): over e_1..e_K the exponent of e_k sits in bits
+[B(k-1), Bk) with B = K.bit_length().  Every dict a builder makes is
+isobaric of weight at most K (e_k has weight k): P_n has n variables a
+side and weight n, and P_{m,n} has K = mn variables and weight K.  So
+no exponent reaches 2^B, and adding two keys is the monomial product,
+with no carry into the next field.  Each builder unpacks its keys to
+exponent tuples once, just before `MPoly._integral`.  `MPoly`'s own
+product stays on tuples, because its operands are not isobaric and its
+terms do not collapse, so packing and unpacking them costs more than
+the packed product saves.
 """
 
 from fractions import Fraction
@@ -97,16 +109,6 @@ def _add_into(dst, src, scale=1):
                 else:
                     del dst[e]
     return dst
-
-
-def _mul_monomial(a, expo, coeff):
-    """a * coeff*x^expo as a fresh dict; coeff must be nonzero."""
-    out = {}
-    if not coeff:
-        return out
-    for e, c in a.items():
-        out[tuple(map(_add, e, expo))] = c * coeff
-    return out
 
 
 def _scaled(a, scale):
@@ -434,16 +436,60 @@ def _conjugate(lam):
     return tuple(sum(1 for part in lam if part > j) for j in range(lam[0]))
 
 
+# -- packed monomials (the builders only; see the module docstring) ----------
+
+
+def _width(nvars):
+    """Bits per exponent field in a packed key over e_1..e_nvars: every
+    builder dict is isobaric of weight <= nvars, so no exponent exceeds
+    nvars < 2**nvars.bit_length()."""
+    return nvars.bit_length()
+
+
 def _units(nvars):
-    """Exponent tuples of 1, e_1, ..., e_nvars over e_1..e_nvars."""
-    return [
-        tuple(int(v == k) for v in range(1, nvars + 1)) for k in range(nvars + 1)
-    ]
+    """Packed keys of 1, e_1, ..., e_nvars over e_1..e_nvars."""
+    width = _width(nvars)
+    return [0] + [1 << width * k for k in range(nvars)]
+
+
+def _unpacker(nvars):
+    """The map from a packed key over e_1..e_nvars to its exponent tuple."""
+    width = _width(nvars)
+    mask = (1 << width) - 1
+    shifts = range(0, width * nvars, width)
+    return lambda key: tuple(key >> s & mask for s in shifts)
+
+
+def _mul_packed(a, b):
+    """Product of two packed term dicts: a key sum is the monomial product."""
+    out = {}
+    if not a or not b:
+        return out
+    if len(b) > len(a):
+        a, b = b, a
+    for eb, cb in b.items():
+        for ea, ca in a.items():
+            ec = ea + eb
+            c = out.get(ec)
+            if c is None:
+                out[ec] = ca * cb
+            else:
+                c = c + ca * cb
+                if c:
+                    out[ec] = c
+                else:
+                    del out[ec]
+    return out
+
+
+def _mul_monomial(a, expo, coeff):
+    """a * coeff*x^expo as a fresh packed dict; coeff must be nonzero."""
+    return {e + expo: c * coeff for e, c in a.items()}
 
 
 def _jacobi_trudi(nvars):
     """The map lam -> D(lam) = det(e_{lam_i - i + j}) over e_1..e_nvars, as
-    term dicts, memoised on the partition for the life of the returned
+    packed term dicts, memoised on the partition for the life of the returned
     function.
 
     By dual Jacobi-Trudi D(lam) is the Schur function of the partition
@@ -504,18 +550,22 @@ def universal_P(n):
         return got
 
     det = _jacobi_trudi(n)
-    rows = {}  # a-side exponent -> the b-side term dict it multiplies
+    rows = {}  # packed a-side key -> the b-side term dict it multiplies
     for lam in _partitions(n):
         b_side = det(lam)
         for ea, ca in det(_conjugate(lam)).items():
             _add_into(rows.setdefault(ea, {}), b_side, ca)
-    out = {ea + eb: c for ea, row in rows.items() for eb, c in row.items()}
+    # both sides pack alike over n variables: unpack each distinct key once
+    unpack = _unpacker(n)
+    expo = {key: unpack(key) for key in set(rows).union(*rows.values())}
+    out = {expo[ea] + expo[eb]: c
+           for ea, row in rows.items() for eb, c in row.items()}
     poly = MPoly._integral(_avars(n) + _bvars(n), out, f"P_{n}")
     return GLOBAL_CACHE.P.setdefault(n, poly)
 
 
 def _power_sums(K):
-    """p_1..p_K in a_k = e_k (k <= K) as term dicts, index 0 unused.
+    """p_1..p_K in a_k = e_k (k <= K) as packed term dicts, index 0 unused.
 
     Newton's identities (Macdonald I (2.11')):
     p_k = sum_{r<k} (-1)^{r-1} e_r p_{k-r} + (-1)^{k-1} k e_k.
@@ -530,19 +580,19 @@ def _power_sums(K):
     return p
 
 
-def _newton_e(p, top, nvars):
-    """e_0..e_top of an alphabet from its power sums p_1..p_top, term dicts
-    over nvars variables with p[0] unused.
+def _newton_e(p, top):
+    """e_0..e_top of an alphabet from its power sums p_1..p_top, packed
+    term dicts with p[0] unused.
 
     Newton's identity (Macdonald I (2.11')) j*e_j = sum_{r=1}^{j}
     (-1)^(r-1) e_{j-r} p_r, divided exactly by j in integers: a nonzero
     remainder means e_j is not integral and raises IntegralityError.
     """
-    e = [{(0,) * nvars: 1}]
+    e = [{0: 1}]
     for j in range(1, top + 1):
         acc = {}
         for r in range(1, j + 1):
-            _add_into(acc, _mul(e[j - r], p[r]), 1 if r % 2 else -1)
+            _add_into(acc, _mul_packed(e[j - r], p[r]), 1 if r % 2 else -1)
         ej = {}
         for expo, c in acc.items():
             q, rem = divmod(c, j)
@@ -567,7 +617,7 @@ def universal_Pcomp(m, n, bound=DEFAULT_PCOMP_BOUND):
         (themselves Newton's identities in the a's, `_power_sums`);
       * P_{m,n} is e_m of the alphabet whose power sums are those p_i[e_n].
 
-    Every step stays in integer term dicts over Z[a_1..a_K].
+    Every step stays in packed integer term dicts over Z[a_1..a_K].
     """
     if m < 1 or n < 1:
         raise ValueError("m, n must be >= 1")
@@ -583,10 +633,12 @@ def universal_Pcomp(m, n, bound=DEFAULT_PCOMP_BOUND):
     p = _power_sums(K)
     # p[i::i][:n] is p_i, p_2i, ..., p_ni: the power sums of {x^i}
     psums = [None] + [
-        _newton_e([None] + p[i::i][:n], n, K)[n] for i in range(1, m + 1)
+        _newton_e([None] + p[i::i][:n], n)[n] for i in range(1, m + 1)
     ]
+    unpack = _unpacker(K)
+    terms = {unpack(e): c for e, c in _newton_e(psums, m)[m].items()}
     av = _avars(K)
-    poly = MPoly._integral(av, _newton_e(psums, m, K)[m], f"P_({m},{n})")
+    poly = MPoly._integral(av, terms, f"P_({m},{n})")
     # sanity anchors: lambda^1 lambda^n = lambda^n and lambda^m lambda^1 = lambda^m
     if m == 1 or n == 1:
         expect = MPoly.gen(av, f"a{max(m, n)}")

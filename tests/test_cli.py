@@ -220,6 +220,18 @@ def test_axiom_and_coalgebra_check(capsys, mult_file):
     assert code == 0
 
 
+def test_axiom_check_default_degree_stays_in_a_one_prime_window(capsys,
+                                                                 tmp_path):
+    # the window (2) reaches psi^2 only, so the default nmax is 2, not 3
+    path = tmp_path / "dual2.json"
+    assert run(capsys, "dual", "make", "--ring", "Z", "--a", "2=2",
+               "-o", str(path))[0] == 0
+    code, out, err = run(capsys, "axiom-check", "--structure", str(path))
+    assert (code, err) == (0, "")
+    assert "pass  lambda^n(1) = 0 for 1 < n <= 2" in out.splitlines()
+    assert "FAIL" not in out and "lambda^3" not in out
+
+
 def test_dual_make_and_iso(capsys, tmp_path):
     code, out, _ = run(capsys, "dual", "make", "--ring", "Z", "--a", "2=2,3=6")
     assert code == 0

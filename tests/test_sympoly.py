@@ -1,7 +1,8 @@
 """Symmetric-function engine and the universal polynomials.
 
-The oracles here are deliberately primitive: a self-contained dict-based
-polynomial multiplier (independent of the library's term helpers),
+The oracles here are deliberately primitive: self-contained term helpers
+over exponent tuples (a multiplier, an accumulator, a monomial shift and
+Newton's power sums), independent of the library's packed-key kernel,
 brute-force expansions of e_n over explicit subsets, the classical
 bisymmetric reduction coded independently, the explicit-variable routes
 that expand in x_1..x_K and reduce with naive_express, and substitution
@@ -26,11 +27,48 @@ import pytest
 from wittlam.errors import BoundExceededError, IntegralityError
 from wittlam.ground import binom_fraction
 from wittlam.sympoly import (GLOBAL_CACHE, MPoly, _add_into, _avars, _bvars,
-                             _conjugate, _mul, _mul_monomial, _newton_e,
-                             _partitions, _power_sums, _units, format_terms,
-                             parse_poly, universal_P, universal_Pcomp)
+                             _conjugate, _mul, _newton_e, _partitions,
+                             format_terms, parse_poly, universal_P,
+                             universal_Pcomp)
 
 # -- independent oracle machinery -------------------------------------------
+
+
+def naive_add_into(dst, src, scale=1):
+    """dst += scale*src over exponent tuples, zeros dropped; returns dst."""
+    for e, c in src.items():
+        v = dst.get(e, 0) + scale * c
+        if v:
+            dst[e] = v
+        else:
+            dst.pop(e, None)
+    return dst
+
+
+def naive_units(nvars):
+    """Exponent tuples of 1, e_1, ..., e_nvars over e_1..e_nvars."""
+    return [tuple(int(v == k) for v in range(1, nvars + 1))
+            for k in range(nvars + 1)]
+
+
+def naive_shift(a, expo, coeff):
+    """a * coeff*x^expo over exponent tuples."""
+    return {tuple(x + y for x, y in zip(e, expo)): coeff * c
+            for e, c in a.items()}
+
+
+def naive_power_sums(K):
+    """p_1..p_K in a_k = e_k as tuple term dicts by Newton's identities,
+    index 0 unused."""
+    units = naive_units(K)
+    p = [None]
+    for k in range(1, K + 1):
+        pk = {units[k]: k if k % 2 else -k}
+        for r in range(1, k):
+            naive_add_into(pk, naive_shift(p[k - r], units[r], 1),
+                           1 if r % 2 else -1)
+        p.append(pk)
+    return p
 
 
 def naive_mul(a, b):
@@ -195,7 +233,7 @@ def row_expanded_det(lam, nvars):
     """det(e_{lam_i - i + j}) over e_1..e_nvars, expanded along rows and
     memoised on the set of columns the rows above have used."""
     r = len(lam)
-    units = _units(nvars)
+    units = naive_units(nvars)
     memo = {}
 
     def expand(used, i):
@@ -212,7 +250,7 @@ def row_expanded_det(lam, nvars):
             k = lam[i] - i + j
             if k >= 0:
                 minor = expand(used | 1 << j, i + 1)
-                _add_into(out, _mul_monomial(minor, units[k], sign))
+                naive_add_into(out, naive_shift(minor, units[k], sign))
             sign = -sign
         memo[used] = out
         return out
@@ -227,7 +265,8 @@ def row_expanded_universal_P(n):
     for lam in _partitions(n):
         b_side = row_expanded_det(lam, n)
         for ea, ca in row_expanded_det(_conjugate(lam), n).items():
-            _add_into(out, {ea + eb: ca * cb for eb, cb in b_side.items()})
+            naive_add_into(out, {ea + eb: ca * cb
+                                 for eb, cb in b_side.items()})
     return MPoly(_avars(n) + _bvars(n), out)
 
 
@@ -237,7 +276,7 @@ def class_sum_universal_Pcomp(m, n):
     in Fractions, then Newton's identity for e_m of the subset products."""
     K = m * n
     av = _avars(K)
-    p = _power_sums(K)
+    p = naive_power_sums(K)
     # n!/z_rho is the size of the conjugacy class of cycle type rho
     classes = []
     for rho in _partitions(n):
@@ -252,8 +291,8 @@ def class_sum_universal_Pcomp(m, n):
         for rho, size in classes:
             term = {(0,) * K: size}
             for part in rho:
-                term = _mul(term, p[i * part])
-            _add_into(acc, term)
+                term = naive_mul(term, p[i * part])
+            naive_add_into(acc, term)
         psums.append(MPoly(av, acc) * Fraction(1, factorial(n)))
     E = [MPoly.one(av)]
     for j in range(1, m + 1):
@@ -409,15 +448,17 @@ def test_universal_Pcomp_matches_class_sum_route(m, n):
 
 
 def test_newton_e_recovers_elementary_and_rejects_inexact_division():
+    # packed keys: the constant monomial is 0, and in one variable t the
+    # key of t^k is k
     # the power sums of the alphabet {2, 3}: e_1 = 5, e_2 = 6, e_3 = 0
-    p = [None] + [{(): 2 ** k + 3 ** k} for k in range(1, 4)]
-    assert _newton_e(p, 3, 0) == [{(): 1}, {(): 5}, {(): 6}, {}]
+    p = [None] + [{0: 2 ** k + 3 ** k} for k in range(1, 4)]
+    assert _newton_e(p, 3) == [{0: 1}, {0: 5}, {0: 6}, {}]
     # p_1 = 1, p_2 = 0 would need e_2 = 1/2
     with pytest.raises(IntegralityError):
-        _newton_e([None, {(): 1}, {}], 2, 0)
+        _newton_e([None, {0: 1}, {}], 2)
     # in one variable t: p_1 = t, p_2 = 2t^2 + 1 needs e_2 = -1/2 (2*e_2 = -1)
     with pytest.raises(IntegralityError):
-        _newton_e([None, {(1,): 1}, {(2,): 2, (0,): 1}], 2, 1)
+        _newton_e([None, {1: 1}, {2: 2, 0: 1}], 2)
 
 
 def test_universal_polys_at_integer_roots():
