@@ -18,15 +18,18 @@ which compares and hashes equal to the int.  Polynomial payloads are
 MPoly; dual payloads are (a, b) pairs of base payloads standing for
 a + b*eps.  Elements are immutable and freely shareable.
 
-Payload kernel.  The `_p*` methods of a GroundRing (`_padd`, `_psub`,
-`_pneg`, `_pmul`, `_pscale` by an int, `_ppow`, `_pis_zero`, `_pdiv_int`,
-and the constants `_pzero`, `_pfrom_int`) compute on element payloads
-directly.  `int / n` would be a float, so code divides only through
-`_pdiv_int`, which returns an int for an integral quotient.  `_unwrap`
-reads an element's payload and `_wrap` builds an element around a
-payload.  SeriesRing (`series`) implements the same protocol, so
-`lambda_witt` and `structures` run one loop over every coefficient
-domain.
+Payload kernel.  The `_p*` operations of a GroundRing compute on
+element payloads directly.  `__init__` binds six of them per kind, as
+plain functions in instance slots: `_padd`, `_psub`, `_pneg`, `_pmul`,
+`_pscale` (by an int or a Fraction) and `_pis_zero` are `operator.add`,
+`sub`, `neg`, `mul`, `mul` and `not_` on Z[S^-1] and Q[y..], and the
+`_dual_*` pair functions on dual numbers.  `_ppow`, `_pdiv_int` and the
+constants `_pzero`, `_pfrom_int` need ring data and stay methods.
+`int / n` would be a float, so code divides only through `_pdiv_int`,
+which returns an int for an integral quotient.  `_unwrap` reads an
+element's payload and `_wrap` builds one around a payload.  SeriesRing
+(`series`) implements the same protocol, so `lambda_witt` and
+`structures` run one loop over every coefficient domain.
 """
 
 import math
@@ -183,16 +186,56 @@ class PrimeSet:
 ZLOC, QPOLY, DUAL = "localized_integers", "rational_poly", "dual_numbers"
 
 
+# The payload ops of dual numbers a + b*eps on (a, b) pairs.  A dual base
+# is never dual itself, so its payloads take +, - and * directly.
+
+def _dual_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _dual_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _dual_neg(x):
+    return (-x[0], -x[1])
+
+
+def _dual_mul(x, y):
+    # eps^2 = 0: the cross term is dropped by construction
+    a, b = x
+    c, d = y
+    return (a * c, a * d + b * c)
+
+
+def _dual_scale(x, c):
+    return (x[0] * c, x[1] * c)
+
+
+def _dual_is_zero(x):
+    return not x[0] and not x[1]
+
+
+# (_padd, _psub, _pneg, _pmul, _pscale, _pis_zero) of each kind
+_SCALAR_KERNEL = (operator.add, operator.sub, operator.neg, operator.mul,
+                  operator.mul, operator.not_)
+_DUAL_KERNEL = (_dual_add, _dual_sub, _dual_neg, _dual_mul, _dual_scale,
+                _dual_is_zero)
+
+
 class GroundRing:
     """Descriptor of a coefficient ring; also its element factory."""
 
-    __slots__ = ("kind", "inverted", "variables", "base")
+    __slots__ = ("kind", "inverted", "variables", "base",
+                 "_padd", "_psub", "_pneg", "_pmul", "_pscale", "_pis_zero")
 
     def __init__(self, kind, inverted=None, variables=None, base=None):
         self.kind = kind
         self.inverted = inverted
         self.variables = tuple(variables) if variables is not None else None
         self.base = base
+        (self._padd, self._psub, self._pneg, self._pmul, self._pscale,
+         self._pis_zero) = _DUAL_KERNEL if kind == DUAL else _SCALAR_KERNEL
         if kind == DUAL:
             if base is None or base.kind == DUAL:
                 raise ValueError("dual numbers need a non-dual base ring")
@@ -397,32 +440,6 @@ class GroundRing:
             return MPoly.const(self.variables, n)
         return (self.base._pfrom_int(n), self.base._pzero())
 
-    # A dual base is never dual itself, so its payloads take +, -, * and **
-    # directly: Fractions, ints and MPolys all have them.
-
-    def _padd(self, x, y):
-        if self.kind == DUAL:
-            return (x[0] + y[0], x[1] + y[1])
-        return x + y
-
-    def _psub(self, x, y):
-        if self.kind == DUAL:
-            return (x[0] - y[0], x[1] - y[1])
-        return x - y
-
-    def _pneg(self, x):
-        if self.kind == DUAL:
-            return (-x[0], -x[1])
-        return -x
-
-    def _pmul(self, x, y):
-        if self.kind == DUAL:
-            # eps^2 = 0: the cross term is dropped by construction
-            a, b = x
-            c, d = y
-            return (a * c, a * d + b * c)
-        return x * y
-
     def _ppow(self, x, k):
         """x**k for an integer k >= 0: the payload's own power on Z[S^-1]
         and Q[y..]; (a + b eps)^k = a^k + k a^(k-1) b eps on dual pairs.
@@ -434,16 +451,6 @@ class GroundRing:
         if k == 0:
             return (a ** 0, b * 0)
         return (a ** k, a ** (k - 1) * b * k)
-
-    def _pscale(self, x, c):
-        if self.kind == DUAL:
-            return (x[0] * c, x[1] * c)
-        return x * c
-
-    def _pis_zero(self, x):
-        if self.kind == DUAL:
-            return not x[0] and not x[1]
-        return not x
 
     def _pdiv_int(self, x, n):
         """x / n for a nonzero int n when the quotient stays in the ring;
@@ -515,12 +522,10 @@ class GroundRing:
         if self.kind == QPOLY:
             # p is a unit in a Q-algebra, so divisibility is automatic
             return True
-        if self.kind == DUAL:
-            a, b = elem.payload
-            return self.base.is_p_divisible(
-                RingElement(self.base, a), p
-            ) and self.base.is_p_divisible(RingElement(self.base, b), p)
-        raise UnsupportedRingError(f"p-divisibility unsupported on {self}")
+        a, b = elem.payload
+        return self.base.is_p_divisible(
+            RingElement(self.base, a), p
+        ) and self.base.is_p_divisible(RingElement(self.base, b), p)
 
     def in_ideal(self, elem, ideal):
         if isinstance(ideal, PrimeIdeal):

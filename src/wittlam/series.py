@@ -21,7 +21,9 @@ compositions run on payload lists:
   * over Z[S^-1] (Z, Z[1/p], Q) each operand is lifted to integer
     numerators over the lcm of its denominators, the convolution runs in
     Python ints, and a Fraction is built per output coefficient only
-    when the common denominator is not 1;
+    when the common denominator is not 1; an operand of ints only skips
+    the lift, and `_lift` returns it as it is, so no caller may mutate
+    a lifted list;
   * over Q[y..] and dual numbers the same loops run on the ring's own
     payload operations (_pmul, _padd, _pis_zero).
 
@@ -57,13 +59,15 @@ from .ground import ZLOC, GroundRing, XAdicIdeal, check_int
 
 def _lift(payloads):
     """Integer numerators over the lcm d of the denominators, and d.
-    Takes ints and Fractions alike."""
-    d = 1
+    Takes ints and Fractions alike.  When every payload is an int they are
+    the numerators, with d = 1, and the argument itself is returned:
+    callers must not mutate the result."""
     for q in payloads:
-        if q.denominator != 1:
-            d = math.lcm(d, q.denominator)
-    if d == 1:
-        return [q.numerator for q in payloads], 1
+        if type(q) is not int:
+            break
+    else:
+        return payloads, 1
+    d = math.lcm(*[q.denominator for q in payloads])
     return [q.numerator * (d // q.denominator) for q in payloads], d
 
 
@@ -76,13 +80,13 @@ def _unlift(nums, d):
 
 
 def _conv_int(a, b, n):
-    """Product of integer lists a and b, cut at degree n."""
+    """Product of integer lists a and b, cut at degree n; b must have at
+    least n + 1 entries."""
     out = [0] * (n + 1)
     for i, x in enumerate(a[: n + 1]):
         if x:
-            for j, y in enumerate(b[: n + 1 - i], i):
-                if y:
-                    out[j] += x * y
+            for j in range(i, n + 1):
+                out[j] += x * b[j - i]
     return out
 
 

@@ -432,12 +432,14 @@ def axiom_check(S, samples=None, nmax=None, bound=None):
 
     Covers: lambda^0 = 1, lambda^1 = id, lambda^n(1) = 0 for n > 1,
     additivity and products via P_n for n <= nmax (by default
-    min(3, `window_depth(S)`)), compositions via P_{m,n} for mn <= bound
-    (by default `window_depth(S)`), plus filtration closure
+    `window_depth(S)` clamped to 2..3), compositions via P_{m,n} for
+    mn <= bound (by default `window_depth(S)`), plus filtration closure
     val(lambda^i(r)) >= val(r) on samples inside the filtration ideal.
+    The default nmax is at least 2, so a window without 2, where no
+    check would reach past lambda^1 = id, raises PrimeWindowError.
     """
     if nmax is None:
-        nmax = min(3, window_depth(S))
+        nmax = max(2, min(3, window_depth(S)))
     if bound is None:
         bound = window_depth(S)
     report = Report()

@@ -232,6 +232,17 @@ def test_axiom_check_default_degree_stays_in_a_one_prime_window(capsys,
     assert "FAIL" not in out and "lambda^3" not in out
 
 
+def test_axiom_check_refuses_a_window_without_2(capsys, tmp_path):
+    # on the window (3) no default check reaches past lambda^1 = id
+    path = tmp_path / "dual3.json"
+    assert run(capsys, "dual", "make", "--ring", "Z", "--a", "3=3",
+               "--primes", "3", "-o", str(path))[0] == 0
+    expect = (2, "", "error: psi^2 needs primes [2] outside window [3]")
+    assert run(capsys, "axiom-check", "--structure", str(path)) == expect
+    assert run(capsys, "axiom-check", "--structure", str(path),
+               "--nmax", "2") == expect
+
+
 def test_dual_make_and_iso(capsys, tmp_path):
     code, out, _ = run(capsys, "dual", "make", "--ring", "Z", "--a", "2=2,3=6")
     assert code == 0

@@ -1,10 +1,14 @@
-"""Ground rings: exact scalars, membership, divisibility, binomials."""
+"""Ground rings: exact scalars, membership, divisibility, binomials, and
+the payload kernel against hand-written arithmetic."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittlam.errors import (ExactDivisionError, InputError, MembershipError,
                             RingMismatchError, UnsupportedRingError)
@@ -13,6 +17,7 @@ from wittlam.ground import (EpsIdeal, GroundRing, PrimeIdeal, PrimeSet,
                             is_p_divisible, is_prime, parse_ring)
 from wittlam.series import SeriesRing
 from wittlam.structures import Carrier, LambdaStructure
+from wittlam.sympoly import MPoly
 from wittlam.universal import HomAssignment
 
 Z = GroundRing.integers()
@@ -415,3 +420,229 @@ def test_prime_set():
     assert PrimeSet.from_json(s.to_json()) == s
     with pytest.raises(ValueError):
         PrimeSet.finite([4])
+
+
+# -- the payload kernel against hand-written arithmetic ------------------------
+#
+# Each oracle keeps a value in its own form (a Fraction, a {degree: Fraction}
+# dict for Q[y1], a pair, a coefficient list) and does the arithmetic itself.
+# RingElement and the Lambda/W oracles call the very `_p*` ops checked here,
+# so only an independent route can catch a fault in them.
+
+
+class _Oracle:
+    def values(self):
+        return st.one_of(st.just(self.zero), self._values())
+
+    def scale(self, x, c):
+        return self.mul(x, self.const(c))
+
+    def power(self, x, k):
+        out = self.one
+        for _ in range(k):
+            out = self.mul(out, x)
+        return out
+
+
+class _ScalarOracle(_Oracle):
+    """Z[S^-1] as Fractions, with denominators drawn from dens."""
+
+    zero, one = Fraction(0), Fraction(1)
+
+    def __init__(self, ring, dens):
+        self.ring, self.dens = ring, dens
+        self.integral = dens == (1,)
+
+    def _values(self):
+        return st.builds(Fraction, st.integers(-40, 40), st.sampled_from(self.dens))
+
+    def const(self, c):
+        return Fraction(c)
+
+    def to_payload(self, q):
+        return q.numerator if q.denominator == 1 else q
+
+    def from_payload(self, p):
+        assert type(p) in (int, Fraction), p
+        return Fraction(p)
+
+    def scalars(self, p):
+        return [p]
+
+    add, sub, neg, mul = operator.add, operator.sub, operator.neg, operator.mul
+
+    def is_zero(self, x):
+        return x == 0
+
+
+class _PolyOracle(_Oracle):
+    """Q[y1] as {degree: nonzero Fraction} dicts."""
+
+    ring = GroundRing.rational_poly(("y1",))
+    zero, one, integral = {}, {0: Fraction(1)}, False
+
+    def _values(self):
+        coeffs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+        return st.dictionaries(st.integers(0, 3), coeffs, max_size=3).map(self._clean)
+
+    @staticmethod
+    def _clean(d):
+        return {k: c for k, c in d.items() if c}
+
+    def const(self, c):
+        return self._clean({0: Fraction(c)})
+
+    def to_payload(self, d):
+        return MPoly(("y1",), {(k,): c for k, c in d.items()})
+
+    def from_payload(self, p):
+        assert isinstance(p, MPoly) and p.vars == ("y1",), p
+        return {e[0]: Fraction(c) for e, c in p.terms.items()}
+
+    def scalars(self, p):
+        return list(p.terms.values())
+
+    def add(self, x, y):
+        out = dict(x)
+        for k, c in y.items():
+            out[k] = out.get(k, 0) + c
+        return self._clean(out)
+
+    def neg(self, x):
+        return {k: -c for k, c in x.items()}
+
+    def sub(self, x, y):
+        return self.add(x, self.neg(y))
+
+    def mul(self, x, y):
+        out = {}
+        for i, a in x.items():
+            for j, b in y.items():
+                out[i + j] = out.get(i + j, 0) + a * b
+        return self._clean(out)
+
+    def is_zero(self, x):
+        return not x
+
+
+class _DualOracle(_Oracle):
+    """base[eps] as pairs (a, b) = a + b*eps, eps^2 = 0."""
+
+    def __init__(self, base):
+        self.base, self.integral = base, base.integral
+        self.ring = GroundRing.dual(base.ring)
+        self.zero = (base.zero, base.zero)
+        self.one = (base.one, base.zero)
+
+    def _values(self):
+        return st.tuples(self.base._values(), self.base._values())
+
+    def const(self, c):
+        return (self.base.const(c), self.base.zero)
+
+    def to_payload(self, x):
+        return tuple(map(self.base.to_payload, x))
+
+    def from_payload(self, p):
+        assert type(p) is tuple and len(p) == 2, p
+        return tuple(map(self.base.from_payload, p))
+
+    def scalars(self, p):
+        return [s for c in p for s in self.base.scalars(c)]
+
+    def add(self, x, y):
+        return (self.base.add(x[0], y[0]), self.base.add(x[1], y[1]))
+
+    def sub(self, x, y):
+        return (self.base.sub(x[0], y[0]), self.base.sub(x[1], y[1]))
+
+    def neg(self, x):
+        return (self.base.neg(x[0]), self.base.neg(x[1]))
+
+    def mul(self, x, y):
+        b = self.base
+        return (b.mul(x[0], y[0]), b.add(b.mul(x[0], y[1]), b.mul(x[1], y[0])))
+
+    def is_zero(self, x):
+        return self.base.is_zero(x[0]) and self.base.is_zero(x[1])
+
+
+class _SeriesOracle(_Oracle):
+    """ground[x]/x^(N+1) as coefficient lists of length N + 1."""
+
+    def __init__(self, ground, N):
+        self.g, self.N, self.integral = ground, N, ground.integral
+        self.ring = SeriesRing(ground.ring, N)
+        self.zero = [ground.zero] * (N + 1)
+        self.one = [ground.one] + [ground.zero] * N
+
+    def _values(self):
+        return st.lists(self.g.values(), min_size=self.N + 1, max_size=self.N + 1)
+
+    def const(self, c):
+        return [self.g.const(c)] + [self.g.zero] * self.N
+
+    def to_payload(self, x):
+        return tuple(map(self.g.to_payload, x))
+
+    def from_payload(self, p):
+        assert type(p) is tuple and len(p) == self.N + 1, p
+        return list(map(self.g.from_payload, p))
+
+    def scalars(self, p):
+        return [s for c in p for s in self.g.scalars(c)]
+
+    def add(self, x, y):
+        return list(map(self.g.add, x, y))
+
+    def sub(self, x, y):
+        return list(map(self.g.sub, x, y))
+
+    def neg(self, x):
+        return list(map(self.g.neg, x))
+
+    def mul(self, x, y):
+        out = list(self.zero)
+        for i in range(self.N + 1):
+            for j in range(self.N + 1 - i):
+                out[i + j] = self.g.add(out[i + j], self.g.mul(x[i], y[j]))
+        return out
+
+    def is_zero(self, x):
+        return all(map(self.g.is_zero, x))
+
+
+_Z_ORACLE = _ScalarOracle(Z, (1,))
+_Z2_ORACLE = _ScalarOracle(Z2, (1, 2, 4, 8))
+_Q_ORACLE = _ScalarOracle(Q, (1, 2, 3, 5, 6, 7, 12))
+KERNEL_ORACLES = [
+    _Z_ORACLE, _Z2_ORACLE, _ScalarOracle(GroundRing.p_local(3), (1, 2, 4, 5, 7)),
+    _Q_ORACLE, _PolyOracle(), _DualOracle(_Z_ORACLE), _DualOracle(_Q_ORACLE),
+    _SeriesOracle(_Z_ORACLE, 4), _SeriesOracle(_Z2_ORACLE, 3),
+    _SeriesOracle(_Q_ORACLE, 3), _SeriesOracle(_DualOracle(_Z_ORACLE), 2),
+]
+
+
+@pytest.mark.parametrize("oracle", KERNEL_ORACLES, ids=lambda o: str(o.ring))
+@settings(max_examples=50, deadline=None, database=None)
+@given(data=st.data())
+def test_payload_kernel_matches_hand_arithmetic(oracle, data):
+    ring = oracle.ring
+    x, y = data.draw(oracle.values()), data.draw(oracle.values())
+    scalars = st.integers(-6, 6)
+    if getattr(ring, "ground", ring).is_q_algebra():
+        scalars |= st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    c, k = data.draw(scalars), data.draw(st.integers(0, 3))
+    px, py = oracle.to_payload(x), oracle.to_payload(y)
+    for got, expect in [(ring._padd(px, py), oracle.add(x, y)),
+                        (ring._psub(px, py), oracle.sub(x, y)),
+                        (ring._pneg(px), oracle.neg(x)),
+                        (ring._pmul(px, py), oracle.mul(x, y)),
+                        (ring._pscale(px, c), oracle.scale(x, c)),
+                        (ring._ppow(px, k), oracle.power(x, k))]:
+        assert oracle.from_payload(got) == expect
+        if oracle.integral:
+            # over Z every scalar of a result is an int
+            assert all(type(s) is int for s in oracle.scalars(got)), got
+    assert bool(ring._pis_zero(px)) == oracle.is_zero(x)
+    assert ring._pis_zero(oracle.to_payload(oracle.zero))

@@ -5,8 +5,10 @@ integral over Z[S^-1]).  The oracles below are the same algorithms written
 on RingElement / TruncSeries values with their operators and the domain's
 element-level `div_int`, plus the distinct-partition formula for E^-1,
 which the peel replaced.  They are checked against each other on seeded
-inputs over Z, Z[1/2], Q, dual(Z), dual(Z[1/2]), Q[y1], Z[x]/x^3 and
-Z[x]/x^5 at N in {1, 2, 8, 12}.
+inputs over Z, Z[1/2], Q, dual(Z), dual(Z[1/2]), Q[y1], Z[x]/x^3,
+Z[x]/x^5, Z[1/2][x]/x^4 (whose products run through `series._lift`'s
+denominators) and dual(Z)[x]/x^3 (through the convolution on ring
+payload ops) at N in {1, 2, 8, 12}.
 """
 
 import random
@@ -35,6 +37,8 @@ DOMAINS = [
     GroundRing.rational_poly(("y1",)),
     SeriesRing(Z, 2),
     SeriesRing(Z, 4),
+    SeriesRing(Z2, 3),
+    SeriesRing(GroundRing.dual(Z), 2),
 ]
 SIZES = [1, 2, 8, 12]
 
@@ -184,8 +188,11 @@ def _scalar(rng, dom):
     """A small seeded element, zero about one time in five."""
     if rng.random() < 0.2:
         return dom.zero()
-    if isinstance(dom, SeriesRing):
+    if isinstance(dom, SeriesRing) and dom.ground == Z:
         return dom.coerce([rng.randint(-2, 2) for _ in range(dom.trunc + 1)])
+    if isinstance(dom, SeriesRing):
+        # over Z[1/2] with power-of-2 denominators, over dual(Z) with pairs
+        return dom.coerce([_scalar(rng, dom.ground) for _ in range(dom.trunc + 1)])
     if dom.kind == DUAL:
         return dom.coerce((_scalar(rng, dom.base), _scalar(rng, dom.base)))
     if dom.kind == QPOLY:
