@@ -19,7 +19,8 @@ from fractions import Fraction
 from .errors import LubinHypothesisError, UnsupportedRingError
 from .ground import QPOLY, ZLOC
 from .report import Report
-from .series import SeriesRing, compose, revert
+from .series import (SeriesRing, _grow_powers, _scalar_form, compose,
+                     revert)
 from .structures import LambdaStructure
 
 
@@ -83,24 +84,31 @@ class CommutingProblem:
 def lubin_solve(problem):
     """The unique h with h(0)=0, h'(0)=c and h(g(x)) = f(h(x)) mod x^{N+1}.
 
-    Works over the fraction field of the coefficient ring: the division
-    by (alpha^j - alpha) is a division by a nonzero rational scalar.
+    Both sides are read off power tables, without forming a composition:
+    (h o g)_j = sum_{k <= j} h_k (g^k)_j with (g^j)_j = alpha^j, and
+    (f o h)_j = alpha h_j + sum_{k >= 2} f_k (h^k)_j, so
+    (alpha - alpha^j) h_j = sum_{1 <= k < j} h_k (g^k)_j
+                            - sum_{k >= 2} f_k (h^k)_j.
+    The table of g is built once and that of h grows with h
+    (`series._grow_powers`): O(N^3) ring operations.  Works over the
+    fraction field of the coefficient ring: the division by
+    (alpha - alpha^j) is a division by a nonzero rational scalar.
     """
-    alpha, c, N = problem.alpha, problem.c, problem.f.trunc
-    ff_ring = problem.f.ring.fraction_field()
+    alpha, N = problem.alpha, problem.f.trunc
+    ring = problem.f.ring.fraction_field()
     # a payload of Z[S^-1] is already one of Q, and Q[y..] is its own field
-    ff = SeriesRing(ff_ring, N)
-    f, g = ff._wrap(problem.f.payload), ff._wrap(problem.g.payload)
-    coeffs = [ff_ring.zero()] * (N + 1)
-    if N >= 1:
-        coeffs[1] = ff_ring.coerce(c)
-    h = ff.coerce(coeffs)
-    for j in range(2, N + 1):
-        defect = (compose(h, g) - compose(f, h))[j]
-        denom = alpha ** j - alpha
-        coeffs[j] = defect * (Fraction(-1) / denom)
-        h = ff.coerce(coeffs)
-    return h
+    total, mul = _scalar_form(ring)
+    g_rows = _grow_powers(list(problem.g.payload), total, mul)
+    neg_f = [ring._pneg(a) for a in problem.f.payload]
+    h = [ring._pzero(), ring.coerce(problem.c).payload] + [None] * (N - 1)
+
+    def solve(j, rows):
+        terms = map(mul, h[1:j] + neg_f[2 : j + 1],
+                    [row[j] for row in g_rows[1:j] + rows[2 : j + 1]])
+        return ring._pscale(total(terms), 1 / Fraction(alpha - alpha ** j))
+
+    _grow_powers(h, total, mul, solve)
+    return SeriesRing(ring, N)._wrap(tuple(h))
 
 
 def conjugate_structure(S, phi):

@@ -15,32 +15,30 @@ formed over truncated polynomial rings.
 
 Series arithmetic is written once, as the SeriesRing payload operations
 (`_padd`, `_pmul`, ...), and the TruncSeries operators call them; a
-scalar operand becomes a constant payload.  Products, powers and
-compositions run on payload lists:
+scalar operand becomes a constant payload.  Products and powers run on
+payload lists: over Z[S^-1] (Z, Z[1/p], Q) each operand is lifted to
+integer numerators over the lcm of its denominators, the convolution runs
+in Python ints, and a Fraction is built per output coefficient only when
+the common denominator is not 1; an operand of ints only skips the lift,
+and `_lift` returns it as it is, so no caller may mutate a lifted list.
+Over Q[y..] and dual numbers the same loops run on the ring's own payload
+operations (_pmul, _padd, _pis_zero).
 
-  * over Z[S^-1] (Z, Z[1/p], Q) each operand is lifted to integer
-    numerators over the lcm of its denominators, the convolution runs in
-    Python ints, and a Fraction is built per output coefficient only
-    when the common denominator is not 1; an operand of ints only skips
-    the lift, and `_lift` returns it as it is, so no caller may mutate
-    a lifted list;
-  * over Q[y..] and dual numbers the same loops run on the ring's own
-    payload operations (_pmul, _padd, _pis_zero).
-
-Composition and reversion over Z[S^-1] read power tables, in integers.
-With f = F/d_f and g = G/d_g,
-f(g) = sum_k F_k d_g^(N-k) G^k / (d_f d_g^N), so coefficient j of f(g)
-is the dot product of the scaled F with column j of the powers of G,
-((G^k)_j for k <= j).  `_power_table` builds those columns once per inner
-series and memoises them by g's payload tuple in a bounded LRU table, so
-composing many f into the same g (both orders of a pair of Adams series,
-phi and its inverse in a conjugation, psi^p applied repeatedly) builds
-the powers once; a fresh g costs about what Horner's rule did.  `revert`
-grows its own table (s^k)_j of an integral rescaling s of the inverse
-one degree j at a time (`_powers_at`): for k >= 2 it reads only
-s_1..s_(j-1), so the degree-j equation gives s_j directly, O(N^3) in
-all, where one composition per degree was O(N^4).  Over Q[y..] and dual
-numbers compose is Horner's rule and revert composes once per degree.
+Composition, reversion and the commuting-series solver (`lubin`) share
+one algorithm, `_grow_powers`: the power table (s^k)_j of a series s with
+s(0) = 0, grown one degree j at a time.  For k >= 2, (s^k)_j reads only
+s_1..s_(j-1), so an equation whose degree-j term is pivot * s_j plus
+terms in the table determines s_j there, and the whole solve is O(N^3)
+ring operations.  `compose` reads f(g)_j as the dot product of f with
+column j of g's table, which `_power_table` builds once per inner series
+and memoises in a bounded LRU table, so composing many f into the same g
+(both orders of a pair of Adams series, phi and its inverse in a
+conjugation, psi^p applied repeatedly) builds the powers once.  `revert`
+solves f_1 g_j = -sum_{k >= 2} f_k (g^k)_j.  The dot products run on
+`_scalar_form(ring)`: Python's sum and product over Z[S^-1], whose
+operands are first lifted to integer numerators (`revert` also rescales
+to linear coefficient 1), since the same loops on Fractions are 10-25x
+slower; the ring's own _padd and _pmul on Q[y..] and dual numbers.
 
 Over Z every coefficient payload of a result is an int.  The JSON form
 keeps the field "x_filtration": 1; reading accepts that or no field, and
@@ -119,28 +117,44 @@ def _pow_payloads(ring, base, k, n):
     return out
 
 
-def _powers_at(g, rows, j):
-    """Fill rows[k][j] = (g^k)_j for 2 <= k <= j, where rows[1] is g and
-    each rows[k - 1] is known below degree j:
-    (g^k)_j = sum_i g_i (g^(k-1))_(j-i) reads only g_1..g_(j-1)."""
-    mul = operator.mul
-    for k in range(2, j + 1):
-        rows[k][j] = sum(map(mul, g[1 : j - k + 2],
-                             rows[k - 1][j - 1 : k - 2 : -1]))
+def _scalar_form(ring):
+    """(total, mul) with total(map(mul, a, b)) = sum_i a_i b_i for payload
+    lists a and b over ring: Python's sum and product on the numbers of
+    Z[S^-1] (and on ints, for ring None), the ring's own _padd and _pmul
+    elsewhere."""
+    if ring is None or ring.kind == ZLOC:
+        return sum, operator.mul
+    return functools.partial(functools.reduce, ring._padd), ring._pmul
+
+
+def _grow_powers(s, total, mul, solve=None):
+    """The power table rows[k][j] = (s^k)_j for 1 <= k <= j <= N of a
+    payload list s with s_0 = 0 (rows[1] is s; rows[0] and the entries
+    below degree k are None), grown one degree j at a time.  For k >= 2,
+    (s^k)_j = sum_i s_i (s^(k-1))_(j-i) reads only s_1..s_(j-1), so when
+    solve is given, s_j is unknown until then: solve(j, rows) returns it
+    from column j for k >= 2, and it is stored in s."""
+    rows = [None, s] + [[None] * len(s) for _ in s[2:]]
+    for j in range(2, len(s)):
+        for k in range(2, j + 1):
+            rows[k][j] = total(map(mul, s[1 : j - k + 2],
+                                   rows[k - 1][j - 1 : k - 2 : -1]))
+        if solve:
+            s[j] = solve(j, rows)
+    return rows
 
 
 @functools.lru_cache(maxsize=32)
-def _power_table(gp):
-    """The powers of g (g(0) = 0, payloads gp over Z[S^-1]) by column:
-    (T, d) with G = d g integral and T[j] = ((G^k)_j for k = 0..j), the
-    terms of degree j of G^0, ..., G^j (G^k starts at x^k).  Memoised by
-    gp; the bound keeps the memory flat however many series pass."""
-    G, d = _lift(gp)
-    N = len(G) - 1
-    rows = [[1] + [0] * N, G] + [[0] * (N + 1) for _ in range(2, N + 1)]
-    for j in range(2, N + 1):
-        _powers_at(G, rows, j)
-    return tuple(col[: j + 1] for j, col in enumerate(zip(*rows))), d
+def _power_table(gp, ring=None):
+    """The powers of g (g(0) = 0, payloads gp) by column: (T, d) with
+    G = d g and T[j - 1] = ((G^k)_j for k = 1..j), the terms of degree j
+    of G, ..., G^j (G^k starts at x^k), for j = 1..N.  Without a ring gp
+    is over Z[S^-1] and G holds its integer numerators; over the given
+    ring G = g and d = 1.  Memoised by gp (and the ring); the bound keeps
+    the memory flat however many series pass."""
+    G, d = _lift(gp) if ring is None else (gp, 1)
+    rows = _grow_powers(list(G), *_scalar_form(ring))
+    return tuple(col[:j] for j, col in enumerate(zip(*rows[1:])))[1:], d
 
 
 class TruncSeries:
@@ -315,12 +329,10 @@ def check_x_filtration(data):
 def compose(f, g):
     """f(g(x)) mod x^{N+1}; requires g(0) = 0.
 
-    Over Z[S^-1], coefficient j is the dot product of f's scaled integer
-    numerators with column j of the power table of g (`_power_table`,
-    memoised by g).  Elsewhere Horner's rule from the top coefficient
-    down, h_N = f_N and h_k = h_{k+1} g + f_k, with h_k cut at degree
-    N - k: it is multiplied by g^k, which starts at x^k, on its way into
-    h_0 = f(g).
+    Coefficient j is the dot product of f with column j of the power table
+    of g (`_power_table`, memoised by g): f(g)_j = sum_k f_k (g^k)_j.
+    Over Z[S^-1] both are lifted to integers: with f = F/d_f and
+    g = G/d_g, f(g) = sum_k F_k d_g^(N-k) G^k / (d_f d_g^N).
     """
     dom = f.domain
     fp, gp = f.payload, dom.coerce(g).payload
@@ -330,18 +342,17 @@ def compose(f, g):
     if N == 0:
         return f  # g = 0 mod x, so f(g) = f(0) = f
     if ring.kind == ZLOC:
-        # f(g) = sum_k F_k d_g^(N-k) G^k / (d_f d_g^N)
         F, df = _lift(fp)
         T, dg = _power_table(gp)
         if dg != 1:
             F = [c * dg ** (N - k) for k, c in enumerate(F)]
-        mul = operator.mul
-        out = _unlift([sum(map(mul, F, col)) for col in T], df * dg ** N)
+        mul, F1 = operator.mul, F[1:]
+        out = _unlift([F[0]] + [sum(map(mul, F1, col)) for col in T],
+                      df * dg ** N)
     else:
-        out = fp[N:]
-        for k in range(N - 1, -1, -1):
-            out = _mul_payloads(ring, out, gp, N - k)
-            out[0] = fp[k]
+        (total, mul), F1 = _scalar_form(ring), fp[1:]
+        out = [fp[0]] + [total(map(mul, F1, col))
+                         for col in _power_table(gp, ring)[0]]
     return dom._wrap(tuple(out))
 
 
@@ -349,17 +360,14 @@ def revert(f):
     """Compositional inverse g with f(g) = x = g(f) mod x^{N+1}.
 
     Requires f(0) = 0 and the linear coefficient f_1 a unit of the ring.
-    The coefficients of g are found degree by degree from
-    f(g)_j = f_1 g_j + sum_{k >= 2} f_k (g^k)_j = 0.
+    The power table of g grows with g (`_grow_powers`), and g_j is solved
+    from f(g)_j = f_1 g_j + sum_{k >= 2} f_k (g^k)_j = 0: O(N^3) ring
+    operations.
 
     Over Z[S^-1] the series is first made integral with linear
     coefficient 1: with f = F/d and a = F_1, f(x) = (a^2/d) t(x/a) for
     t = x + sum_{k >= 2} F_k a^(k-2) x^k, so g_k = s_k d^k / a^(2k-1) for
-    the inverse s of t, which is integral.  The table rows[k][j] =
-    (s^k)_j grows with j (`_powers_at`, which for k >= 2 reads only
-    s_1..s_(j-1)), and s_j = -sum_{k >= 2} t_k (s^k)_j: O(N^3) integer
-    operations in all.  Elsewhere each g_j is read off one composition
-    f(g) with g known to degree j - 1.
+    the inverse s of t, which is integral and solved in ints.
     """
     if not f.constant_term().is_zero():
         raise ValueError("reversion requires f(0) = 0")
@@ -369,25 +377,23 @@ def revert(f):
         raise ExactDivisionError(
             f"linear coefficient {f.linear_coeff()} is not a unit in {ring}"
         )
-    coeffs = list(dom._pzero())
-    coeffs[1] = u.payload  # N >= 1: at N = 0 the linear coefficient is 0
+    # N >= 1 here: at N = 0 the linear coefficient is 0
+    total, mul = _scalar_form(ring)
     if ring.kind == ZLOC:
         F, d = _lift(f.payload)
         a = F[1]
-        t = [0, 1] + [F[k] * a ** (k - 2) for k in range(2, N + 1)]
-        s = [0, 1] + [0] * (N - 1)
-        rows = [None, s] + [[0] * (N + 1) for _ in range(2, N + 1)]
-        for j in range(2, N + 1):
-            _powers_at(s, rows, j)
-            s[j] = -sum(t[k] * rows[k][j] for k in range(2, j + 1))
-            coeffs[j] = ring._pdiv_int(s[j] * d ** j, a ** (2 * j - 1))
-        return dom._wrap(tuple(coeffs))
-    g = dom._wrap(tuple(coeffs))
-    for k in range(2, N + 1):
-        defect = compose(f, g).payload[k]
-        coeffs[k] = ring._pneg(ring._pmul(u.payload, defect))
-        g = dom._wrap(tuple(coeffs))
-    return g
+        c = [-F[k] * a ** (k - 2) for k in range(2, N + 1)]
+        s = [0, 1] + [None] * (N - 1)
+    else:
+        c = [ring._pneg(mul(u.payload, x)) for x in f.payload[2:]]
+        s = [ring._pzero(), u.payload] + [None] * (N - 1)
+    # s_j = sum_{k >= 2} c_k (s^k)_j with c_k = -f_k / f_1
+    _grow_powers(s, total, mul, lambda j, rows: total(
+        map(mul, c, [row[j] for row in rows[2 : j + 1]])))
+    if ring.kind == ZLOC:
+        s = [0, u.payload] + [ring._pdiv_int(s[j] * d ** j, a ** (2 * j - 1))
+                              for j in range(2, N + 1)]
+    return dom._wrap(tuple(s))
 
 
 def congruent_mod(f, g, p):

@@ -324,19 +324,27 @@ def validate(S):
             report.add(f"psi^{p}(0) = 0", psi.constant_term().is_zero())
             unit = f"{p} is a unit in {ring}" if ring.is_q_algebra() else failure
             report.add(f"frobenius psi^{p} == x^{p} mod {p}", ok, unit)
-    commute = {}
-    for i, p in enumerate(S.primes):
-        for q in S.primes[i + 1 :]:
-            pq = compose(S.adams[p], S.adams[q])
-            commute[p, q] = pq == compose(S.adams[q], S.adams[p])
+    commute = _commutation(S)
     if kind == GROUND:
         report.add("commutation (identity maps)", all(commute.values()))
     elif kind == DUAL_NUMBERS:
         report.add("commutation (multipliers commute)", all(commute.values()))
     else:
-        for (p, q), ok in commute.items():
-            report.add(f"psi^{p} and psi^{q} commute", ok)
+        for name, ok in commute.items():
+            report.add(name, ok)
     return report
+
+
+def _commutation(S):
+    """{"psi^p and psi^q commute": verdict} for each pair p < q of window
+    primes, composing the Adams series both ways."""
+    commute = {}
+    for i, p in enumerate(S.primes):
+        for q in S.primes[i + 1 :]:
+            pq = compose(S.adams[p], S.adams[q])
+            commute[f"psi^{p} and psi^{q} commute"] = (
+                pq == compose(S.adams[q], S.adams[p]))
+    return commute
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +442,10 @@ def axiom_check(S, samples=None, nmax=None, bound=None):
     additivity and products via P_n for n <= nmax (by default
     `window_depth(S)` clamped to 2..3), compositions via P_{m,n} for
     mn <= bound (by default `window_depth(S)`), plus filtration closure
-    val(lambda^i(r)) >= val(r) on samples inside the filtration ideal.
+    val(lambda^i(r)) >= val(r) on samples inside the filtration ideal,
+    and one commutation line per pair of window primes, as in `validate`:
+    two orders of psi^p psi^q can differ first in a degree no sampled
+    axiom reaches.
     The default nmax is at least 2, so a window without 2, where no
     check would reach past lambda^1 = id, raises PrimeWindowError.
     """
@@ -510,6 +521,9 @@ def axiom_check(S, samples=None, nmax=None, bound=None):
             S.carrier.valuation(lr[i]) >= val for i in range(1, nmax + 1)
         )
         report.add(f"filtration closure at {dom.format(r)}", ok)
+
+    for name, ok in _commutation(S).items():
+        report.add(name, ok)
     return report
 
 

@@ -1,7 +1,9 @@
 """Golden CLI battery: one structure of each carrier kind through
 `validate` (text and --json), `axiom-check`, `lift` for n = 1..4, and
-`dual iso` on equal and unequal multipliers.  Each run's stdout and exit
-code (and stderr) are replayed byte for byte from tests/data/carrier_golden.json.
+`dual iso` on equal and unequal multipliers, plus `lubin solve` over
+Z, Q, Z[1/2], Z_(5) and Q[y1] and its root-of-unity refusal.  Each run's
+stdout and exit code (and stderr) are replayed byte for byte from
+tests/data/carrier_golden.json.
 
 Regenerate the file (only when an output change is intended, and say so
 in CHANGES.md) with
@@ -61,6 +63,18 @@ ELEMENTS = {
 }
 
 
+#: the `lubin solve` runs as (f, g, c, ring, N); the last one refuses a
+#: root of unity and exits 2
+SOLVES = [
+    ("0,2,1", "0,2,1", "3", "Z", "8"),
+    ("0,2,1,1", "0,2", "1", "Q", "10"),
+    ("0,2,1", "0,2", "1", "Z[1/2]", "8"),
+    ("0,3,1", "0,3", "2", "Z_(5)", "8"),
+    ("0,2,y1", "0,2", "1", "Q[y1]", "6"),
+    ("0,1,1", "0,1", "1", "Q", "4"),
+]
+
+
 def _argvs():
     """Each run as an argv, with @name standing for a structure file."""
     runs = []
@@ -74,6 +88,9 @@ def _argvs():
                          "-n", str(n)])
     runs.append(["dual", "iso", "--s1", "@dual-Z", "--s2", "@dual-Z"])
     runs.append(["dual", "iso", "--s1", "@dual-Z", "--s2", "@dual-Z-other"])
+    for f, g, c, ring, N in SOLVES:
+        runs.append(["lubin", "solve", "--f", f, "--g", g, "--c", c,
+                     "--ring", ring, "-N", N])
     return runs
 
 

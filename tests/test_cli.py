@@ -243,6 +243,29 @@ def test_axiom_check_refuses_a_window_without_2(capsys, tmp_path):
                "--nmax", "2") == expect
 
 
+def test_axiom_check_sees_adams_series_that_do_not_commute(capsys, tmp_path):
+    # mult at N = 8 on the window (2, 3), with 3 added to the x^8
+    # coefficient of psi^3: Frobenius holds, but psi^2 psi^3 != psi^3 psi^2
+    # first in a degree that no axiom up to lambda^4 reaches
+    S = standard_structure("mult", trunc=8, primes=(2, 3))
+    data = S.to_json()
+    data["adams"]["3"][8] = str(int(data["adams"]["3"][8]) + 3)
+    path = tmp_path / "bent.json"
+    path.write_text(json.dumps(data))
+    fail = "FAIL  psi^2 and psi^3 commute"
+    code, out, _ = run(capsys, "validate", "--structure", str(path))
+    assert code == 1 and fail in out.splitlines()
+    assert run(capsys, "universal", "roundtrip", "--structure",
+               str(path))[0] == 2
+    code, out, err = run(capsys, "axiom-check", "--structure", str(path))
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if "FAIL" in line] == [fail]
+    # the unbent structure passes the same line
+    path.write_text(json.dumps(S.to_json()))
+    code, out, _ = run(capsys, "axiom-check", "--structure", str(path))
+    assert code == 0 and "pass  psi^2 and psi^3 commute" in out.splitlines()
+
+
 def test_dual_make_and_iso(capsys, tmp_path):
     code, out, _ = run(capsys, "dual", "make", "--ring", "Z", "--a", "2=2,3=6")
     assert code == 0
@@ -522,6 +545,12 @@ pass  composition lambda^2(lambda^1(r)) at 0,2,0,0,0,0,0,0,0
 pass  filtration closure at 0,1,0,0,0,0,0,0,0
 pass  filtration closure at 0,1,1,0,0,0,0,0,0
 pass  filtration closure at 0,2,0,0,0,0,0,0,0
+pass  psi^2 and psi^3 commute
+pass  psi^2 and psi^5 commute
+pass  psi^2 and psi^7 commute
+pass  psi^3 and psi^5 commute
+pass  psi^3 and psi^7 commute
+pass  psi^5 and psi^7 commute
 """
 
 GOLDEN_COALGEBRA_MULT = """\

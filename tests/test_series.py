@@ -400,7 +400,7 @@ def test_compose_agrees_with_oracle():
 def test_compose_into_one_inner_series_agrees_with_oracle():
     # the power table of g is built by the first composition and read by
     # the rest
-    for ring, den_f, den_g in KERNEL_RINGS[:3]:
+    for ring, den_f, den_g in KERNEL_RINGS:
         rng = random.Random(f"one g:{ring}")
         for N in (1, 7, 16):
             g = _random_series(rng, ring, N, den_g, constant=False)
@@ -470,17 +470,23 @@ def test_scalar_operands():
 
 
 def _unit(rng, ring):
-    """A random unit of Z, Z[1/2] or Q."""
+    """A random unit of ring, one of KERNEL_RINGS: +-1 over Z, +-2^e over
+    Z[1/2], +-1 + b eps over dual(Z), a nonzero constant over Q and Q[y1]."""
     if ring == Z:
-        return rng.choice([1, -1])
+        return ring.element(rng.choice([1, -1]))
     if ring == Z2:
-        return rng.choice([1, -1]) * Fraction(2) ** rng.randint(-3, 3)
-    return Fraction(rng.choice([1, -1]) * rng.randint(1, 9), rng.randint(1, 9))
+        return ring.element(rng.choice([1, -1]) * Fraction(2) ** rng.randint(-3, 3))
+    if ring == DZ:
+        return ring.element((rng.choice([1, -1]), rng.randint(-5, 5)))
+    q = Fraction(rng.choice([1, -1]) * rng.randint(1, 9), rng.randint(1, 9))
+    return ring.coerce(q)
 
 
 @pytest.mark.parametrize("N", [0, 1, 2, 7, 16, 32])
 def test_revert_agrees_with_oracle(N):
-    for ring, den, _ in KERNEL_RINGS[:3]:
+    for ring, den, _ in KERNEL_RINGS:
+        if ring == QY and N > 7:
+            continue  # its oracle takes 1.2 s a case at N = 16 on a 2-core machine
         rng = random.Random(f"revert:{ring}:{N}")
         for _ in range(4 if N > 16 else 10):
             f = _random_series(rng, ring, N, den, constant=False)
@@ -490,13 +496,14 @@ def test_revert_agrees_with_oracle(N):
                 with pytest.raises(ValueError):
                     revert_oracle(f)
                 continue
-            f = f.domain.coerce([0, ring.element(_unit(rng, ring)),
-                                 *f.coeffs[2:]])
+            f = f.domain.coerce([0, _unit(rng, ring), *f.coeffs[2:]])
             g = revert(f)
             assert g == revert_oracle(f), (ring, N)
             assert all(ring.contains_payload(c) for c in g.payload)
             if ring == Z:
                 assert all(type(c) is int for c in g.payload)
+            if ring == DZ:
+                assert all(type(c) is int for pair in g.payload for c in pair)
             x = f.domain.x()
             assert compose(f, g) == x and compose(g, f) == x, (ring, N)
 
