@@ -79,14 +79,15 @@ def _mul(a, b):
     return out
 
 
-def _add_into(dst, src, scale=1):
-    """In-place dst += scale*src; returns dst with zeros dropped.
+def _add_into(dst, src, scale=1, shift=0):
+    """In-place dst += scale * x^shift * src; returns dst with zeros dropped.
 
-    dst and src must be distinct dicts.
+    A nonzero shift needs packed keys, where adding it to a key multiplies
+    the monomial by x^shift.  dst and src must be distinct dicts.
     """
     if not src or scale == 0:
         return dst
-    if scale == 1:
+    if scale == 1 and not shift:
         for e, c0 in src.items():
             c = dst.get(e)
             if c is None:
@@ -99,6 +100,8 @@ def _add_into(dst, src, scale=1):
                     del dst[e]
     else:
         for e, c0 in src.items():
+            if shift:
+                e += shift
             c = dst.get(e)
             if c is None:
                 dst[e] = scale * c0
@@ -482,11 +485,6 @@ def _mul_packed(a, b):
     return out
 
 
-def _mul_monomial(a, expo, coeff):
-    """a * coeff*x^expo as a fresh packed dict; coeff must be nonzero."""
-    return {e + expo: c * coeff for e, c in a.items()}
-
-
 def _jacobi_trudi(nvars):
     """The map lam -> D(lam) = det(e_{lam_i - i + j}) over e_1..e_nvars, as
     packed term dicts, memoised on the partition for the life of the returned
@@ -518,10 +516,7 @@ def _jacobi_trudi(nvars):
                 break
             minor = det(raised + lam[i + 1:])
             sign = -1 if i % 2 else 1
-            if k:
-                _add_into(out, _mul_monomial(minor, units[k], sign))
-            else:
-                _add_into(out, minor, sign)
+            _add_into(out, minor, sign, units[k])
             raised += (part + 1,)
         memo[lam] = out
         return out
@@ -575,7 +570,7 @@ def _power_sums(K):
     for k in range(1, K + 1):
         pk = {units[k]: k if k % 2 else -k}
         for r in range(1, k):
-            _add_into(pk, _mul_monomial(p[k - r], units[r], 1 if r % 2 else -1))
+            _add_into(pk, p[k - r], 1 if r % 2 else -1, units[r])
         p.append(pk)
     return p
 

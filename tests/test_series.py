@@ -5,22 +5,30 @@ RingElement-level routes it replaced, kept here as oracles: sums,
 differences, negation, scalar operations and exact division coefficient
 by coefficient, the coefficient-by-coefficient convolution, Horner's rule
 on whole series, powers by repeated multiplication, and reversion by one
-composition per degree.
+composition per degree.  Products and powers over Z[S^-1] are also
+checked across the straight-line kernel's size limit against a schoolbook
+double loop on Python numbers.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wittlam
 from wittlam.errors import (ExactDivisionError, InputError, MembershipError,
                             RingMismatchError)
 from wittlam.ground import DUAL, QPOLY, GroundRing
-from wittlam.series import (SeriesRing, TruncSeries, _power_table, compose,
-                            congruent_mod, revert, xadic_valuation)
+from wittlam.series import (_KERNEL_MAX_N, _KERNELS, SeriesRing, TruncSeries,
+                            _power_table, compose, congruent_mod, revert,
+                            xadic_valuation)
 from wittlam.sympoly import MPoly
 
 Z = GroundRing.integers()
@@ -419,6 +427,28 @@ def test_power_table_memo_stays_bounded():
     assert _power_table.cache_info().currsize <= maxsize
 
 
+def test_kernel_table_is_lazy_and_bounded():
+    # importing the library builds no kernel
+    env = dict(os.environ, PYTHONPATH=str(Path(wittlam.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import wittlam, wittlam.series; print(len(wittlam.series._KERNELS))"],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
+    # past the limit products run the row loop and build nothing
+    before = set(_KERNELS)
+    for N in (33, 64):
+        f = S(list(range(1, N + 2)), N)
+        assert f * f == mul_oracle(f, f)
+        assert f ** 3 == pow_oracle(f, 3)
+    assert set(_KERNELS) == before
+    for N in range(65):
+        f = S([1, -2, 3], N)
+        assert f * f == f ** 2
+    # at most 33 kernels, one per N <= 32
+    assert set(_KERNELS) <= set(range(_KERNEL_MAX_N + 1))
+
+
 def test_compose_of_localized_series_keeps_its_denominators():
     # f = x/2 + x^2/3 over Q, g = x/4 + x^2: d_f = 6, d_g = 4
     f = SeriesRing(Q, 3).coerce([0, Fraction(1, 2), Fraction(1, 3)])
@@ -448,6 +478,12 @@ def test_kernel_results_stay_in_the_ring():
     for h in (f * f, f ** 3, compose(f, f - 1)):
         assert all(c.ring is Z2 for c in h.coeffs)
         assert all(Z2.contains_payload(c.payload) for c in h.coeffs)
+    # products leave Fraction(n, 1) where a coefficient is integral; such a
+    # payload lifts with denominator 1 and its powers stay tuples
+    dom = SeriesRing(Q, 2)
+    p = (Fraction(2), Fraction(0), Fraction(-1))
+    for got in (dom._pmul(p, p), dom._ppow(p, 1), dom._ppow(p, 2)):
+        assert type(got) is tuple and got == dom._pmul((1, 0, 0), got)
 
 
 def test_scalar_operands():
@@ -520,3 +556,69 @@ def test_revert_is_a_two_sided_inverse(N, unit, tail):
     x = SeriesRing(Z, N).x()
     assert compose(f, g) == x
     assert compose(g, f) == x
+
+
+# ---------------------------------------------------------------------------
+# products over Z[S^-1] on both sides of the straight-line kernel's limit
+# ---------------------------------------------------------------------------
+
+
+def _schoolbook(a, b):
+    """a * b cut at degree len(a) - 1 by the double loop over (i, j)."""
+    n = len(a)
+    out = [0] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def _schoolbook_pow(a, k):
+    out = [1] + [0] * (len(a) - 1)
+    for _ in range(k):
+        out = _schoolbook(out, a)
+    return out
+
+
+_BIG = 2 ** 256
+_INTS = st.one_of(st.just(0), st.sampled_from([1, -1]), st.integers(-_BIG, _BIG))
+
+
+@st.composite
+def _coefficients(draw, N, values):
+    """N + 1 values with a run of zeros at a drawn place."""
+    coeffs = draw(st.lists(values, min_size=N + 1, max_size=N + 1))
+    lo = draw(st.integers(0, N + 1))
+    hi = draw(st.integers(lo, N + 1))
+    coeffs[lo:hi] = [0] * (hi - lo)
+    return coeffs
+
+
+def _fractions(dens):
+    return st.builds(Fraction, _INTS, st.sampled_from(dens))
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(data=st.data())
+def test_products_match_schoolbook_across_the_kernel_limit(data):
+    N = data.draw(st.integers(0, 40), label="N")
+    k = data.draw(st.integers(0, 5), label="k")
+    dom = SeriesRing(Z, N)
+    a, b = (tuple(data.draw(_coefficients(N, _INTS))) for _ in range(2))
+    for got, expect in [(dom._pmul(a, b), _schoolbook(a, b)),
+                        (dom._ppow(a, k), _schoolbook_pow(a, k))]:
+        assert type(got) is tuple and list(got) == expect
+        assert all(type(c) is int for c in got)
+    # over Z[1/2] and Q the operands get different denominators, and the
+    # lift to integer numerators must give what Fraction arithmetic gives;
+    # a holds ints where it is integral, b only Fractions, as products leave
+    for ring, dens in [(Z2, [1, 2, 4, 8, 16]), (Q, [1, 2, 3, 5, 6, 7, 12])]:
+        dom = SeriesRing(ring, N)
+        a, b = (data.draw(_coefficients(N, _fractions(dens))) for _ in range(2))
+        pa = tuple(ring.coerce(q).payload for q in a)
+        pb = tuple(map(Fraction, b))
+        for got, expect in [(dom._pmul(pa, pb), _schoolbook(a, b)),
+                            (dom._ppow(pa, k), _schoolbook_pow(a, k)),
+                            (dom._ppow(pb, k), _schoolbook_pow(b, k))]:
+            assert type(got) is tuple and list(got) == expect
+            assert all(ring.contains_payload(c) for c in got)
