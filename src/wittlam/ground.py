@@ -28,8 +28,10 @@ constants `_pzero`, `_pfrom_int` need ring data and stay methods.
 `int / n` would be a float, so code divides only through `_pdiv_int`,
 which returns an int for an integral quotient.  `_unwrap` reads an
 element's payload and `_wrap` builds one around a payload.  SeriesRing
-(`series`) implements the same protocol, so `lambda_witt` and
-`structures` run one loop over every coefficient domain.
+(`series`) implements the same protocol and binds its own `_p*` ops once
+per ring too, `_ppow` and `_pdiv_int` among them (int kernels over Z), so
+`lambda_witt` and `structures` run one loop over every coefficient
+domain.
 """
 
 import math

@@ -15,21 +15,37 @@ formed over truncated polynomial rings.
 
 Series arithmetic is written once, as the SeriesRing payload operations
 (`_padd`, `_pmul`, ...), and the TruncSeries operators call them; a
-scalar operand becomes a constant payload.  Over Z[S^-1] (Z, Z[1/p], Q)
-a product lifts each operand to integer numerators over the lcm of its
-denominators, multiplies them in Python ints, and builds a Fraction per
-output coefficient only when the common denominator is not 1; an operand
-of ints only skips the lift, and `_lift` returns it as it is, so no
-caller may mutate a lifted operand.  At truncation N <= 32 the integer
-product is a straight-line function, c_j = a0*bj + ... + aj*b0 written
-out in full, which `_straight_line` generates from the int N on first
-use and `_int_product` memoises.  Its source and compile time grow as
-N^2 (measured: 0.1 ms at N = 4, 2 ms at N = 32, 6-10 ms at N = 64), so
-above N = 32 a row loop that skips zero coefficients runs instead.  A
-power lifts its base once and squares the numerators, starting from the
-base at the lowest set bit of the exponent.  Over Q[y..] and dual
-numbers products and powers run the row loop on the ring's own payload
-operations (_pmul, _padd, _pis_zero).
+scalar operand becomes a constant payload.  `SeriesRing.__init__` binds
+them into instance slots once per ring (`_payload_ops`), as
+`GroundRing.__init__` does.  For each truncation N <= 32, one generated
+source, compiled from the int N on first use and kept in `_KERNELS[N]`,
+gives a product, a sum and a difference as straight-line functions on
+tuples: c_j = a0*bj + ... + aj*b0, aj + bj and aj - bj written out in
+full.  Its size and compile time grow as N^2 (measured: about 0.2 ms at
+N = 4 and 2-3 ms at N = 32), so above N = 32 nothing is generated:
+products run a row loop that skips zero coefficients and sums map the
+ground's op.  Which ring gets which ops:
+
+  * Over Z every payload is a tuple of ints, and every op is an int
+    kernel: the generated product, sum and difference, a power that
+    squares under that product, a divmod loop for exact division,
+    `not any(x)` for the zero test, and the ground's `operator`
+    functions mapped over the coefficients for negation and scaling.
+  * Over Z[S^-1] with S nonempty (Z[1/p], Q) a product lifts each
+    operand to integer numerators over the lcm of its denominators,
+    multiplies them by the same int product, and builds a Fraction per
+    output coefficient only when the common denominator is not 1; an
+    operand of ints only skips the lift, and `_lift` returns it as it is,
+    so no caller may mutate a lifted operand.  A power lifts its base
+    once.  Sums, differences, negation, scaling and the zero test are
+    those of Z; division maps the ground's `_pdiv_int`.
+  * Over Q[y..] products and powers run the row loop on the ground's own
+    payload operations (_pmul, _padd, _pis_zero); the other ops are those
+    of Z[S^-1].  Over dual numbers products do the same, and the other
+    ops map the ground's pair functions over the coefficients.
+
+Powers start from the base at the lowest set bit of the exponent, so no
+product multiplies by 1.
 
 Composition, reversion and the commuting-series solver (`lubin`) share
 one algorithm, `_grow_powers`: the power table (s^k)_j of a series s with
@@ -53,13 +69,15 @@ a missing or mistyped field is an InputError.
 """
 
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
 
 from .errors import (ExactDivisionError, InputError, RingMismatchError,
                      UnsupportedRingError)
-from .ground import ZLOC, GroundRing, XAdicIdeal, check_int
+from .ground import (DUAL, QPOLY, ZLOC, GroundRing, PrimeIdeal, XAdicIdeal,
+                     check_int, is_prime)
 
 
 def _lift(payloads):
@@ -84,27 +102,43 @@ def _unlift(nums, d):
     return tuple([Fraction(c, d) for c in nums])
 
 
-# Truncations up to this one multiply by a generated straight-line kernel;
-# its source grows as N^2, and so does the time to compile it.
+# Truncations up to this one get generated kernels; the product's source
+# grows as N^2, and so does the time to compile it.
 _KERNEL_MAX_N = 32
-_KERNELS = {}  # N -> the straight-line kernel of N, built on first use
+_KERNELS = {}  # N -> the straight-line (mul, add, sub) of N, built on first use
 
 
 def _straight_line(n):
-    """The product of two integer sequences of n + 1 entries, cut at degree
-    n, as a function returning a tuple: its body is c_j = a0*bj + a1*b(j-1)
-    + ... + aj*b0 written out in full for j = 0..n."""
+    """The product, sum and difference of two sequences of n + 1 entries,
+    the product cut at degree n, as functions returning tuples: their
+    bodies are c_j = a0*bj + a1*b(j-1) + ... + aj*b0, aj + bj and aj - bj
+    written out in full for j = 0..n."""
     a = ", ".join(f"a{i}" for i in range(n + 1))
     b = ", ".join(f"b{i}" for i in range(n + 1))
-    c = ", ".join(" + ".join(f"a{i}*b{j - i}" for i in range(j + 1))
-                  for j in range(n + 1))
-    source = (f"def kernel(a, b):\n"
-              f"    {a}, = a\n"
-              f"    {b}, = b\n"
-              f"    return ({c},)\n")
+    bodies = {
+        "mul": ", ".join(" + ".join(f"a{i}*b{j - i}" for i in range(j + 1))
+                         for j in range(n + 1)),
+        "add": ", ".join(f"a{j} + b{j}" for j in range(n + 1)),
+        "sub": ", ".join(f"a{j} - b{j}" for j in range(n + 1)),
+    }
+    source = "".join(f"def {name}(a, b):\n"
+                     f"    {a}, = a\n"
+                     f"    {b}, = b\n"
+                     f"    return ({c},)\n" for name, c in bodies.items())
     namespace = {}
-    exec(compile(source, f"<series kernel N={n}>", "exec"), namespace)
-    return namespace["kernel"]
+    exec(compile(source, f"<series kernels N={n}>", "exec"), namespace)
+    return namespace["mul"], namespace["add"], namespace["sub"]
+
+
+def _kernels(n):
+    """(mul, add, sub), the straight-line kernels of n, built on first use,
+    for n <= _KERNEL_MAX_N; None for larger n."""
+    if n > _KERNEL_MAX_N:
+        return None
+    kernels = _KERNELS.get(n)
+    if kernels is None:
+        kernels = _KERNELS[n] = _straight_line(n)
+    return kernels
 
 
 def _conv_int(a, b, n):
@@ -118,22 +152,10 @@ def _conv_int(a, b, n):
     return tuple(out)
 
 
-def _int_product(n):
-    """The product of integer lists of n + 1 entries cut at degree n, as a
-    tuple: the straight-line kernel of n, built on first use, for
-    n <= _KERNEL_MAX_N; the row loop `_conv_int` for larger n."""
-    kernel = _KERNELS.get(n)
-    if kernel is None:
-        if n > _KERNEL_MAX_N:
-            return functools.partial(_conv_int, n=n)
-        kernel = _KERNELS[n] = _straight_line(n)
-    return kernel
-
-
 def _mul_payloads(ring, a, b, n):
-    """Product of payload lists a and b over ring, cut at degree n, by the
-    row loop on the ring's own payload operations; the zeros of a are
-    skipped."""
+    """Product of payload lists a and b over ring, cut at degree n, as a
+    tuple, by the row loop on the ring's own payload operations; the zeros
+    of a are skipped."""
     mul, add, is_zero = ring._pmul, ring._padd, ring._pis_zero
     out = [ring._pzero()] * (n + 1)
     for i, x in enumerate(a[: n + 1]):
@@ -142,7 +164,7 @@ def _mul_payloads(ring, a, b, n):
         for j, y in enumerate(b[: n + 1 - i], i):
             if not is_zero(y):
                 out[j] = add(out[j], mul(x, y))
-    return out
+    return tuple(out)
 
 
 def _pow_payloads(mul, base, k):
@@ -455,23 +477,112 @@ def xadic_valuation(f):
     return math.inf
 
 
+_Z = GroundRing.integers()
+
+
+def _all_zero(x):
+    return not any(x)
+
+
+def _div_ints(x, n):
+    """x / n over Z by one divmod per coefficient; ExactDivisionError, with
+    the text of `GroundRing._pdiv_int`, for the first one n does not
+    divide."""
+    out = []
+    for a in x:
+        q, r = divmod(a, n)
+        if r:
+            raise ExactDivisionError(f"{a} is not divisible by {n} in {_Z}")
+        out.append(q)
+    return tuple(out)
+
+
+def _lifted(int_mul, one):
+    """The product and power of payloads over Z[S^-1] run in the integer
+    numerators by int_mul (see `_lift`), a power lifting its base once."""
+    def mul(x, y):
+        x, dx = _lift(x)
+        y, dy = _lift(y)
+        return _unlift(int_mul(x, y), dx * dy)
+
+    def power(x, k):
+        if not k:
+            return one
+        x, d = _lift(x)
+        return _unlift(_pow_payloads(int_mul, x, k), d ** k)
+
+    return mul, power
+
+
+def _payload_ops(ground, N):
+    """(_padd, _psub, _pneg, _pmul, _ppow, _pscale, _pis_zero, _pdiv_int)
+    of SeriesRing(ground, N), which binds them once (see the module
+    docstring for which ring gets which)."""
+    padd, psub, pneg = ground._padd, ground._psub, ground._pneg
+    pscale, pis_zero, pdiv_int = ground._pscale, ground._pis_zero, ground._pdiv_int
+
+    def add(x, y):
+        return tuple(map(padd, x, y))
+
+    def sub(x, y):
+        return tuple(map(psub, x, y))
+
+    def neg(x):
+        return tuple(map(pneg, x))
+
+    def scale(x, c):
+        return tuple([pscale(a, c) for a in x])
+
+    def is_zero(x):
+        return all(map(pis_zero, x))
+
+    def div_int(x, n):
+        return tuple([pdiv_int(a, n) for a in x])
+
+    if ground.kind != DUAL:
+        kernels = _kernels(N)
+        if kernels:
+            add, sub = kernels[1:]
+        is_zero = _all_zero
+    one = (ground._pfrom_int(1),) + (ground._pzero(),) * N
+    if ground.kind == ZLOC:
+        int_mul = kernels[0] if kernels else functools.partial(_conv_int, n=N)
+        if ground != _Z:
+            return (add, sub, neg, *_lifted(int_mul, one), scale, is_zero,
+                    div_int)
+        mul, div_int = int_mul, _div_ints
+    else:
+        mul = functools.partial(_mul_payloads, ground, n=N)
+
+    def power(x, k):
+        return _pow_payloads(mul, x, k) if k else one
+
+    return add, sub, neg, mul, power, scale, is_zero, div_int
+
+
 class SeriesRing:
     """A truncation A[x]/x^{N+1} viewed as a coefficient domain.
 
     Its elements are TruncSeries, and its payload (the protocol of
     `ground.GroundRing`) is a series' own `payload`, the tuple of its
     N + 1 ground payloads, so `_unwrap` and `_wrap` convert nothing.
-    `_pmul` and `_ppow` multiply integer numerators by `_int_product` over
-    Z[S^-1] and run the row loop `_mul_payloads` elsewhere; the other `_p*`
-    methods act coefficientwise.
+    `__init__` binds `_padd`, `_psub`, `_pneg`, `_pmul`, `_ppow`,
+    `_pscale`, `_pis_zero` and `_pdiv_int` into slots once, by
+    `_payload_ops`: int kernels over Z, the lifted product over Z[S^-1]
+    with S nonempty, the row loop `_mul_payloads` over Q[y..] and dual
+    numbers (see the module docstring).  `_pzero` and `_pfrom_int` stay
+    methods.
     """
 
-    __slots__ = ("ground", "trunc")
+    __slots__ = ("ground", "trunc", "_padd", "_psub", "_pneg", "_pmul", "_ppow",
+                 "_pscale", "_pis_zero", "_pdiv_int")
 
     def __init__(self, ground, trunc):
         check_int("N", trunc, 0)
         self.ground = ground
         self.trunc = trunc
+        (self._padd, self._psub, self._pneg, self._pmul, self._ppow,
+         self._pscale, self._pis_zero, self._pdiv_int) = _payload_ops(ground, trunc)
 
     def __eq__(self, other):
         if self is other:
@@ -538,48 +649,24 @@ class SeriesRing:
     def _pfrom_int(self, n):
         return (self.ground._pfrom_int(n),) + (self.ground._pzero(),) * self.trunc
 
-    def _padd(self, x, y):
-        return tuple(map(self.ground._padd, x, y))
-
-    def _psub(self, x, y):
-        return tuple(map(self.ground._psub, x, y))
-
-    def _pneg(self, x):
-        return tuple(map(self.ground._pneg, x))
-
-    def _pmul(self, x, y):
-        if self.ground.kind == ZLOC:
-            x, dx = _lift(x)
-            y, dy = _lift(y)
-            return _unlift(_int_product(self.trunc)(x, y), dx * dy)
-        return tuple(_mul_payloads(self.ground, x, y, self.trunc))
-
-    def _ppow(self, x, k):
-        if k == 0:
-            return self._pfrom_int(1)
-        if self.ground.kind == ZLOC:
-            x, d = _lift(x)
-            return _unlift(_pow_payloads(_int_product(self.trunc), x, k), d ** k)
-        return tuple(_pow_payloads(
-            functools.partial(_mul_payloads, self.ground, n=self.trunc), x, k))
-
-    def _pscale(self, x, c):
-        scale = self.ground._pscale
-        return tuple([scale(a, c) for a in x])
-
-    def _pis_zero(self, x):
-        return all(map(self.ground._pis_zero, x))
-
-    def _pdiv_int(self, x, n):
-        div = self.ground._pdiv_int
-        return tuple([div(a, n) for a in x])
-
     def is_p_divisible(self, f, p):
-        return all(self.ground.is_p_divisible(c, p) for c in f.coeffs)
+        """True iff every coefficient of f is p-divisible in the ground
+        ring, read off the payloads as `GroundRing.is_p_divisible` reads
+        one."""
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        ring, payloads = self.ground, f.payload
+        if ring.kind == DUAL:
+            ring, payloads = ring.base, itertools.chain.from_iterable(payloads)
+        if ring.kind == QPOLY or ring.inverted.inverts(p):
+            return True
+        return all(c.numerator % p == 0 for c in payloads)
 
     def in_ideal(self, f, ideal):
         if isinstance(ideal, XAdicIdeal):
-            return all(map(self.ground._pis_zero, f.payload[: ideal.k]))
+            return self._pis_zero(f.payload[: ideal.k])
+        if isinstance(ideal, PrimeIdeal):
+            return self.is_p_divisible(f, ideal.p)
         return all(self.ground.in_ideal(c, ideal) for c in f.coeffs)
 
     def format(self, f):

@@ -265,6 +265,19 @@ def test_power_sum_inversion_checks_exactness():
     assert c == [1, Fraction(1, 2)]
 
 
+def test_power_sum_inversion_over_series_names_the_first_failing_coefficient():
+    # over Z[x]/x^4, q_1..q_5 = 0 and q_6 = 12x + 4x^3 give 6 c_6 = -q_6:
+    # -12 is divisible by 6, so the first failing coefficient is -4, whose
+    # division fails at 3 but not at 2
+    dom = SeriesRing(Z, 3)
+    q = [dom._pzero()] * 5 + [(0, 12, 0, 4)]
+    with pytest.raises(IntegralityError) as info:
+        _from_power_sums(dom, q)
+    assert str(info.value) == (
+        "power-sum inversion failed at degree 6: -4 is not divisible by 6 in Z")
+    assert (info.value.degree, info.value.prime) == (6, 3)
+
+
 def test_ghost_solve_reports_only_inexact_division():
     # ghost components (1, 0): w_2 = c_1^2 - 2 c_2 = 0 needs c_2 = 1/2
     with pytest.raises(IntegralityError, match="ghost solve failed at degree 2"):

@@ -7,7 +7,8 @@ by coefficient, the coefficient-by-coefficient convolution, Horner's rule
 on whole series, powers by repeated multiplication, and reversion by one
 composition per degree.  Products and powers over Z[S^-1] are also
 checked across the straight-line kernel's size limit against a schoolbook
-double loop on Python numbers.
+double loop on Python numbers, and every payload op of a series ring over
+Z against loops on Python ints.
 """
 
 import math
@@ -23,9 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wittlam
+from wittlam import series
 from wittlam.errors import (ExactDivisionError, InputError, MembershipError,
                             RingMismatchError)
-from wittlam.ground import DUAL, QPOLY, GroundRing
+from wittlam.ground import DUAL, QPOLY, GroundRing, PrimeIdeal
 from wittlam.series import (_KERNEL_MAX_N, _KERNELS, SeriesRing, TruncSeries,
                             _power_table, compose, congruent_mod, revert,
                             xadic_valuation)
@@ -622,3 +624,95 @@ def test_products_match_schoolbook_across_the_kernel_limit(data):
                             (dom._ppow(pb, k), _schoolbook_pow(b, k))]:
             assert type(got) is tuple and list(got) == expect
             assert all(ring.contains_payload(c) for c in got)
+
+
+# ---------------------------------------------------------------------------
+# the payload ops bound by SeriesRing, against loops on Python numbers
+# ---------------------------------------------------------------------------
+
+
+_DIVISORS = st.one_of(st.sampled_from([1, -1, 2, 3, -6, 7]),
+                      st.integers(-_BIG, _BIG).filter(bool))
+_QY_PAYLOADS = st.builds(
+    lambda c0, c1: MPoly(("y1",), {(0,): c0, (1,): c1}),
+    _fractions([1, 2, 3]), _fractions([1, 2, 3]))
+_GROUND_PAYLOADS = [
+    (Z2, _fractions([1, 2, 4, 8]).map(lambda q: Z2.coerce(q).payload)),
+    (Q, _fractions([1, 2, 3, 5, 6, 7, 12]).map(lambda q: Q.coerce(q).payload)),
+    (QY, _QY_PAYLOADS),
+    (DZ, st.tuples(_INTS, _INTS)),
+]
+
+
+def _all_ints(payload):
+    return type(payload) is tuple and all(type(c) is int for c in payload)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(data=st.data())
+def test_bound_payload_ops_match_loops_on_numbers(data):
+    N = data.draw(st.integers(0, 40), label="N")
+    k = data.draw(st.integers(0, 5), label="k")
+    c = data.draw(_INTS, label="c")
+    n = data.draw(_DIVISORS, label="n")
+    dom = SeriesRing(Z, N)
+    a, b = (tuple(data.draw(_coefficients(N, _INTS))) for _ in range(2))
+    an = tuple(x * n for x in a)
+    for got, expect in [(dom._padd(a, b), [x + y for x, y in zip(a, b)]),
+                        (dom._psub(a, b), [x - y for x, y in zip(a, b)]),
+                        (dom._pneg(a), [-x for x in a]),
+                        (dom._pscale(a, c), [x * c for x in a]),
+                        (dom._pmul(a, b), _schoolbook(a, b)),
+                        (dom._ppow(a, k), _schoolbook_pow(a, k)),
+                        (dom._pdiv_int(an, n), list(a))]:
+        assert _all_ints(got) and list(got) == expect
+    assert dom._pis_zero(a) is (a == (0,) * (N + 1))
+    assert dom._pis_zero(dom._pzero())
+    failing = [x for x in a if x % n]
+    if not failing:
+        got = dom._pdiv_int(a, n)
+        assert _all_ints(got) and list(got) == [x // n for x in a]
+    else:
+        with pytest.raises(ExactDivisionError) as info:
+            dom._pdiv_int(a, n)
+        with pytest.raises(ExactDivisionError) as ground:
+            Z._pdiv_int(failing[0], n)
+        assert str(info.value) == str(ground.value)
+    # every other ground: sums and differences coefficient by coefficient
+    for ring, values in _GROUND_PAYLOADS:
+        dom = SeriesRing(ring, N)
+        a, b = (tuple(data.draw(st.lists(values, min_size=N + 1, max_size=N + 1)))
+                for _ in range(2))
+        assert dom._padd(a, b) == tuple(map(ring._padd, a, b))
+        assert dom._psub(a, b) == tuple(map(ring._psub, a, b))
+
+
+def test_integer_series_ops_never_lift(monkeypatch):
+    def lift(payloads):
+        raise AssertionError("an integer payload was lifted")
+
+    monkeypatch.setattr(series, "_lift", lift)
+    for N in (0, 4, 12, 33):
+        dom = SeriesRing(Z, N)
+        a = tuple(range(1, N + 2))
+        b = tuple(range(-N, 1))
+        dom._padd(a, b), dom._psub(a, b), dom._pneg(a), dom._pscale(a, 3)
+        dom._pmul(a, b), dom._pis_zero(a), dom._pdiv_int(a, 1)
+        for k in range(4):
+            dom._ppow(a, k)
+        # a ring with denominators does lift, so the patch is in force
+        with pytest.raises(AssertionError, match="lifted"):
+            SeriesRing(Z2, N)._pmul(a, b)
+
+
+def test_divisibility_reads_payloads_as_the_element_route():
+    for ring, N, f, g in _kernel_cases("divisible"):
+        dom = f.domain
+        for p in (2, 3, 5):
+            for h in (f, g, f * p, g * p + f * p * p):
+                expect = all(ring.is_p_divisible(c, p) for c in h.coeffs)
+                assert dom.is_p_divisible(h, p) is expect, (ring, N, p)
+                assert dom.in_ideal(h, PrimeIdeal(p)) is expect, (ring, N, p)
+        for bad in (1, 4, -2):
+            with pytest.raises(ValueError, match=f"{bad} is not prime"):
+                dom.is_p_divisible(f, bad)
