@@ -309,10 +309,13 @@ def validate(S):
     carrier's kind only names the lines.
     """
     carrier, report = S.carrier, Report()
-    kind, ring = carrier.kind, carrier.ring
+    kind, ring, series = carrier.kind, carrier.ring, carrier.series
     for p in S.primes:
         psi, failure = S.adams[p], _ground_frobenius_failure(ring, p)
-        ok = congruent_mod(psi, carrier.series.coerce([0] * p + [1]), p)
+        xp = series._pzero()  # x^p, which is 0 past degree N
+        if p <= carrier.trunc:
+            xp = xp[:p] + (ring._pfrom_int(1),) + xp[p + 1 :]
+        ok = congruent_mod(psi, series._wrap(xp), p)
         ok = ok and not failure
         if kind == GROUND:
             report.add(f"frobenius psi^{p}(r) == r^{p} mod {p} (psi = id)",

@@ -228,20 +228,19 @@ def relation_V(index, q_next, assignment):
     return v ** q_next - v - v2 * q_next
 
 
-def _adams_coeff(p, i, v):
-    """u_{(p,i)} = p v_{(p,i)}, plus 1 at the Frobenius slot i = p."""
-    u = v * p
-    return u + 1 if i == p else u
-
-
 def universal_adams(p, assignment):
     """The universal Adams series psi^p(x) = sum_{i<=N} u_{(p,i)} x^i,
-    evaluated under an assignment: a series over its target ring."""
-    coeffs = [assignment.target.zero()] + [
-        _adams_coeff(p, i, assignment.get(p, i))
-        for i in range(1, assignment.trunc + 1)
-    ]
-    return SeriesRing(assignment.target, assignment.trunc).coerce(coeffs)
+    evaluated under an assignment: a series over its target ring, with
+    u_{(p,i)} = p v_{(p,i)}, plus 1 at the Frobenius slot i = p.  The
+    coefficients are computed on payloads, by the target's _pscale and
+    _padd, and the series is wrapped once."""
+    target, depth0 = assignment.target, assignment.depth0
+    scale, add = target._pscale, target._padd
+    coeffs = [target._pzero()]
+    for i in range(1, assignment.trunc + 1):
+        u = scale(depth0[(p, i)].payload, p)
+        coeffs.append(add(u, target._pfrom_int(1)) if i == p else u)
+    return SeriesRing(target, assignment.trunc)._wrap(tuple(coeffs))
 
 
 def relation_w(p, q, assignment):
@@ -263,7 +262,9 @@ def hom_from_structure(S, depth=DEFAULT_DEPTH):
 
     Depth-0 values divide the Adams coefficients by p (shifting by 1 at
     the Frobenius slot); the Frobenius congruence makes these divisions
-    land in R, and failures mean S violates the psi-ring congruence.
+    land in R, and failures mean S violates the psi-ring congruence.  The
+    shift is taken on the series' payloads; each division goes through
+    `GroundRing.div_int`.
     """
     carrier = S.carrier
     if carrier.kind != POWER_SERIES or not carrier.ring.between_Z_and_Q():
@@ -274,13 +275,13 @@ def hom_from_structure(S, depth=DEFAULT_DEPTH):
     R = carrier.ring
     depth0 = {}
     for p in S.primes:
-        psi = S.adams_series(p)
+        psi = S.adams_series(p).payload
         for i in range(1, carrier.trunc + 1):
             r = psi[i]
             if i == p:
-                r = r - R.one()
+                r = R._psub(r, R._pfrom_int(1))
             try:
-                depth0[(p, i)] = R.div_int(r, p)
+                depth0[(p, i)] = R.div_int(R._wrap(r), p)
             except ExactDivisionError as exc:
                 raise MembershipError(
                     f"structure violates the psi-ring congruence at "

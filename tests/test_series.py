@@ -12,6 +12,7 @@ Z against loops on Python ints.
 """
 
 import math
+import operator
 import os
 import random
 import subprocess
@@ -28,9 +29,9 @@ from wittlam import series
 from wittlam.errors import (ExactDivisionError, InputError, MembershipError,
                             RingMismatchError)
 from wittlam.ground import DUAL, QPOLY, GroundRing, PrimeIdeal
-from wittlam.series import (_KERNEL_MAX_N, _KERNELS, SeriesRing, TruncSeries,
-                            _power_table, compose, congruent_mod, revert,
-                            xadic_valuation)
+from wittlam.series import (_COMPOSE_KERNELS, _COMPOSE_MAX_N, _KERNEL_MAX_N,
+                            _KERNELS, SeriesRing, TruncSeries, _power_table,
+                            compose, congruent_mod, revert, xadic_valuation)
 from wittlam.sympoly import MPoly
 
 Z = GroundRing.integers()
@@ -449,6 +450,25 @@ def test_kernel_table_is_lazy_and_bounded():
         assert f * f == f ** 2
     # at most 33 kernels, one per N <= 32
     assert set(_KERNELS) <= set(range(_KERNEL_MAX_N + 1))
+    # importing the library builds no composition kernel either
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import wittlam, wittlam.series; "
+         "print(len(wittlam.series._COMPOSE_KERNELS))"],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
+    # past its limit composition runs `_grow_powers` and builds nothing
+    before = set(_COMPOSE_KERNELS)
+    for N in (_COMPOSE_MAX_N + 1, 24):
+        f = S(list(range(1, N + 2)), N)
+        g = S([0, 1, -1, 2], N)
+        assert compose(f, g) == compose_oracle(f, g)
+    assert set(_COMPOSE_KERNELS) == before
+    for N in range(33):
+        f = S([1, -2, 3], N)
+        assert compose(f, S([0, 1, 1], N)) == compose_oracle(f, S([0, 1, 1], N))
+    # at most one composition kernel per 1 <= N <= _COMPOSE_MAX_N
+    assert set(_COMPOSE_KERNELS) <= set(range(1, _COMPOSE_MAX_N + 1))
 
 
 def test_compose_of_localized_series_keeps_its_denominators():
@@ -624,6 +644,43 @@ def test_products_match_schoolbook_across_the_kernel_limit(data):
                             (dom._ppow(pb, k), _schoolbook_pow(b, k))]:
             assert type(got) is tuple and list(got) == expect
             assert all(ring.contains_payload(c) for c in got)
+
+
+# ---------------------------------------------------------------------------
+# composition over Z[S^-1] on both sides of the generated kernels' limit
+# ---------------------------------------------------------------------------
+
+
+_WORDS = st.one_of(st.just(0), st.sampled_from([1, -1]),
+                   st.integers(-2 ** 64, 2 ** 64))
+
+
+def _grown_table(gp):
+    """The columns ((g^k)_j for k = 1..j) for j = 1..N of an integer
+    payload gp, read off `_grow_powers` run on it directly."""
+    rows = series._grow_powers(list(gp), sum, operator.mul)
+    return tuple(tuple(rows[k][j] for k in range(1, j + 1))
+                 for j in range(1, len(gp)))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_compose_matches_the_oracle_across_the_kernel_limit(data):
+    N = data.draw(st.integers(0, 24), label="N")
+    fs = data.draw(_coefficients(N, _WORDS), label="f numerators")
+    gs = [0] + data.draw(_coefficients(N, _WORDS), label="g numerators")[1:]
+    # the numerators are shared; each ring draws its own denominators
+    for ring, dens in [(Z, [1]), (Z2, [1, 2, 4, 8]), (Q, [1, 2, 3, 5, 6, 7])]:
+        ds = data.draw(st.lists(st.sampled_from(dens), min_size=2 * N + 2,
+                                max_size=2 * N + 2))
+        dom = SeriesRing(ring, N)
+        f = dom.coerce(list(map(Fraction, fs, ds)))
+        g = dom.coerce(list(map(Fraction, gs, ds[N + 1:])))
+        h = compose(f, g)
+        assert h == compose_oracle(f, g), (ring, N)
+        if ring == Z:
+            assert all(type(c) is int for c in h.payload)
+            assert _power_table(g.payload) == (_grown_table(g.payload), 1)
 
 
 # ---------------------------------------------------------------------------

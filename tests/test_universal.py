@@ -63,6 +63,38 @@ def eager_json_oracle(target, primes, trunc, depth, values):
     }
 
 
+def universal_adams_oracle(p, assignment):
+    """The universal Adams series by RingElement arithmetic: u_{(p,i)} =
+    p v_{(p,i)}, plus 1 at i = p, coerced into the series ring."""
+    coeffs = [assignment.target.zero()]
+    for i in range(1, assignment.trunc + 1):
+        u = assignment.get(p, i) * p
+        coeffs.append(u + 1 if i == p else u)
+    return SeriesRing(assignment.target, assignment.trunc).coerce(coeffs)
+
+
+@pytest.mark.parametrize("ring, dens", [
+    (Z, [1]), (GroundRing.localized([2]), [1, 2, 8]),
+    (GroundRing.p_local(5), [1, 2, 3, 7]), (GroundRing.rationals(), [1, 3, 10]),
+], ids=lambda v: str(v) if isinstance(v, GroundRing) else "")
+def test_universal_adams_agrees_with_the_element_route(ring, dens):
+    rng = random.Random(str(ring))
+    for N in range(1, 7):
+        primes = (2, 3, 5)
+        depth0 = {(p, i): Fraction(rng.randint(-9, 9), rng.choice(dens))
+                  for p in primes for i in range(1, N + 1)}
+        h = HomAssignment.from_depth0(ring, depth0, primes, N, depth=0)
+        for p in primes:
+            psi = universal_adams(p, h)
+            assert psi == universal_adams_oracle(p, h), (N, p)
+            if ring == Z:
+                assert all(type(c) is int for c in psi.payload)
+    for N in range(1, 4):
+        h = HomAssignment.generic((2, 3), N)
+        for p in h.primes:
+            assert universal_adams(p, h) == universal_adams_oracle(p, h), (N, p)
+
+
 def test_universal_adams_all_zero_gives_power():
     h = HomAssignment.from_depth0(Z, {}, primes=(2, 3), trunc=6, depth=1)
     psi2 = universal_adams(2, h)
@@ -163,8 +195,10 @@ def test_hom_rejects_congruence_violation():
     from wittlam.structures import make_series_structure
 
     bad = make_series_structure(carrier, {2: x, 3: x})
-    with pytest.raises(MembershipError):
+    with pytest.raises(MembershipError) as info:
         hom_from_structure(bad)
+    assert str(info.value) == ("structure violates the psi-ring congruence at "
+                               "(p=2, i=1): 1 is not divisible by 2 in Z")
 
 
 def test_hom_reports_only_inexact_division(monkeypatch):
@@ -335,7 +369,9 @@ def test_missing_fermat_quotient_rejected_at_construction():
 
 
 _RINGS = {"Z": (Z, [1]), "Z[1/2]": (GroundRing.localized([2]), [1, 2, 8]),
-          "Q": (GroundRing.rationals(), [1, 2, 3, 5, 9])}
+          "Q": (GroundRing.rationals(), [1, 2, 3, 5, 9]),
+          "Z_(5)": (GroundRing.p_local(5), [1, 2, 3, 7]),
+          "Q[y1]": (GroundRing.rational_poly(("y1",)), [1, 2, 3])}
 
 
 @st.composite
@@ -345,10 +381,14 @@ def _assignments(draw):
                            max_size=3, unique=True))
     trunc = draw(st.integers(1, 4))
     depth = draw(st.integers(0, 2))
-    depth0 = {
-        (p, i): Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from(dens)))
-        for p in primes for i in range(1, trunc + 1)
-    }
+
+    def value():
+        c = Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from(dens)))
+        if ring.variables is None:
+            return c
+        return ring.coerce(c) + ring.coerce("y1") * draw(st.integers(-1, 1))
+
+    depth0 = {(p, i): value() for p in primes for i in range(1, trunc + 1)}
     return HomAssignment.from_depth0(ring, depth0, primes, trunc, depth)
 
 
