@@ -30,7 +30,7 @@ which returns an int for an integral quotient.  `_unwrap` reads an
 element's payload and `_wrap` builds one around a payload.  SeriesRing
 (`series`) implements the same protocol and binds its own `_p*` ops once
 per ring too, `_ppow` and `_pdiv_int` among them (int kernels over Z), so
-`lambda_witt` and `structures` run one loop over every coefficient
+`lambda_witt` and `structures` run one routine over every coefficient
 domain.
 """
 

@@ -33,7 +33,24 @@ inversion.  `structures.lambda_values` lifts Adams data through the same
 Newton inversion.  The universal polynomials P_n and P_{m,n} are not
 used here: they are what the tests and `axiom_check` check these routes
 against.
+
+Newton's identities in both directions, the ghost map and the ghost
+solve each have a loop (`_power_sums_loop`, ...), and for degrees
+1 <= M <= _NEWTON_MAX_M a straight-line form of the same loop: one
+function per routine, M and spelling, generated from the int M alone on
+first use and kept in `_NEWTON_KERNELS`.  It takes the domain's payload
+ops as arguments and writes one statement per term.  On domains whose
+ops are the `operator` builtins (Z[S^-1], Q[y..]) the ops are written as
+`+ - *`; on dual numbers and every SeriesRing they are calls.  The forms
+make the loops' divisions in the same order, skip a zero a_d in the
+ghost map as the loop does, and read q_n in the Newton inversion only
+once c_{n-1} is known.  They leave out scalings by 1.  Their source grows
+as M^2, and so does the time to compile it (about 0.3-0.7 ms per form at
+M = 8 and 0.5-2 ms at M = 16), so above M = 16 the loops run.  E and
+E^-1 stay loops.
 """
+
+import operator
 
 from .errors import (BoundExceededError, ExactDivisionError, IntegralityError,
                      RingMismatchError)
@@ -154,12 +171,163 @@ def lambda_neg(f):
     return LambdaElem._from_payloads(dom, out)
 
 
+# ---------------------------------------------------------------------------
+# straight-line forms of Newton's identities, the ghost map and the ghost solve
+# ---------------------------------------------------------------------------
+
+# Degrees M up to this one get generated kernels.  The source of Newton's
+# identities grows as M^2, and so does the time to compile it.
+_NEWTON_MAX_M = 16
+_NEWTON_KERNELS = {}  # (routine, M, inline) -> its straight-line form, built on first use
+
+# The payload ops (_padd, _psub, _pneg, _pmul, _pscale, _pis_zero) of a
+# domain whose payloads take + - * in place of calls: Z[S^-1] and Q[y..].
+_OPERATORS = (operator.add, operator.sub, operator.neg, operator.mul,
+              operator.mul, operator.not_)
+
+# How each payload op is written: inline, or as a call to the kernel's
+# argument of that name.
+_SPELLINGS = {
+    True: {"add": "{} + {}", "sub": "{} - {}", "neg": "-{}", "mul": "{} * {}",
+           "scale": "{} * {}", "nonzero": "{}"},
+    False: {"add": "add({}, {})", "sub": "sub({}, {})", "neg": "neg({})",
+            "mul": "mul({}, {})", "scale": "scale({}, {})",
+            "nonzero": "not is_zero({})"},
+}
+
+
+def _names(stem, M):
+    """"stem1, stem2, ..., stemM"."""
+    return ", ".join(f"{stem}{n}" for n in range(1, M + 1))
+
+
+def _dividing(target, dividend, n, error):
+    """The lines of `target = div(dividend, n)` that raise `error`, called
+    with the ExactDivisionError e, when the division fails."""
+    return ["try:",
+            f"    {target} = div({dividend}, {n})",
+            "except ExactDivisionError as e:",
+            f"    raise {error} from e"]
+
+
+def _power_sums_lines(M, op):
+    """The body of `_power_sums_loop` at M, unrolled and spelled by op."""
+    lines = [f"{_names('a', M)}, = a[:{M}]", "p1 = a1"]
+    for n in range(2, M + 1):
+        p = f"p{n}"
+        lines.append(f"{p} = " + op["scale"].format(f"a{n}", n if n % 2 else -n))
+        for i in range(1, n):
+            term = op["mul"].format(f"a{i}", f"p{n - i}")
+            lines.append(f"{p} = " + op["add" if i % 2 else "sub"].format(p, term))
+    return lines + [f"return [{_names('p', M)}]"]
+
+
+def _from_power_sums_lines(M, op):
+    """The body of `_from_power_sums_loop` over M sums, unrolled and
+    spelled by op."""
+    lines = ["next_q = iter(q).__next__"]
+    for n in range(1, M + 1):
+        lines += [f"q{n} = next_q()",
+                  "t = " + (f"q{n}" if n % 2 else op["neg"].format(f"q{n}"))]
+        for i in range(1, n):
+            term = op["mul"].format(f"c{n - i}", f"q{i}")
+            lines.append("t = " + op["add" if i % 2 else "sub"].format("t", term))
+        lines += _dividing(f"c{n}", "t", n, f"_inversion_error(dom, t, {n}, e)")
+    return lines + [f"return [{_names('c', M)}]"]
+
+
+def _ghosts_lines(M, op):
+    """The body of `_ghosts_loop` at M, unrolled and spelled by op."""
+    lines = [f"{_names('a', M)}, = a[:{M}]", "w1 = a1"]
+    lines += [f"w{n} = " + op["mul"].format(f"w{n - 1}", "a1")
+              for n in range(2, M + 1)]
+    for d in range(2, M + 1):
+        lines.append(f"if {op['nonzero'].format(f'a{d}')}:")
+        power = f"a{d}"
+        for k in range(1, M // d + 1):
+            if k > 1:
+                lines.append(f"    x{d}_{k} = " + op["mul"].format(power, f"a{d}"))
+                power = f"x{d}_{k}"
+            w = f"w{d * k}"
+            term = op["scale"].format(power, -d if d % 2 == 0 and k % 2 else d)
+            lines.append(f"    {w} = " + op["add"].format(w, term))
+    return lines + [f"return [{_names('w', M)}]"]
+
+
+def _ghost_solve_lines(M, op):
+    """The body of `_ghost_solve_loop` on M targets, unrolled and spelled
+    by op."""
+    lines = [f"{_names('T', M)}, = T"]
+    for n in range(1, M + 1):
+        c = f"c{n}"
+        lines += _dividing(c, f"T{n}", n, f"_solve_error({n}, e)")
+        if n % 2 == 0:  # leading ghost term is -n*c_n for even n
+            lines.append(f"{c} = " + op["neg"].format(c))
+        power = c
+        for k in range(2, M // n + 1):
+            lines.append(f"{c}_{k} = " + op["mul"].format(power, c))
+            power = f"{c}_{k}"
+            sign = -n if n % 2 == 0 and k % 2 else n
+            term = power if sign == 1 else op["scale"].format(power, sign)
+            lines.append(f"T{n * k} = " + op["sub"].format(f"T{n * k}", term))
+    return lines + [f"return [{_names('c', M)}]"]
+
+
+# routine -> (the kernel's parameters, the writer of its body)
+_ROUTINES = {
+    "power_sums": ("a, add, sub, mul, scale", _power_sums_lines),
+    "from_power_sums": ("q, dom, add, sub, neg, mul, div", _from_power_sums_lines),
+    "ghosts": ("a, add, mul, scale, is_zero", _ghosts_lines),
+    "ghost_solve": ("T, sub, neg, mul, scale, div", _ghost_solve_lines),
+}
+
+
+def _straight_line(routine, M, inline):
+    """The routine (a key of _ROUTINES) at degree M as one generated
+    function with one statement per term: every loop of `<routine>_loop`
+    unrolled, the divisions made in the same order and by the domain's
+    `div`, scalings by 1 left out, and each payload op written as `+ - *`
+    when inline, as a call to the kernel's argument of that name
+    otherwise."""
+    params, body = _ROUTINES[routine]
+    source = "\n    ".join([f"def {routine}({params}):",
+                            *body(M, _SPELLINGS[inline])]) + "\n"
+    namespace = {"ExactDivisionError": ExactDivisionError,
+                 "_inversion_error": _inversion_error,
+                 "_solve_error": _solve_error}
+    exec(compile(source, f"<lambda_witt {routine} M={M}>", "exec"), namespace)
+    return namespace[routine]
+
+
+def _kernel(routine, dom, M):
+    """The straight-line form of routine at degree M for the domain dom,
+    built on first use, for 1 <= M <= _NEWTON_MAX_M; None for other M."""
+    if M is None or not 1 <= M <= _NEWTON_MAX_M:
+        return None
+    key = (routine, M, (dom._padd, dom._psub, dom._pneg, dom._pmul,
+                        dom._pscale, dom._pis_zero) == _OPERATORS)
+    kernel = _NEWTON_KERNELS.get(key)
+    if kernel is None:
+        kernel = _NEWTON_KERNELS[key] = _straight_line(*key)
+    return kernel
+
+
 def _power_sums(dom, a, M):
     """p_1..p_M of f = 1 + sum a_i t^i, i.e. of the roots x_k of
     f = prod (1 + x_k t), by Newton's identities
     p_n = sum_{i<n} (-1)^{i-1} a_i p_{n-i} + (-1)^{n-1} n a_n.
 
-    a and the result are lists of payloads of the domain dom."""
+    a (at least M payloads of the domain dom) and the result are lists of
+    payloads; `_power_sums_loop` for M above _NEWTON_MAX_M, the
+    straight-line form of M otherwise."""
+    kernel = _kernel("power_sums", dom, M)
+    if kernel is None:
+        return _power_sums_loop(dom, a, M)
+    return kernel(a, dom._padd, dom._psub, dom._pmul, dom._pscale)
+
+
+def _power_sums_loop(dom, a, M):
+    """`_power_sums` as one loop."""
     add, sub, mul, scale = dom._padd, dom._psub, dom._pmul, dom._pscale
     p = []
     for n in range(1, M + 1):
@@ -171,17 +339,29 @@ def _power_sums(dom, a, M):
     return p
 
 
-def _from_power_sums(dom, sums):
+def _from_power_sums(dom, sums, M=None):
     """The coefficients c_1..c_M whose power sums are q_1..q_M, by
     n c_n = sum_{i<=n} (-1)^{i-1} c_{n-i} q_i with c_0 = 1, on payloads
     of the domain dom.  `sums` is any iterable of q_1..q_M; q_n is read
-    only once c_{n-1} is known.
+    only once c_{n-1} is known.  M is read off a list or a tuple; an
+    iterator of known length may give it, and without it the loop runs.
 
     Each division by n is exact when q are the power sums of an element of
     Lambda(A); a failed division raises IntegralityError with `degree` n
     and the failing `prime`, caused by the ExactDivisionError, and reads
     no further q.
     """
+    if M is None and isinstance(sums, (list, tuple)):
+        M = len(sums)
+    kernel = _kernel("from_power_sums", dom, M)
+    if kernel is None:
+        return _from_power_sums_loop(dom, sums)
+    return kernel(sums, dom, dom._padd, dom._psub, dom._pneg, dom._pmul,
+                  dom._pdiv_int)
+
+
+def _from_power_sums_loop(dom, sums):
+    """`_from_power_sums` as one loop, over as many q as `sums` yields."""
     add, sub, mul, div = dom._padd, dom._psub, dom._pmul, dom._pdiv_int
     c, q = [], []
     for n, qn in enumerate(sums, 1):
@@ -193,11 +373,17 @@ def _from_power_sums(dom, sums):
         try:
             c.append(div(acc, n))
         except ExactDivisionError as exc:
-            err = IntegralityError(f"power-sum inversion failed at degree {n}: {exc}")
-            err.degree = n
-            err.prime = _failing_prime(dom, acc, n)
-            raise err from exc
+            raise _inversion_error(dom, acc, n, exc) from exc
     return c
+
+
+def _inversion_error(dom, acc, n, exc):
+    """The IntegralityError of a power-sum inversion whose division of the
+    payload acc by n failed with exc."""
+    err = IntegralityError(f"power-sum inversion failed at degree {n}: {exc}")
+    err.degree = n
+    err.prime = _failing_prime(dom, acc, n)
+    return err
 
 
 def _failing_prime(dom, x, n):
@@ -275,10 +461,20 @@ def lambda_adams(k, f):
 
 
 def _ghosts(dom, a, M):
-    """Ghost components w_1..w_M of the payloads a, each the sum
-    over d | n of s(d, n/d) * d * a_d^{n/d} (see `ghost`): the powers of
-    each a_d are built by repeated multiplication and added into w_d,
-    w_2d, ..., starting from the d = 1 terms a_1^n."""
+    """Ghost components w_1..w_M of the payloads a (at least M of them),
+    each the sum over d | n of s(d, n/d) * d * a_d^{n/d} (see `ghost`);
+    `_ghosts_loop` for M above _NEWTON_MAX_M, the straight-line form of M
+    otherwise."""
+    kernel = _kernel("ghosts", dom, M)
+    if kernel is None:
+        return _ghosts_loop(dom, a, M)
+    return kernel(a, dom._padd, dom._pmul, dom._pscale, dom._pis_zero)
+
+
+def _ghosts_loop(dom, a, M):
+    """`_ghosts` as one loop: the powers of each a_d are built by repeated
+    multiplication and added into w_d, w_2d, ..., starting from the d = 1
+    terms a_1^n; a zero a_d is skipped."""
     add, mul, scale, is_zero = dom._padd, dom._pmul, dom._pscale, dom._pis_zero
     w = []
     for n in range(M):
@@ -331,8 +527,18 @@ def _ghost_solve(dom, targets):
     obtained by an exact division by n; failure signals an engine bug
     because the universal Witt polynomials are integral.  Once c_d is
     known, its terms s(d, k) d c_d^k are subtracted from the targets at
-    n = dk.
+    n = dk.  `_ghost_solve_loop` for more than _NEWTON_MAX_M targets, the
+    straight-line form of their number otherwise.
     """
+    kernel = _kernel("ghost_solve", dom, len(targets))
+    if kernel is None:
+        return _ghost_solve_loop(dom, targets)
+    return kernel(targets, dom._psub, dom._pneg, dom._pmul, dom._pscale,
+                  dom._pdiv_int)
+
+
+def _ghost_solve_loop(dom, targets):
+    """`_ghost_solve` as one loop."""
     sub, mul, scale, div = dom._psub, dom._pmul, dom._pscale, dom._pdiv_int
     M = len(targets)
     acc = list(targets)
@@ -341,9 +547,7 @@ def _ghost_solve(dom, targets):
         try:
             cn = div(acc[n - 1], n)
         except ExactDivisionError as exc:
-            raise IntegralityError(
-                f"ghost solve failed at degree {n}: {exc}"
-            ) from exc
+            raise _solve_error(n, exc) from exc
         if n % 2 == 0:  # leading ghost term is -n*c_n for even n
             cn = dom._pneg(cn)
         c.append(cn)
@@ -353,6 +557,12 @@ def _ghost_solve(dom, targets):
             acc[n * k - 1] = sub(acc[n * k - 1],
                                  scale(power, -n if n % 2 == 0 and k % 2 else n))
     return c
+
+
+def _solve_error(n, exc):
+    """The IntegralityError of a ghost solve whose division by n failed
+    with exc."""
+    return IntegralityError(f"ghost solve failed at degree {n}: {exc}")
 
 
 def witt_add(a, b):

@@ -19,18 +19,21 @@ scalar operand becomes a constant payload.  `SeriesRing.__init__` binds
 them into instance slots once per ring (`_payload_ops`), as
 `GroundRing.__init__` does.  For each truncation N <= 32, one generated
 source, compiled from the int N on first use and kept in `_KERNELS[N]`,
-gives a product, a sum and a difference as straight-line functions on
-tuples: c_j = a0*bj + ... + aj*b0, aj + bj and aj - bj written out in
-full.  Its size and compile time grow as N^2 (measured: about 0.2 ms at
-N = 4 and 2-3 ms at N = 32), so above N = 32 nothing is generated:
-products run a row loop that skips zero coefficients and sums map the
-ground's op.  Which ring gets which ops:
+gives a product, a sum, a difference, a scaling and an exact division
+by an int as straight-line functions on tuples: c_j = a0*bj + ... +
+aj*b0, aj + bj, aj - bj, aj*c and aj // n (after checking every
+aj % n) written out in full.  Its size and compile time grow as N^2
+(measured: about 0.2 ms at N = 4 and 2-3 ms at N = 32), so above N = 32
+nothing is generated: products run a row loop that skips zero
+coefficients and the other ops map the ground's op.  Which ring gets
+which ops:
 
   * Over Z every payload is a tuple of ints, and every op is an int
-    kernel: the generated product, sum and difference, a power that
-    squares under that product, a divmod loop for exact division,
-    `not any(x)` for the zero test, and the ground's `operator`
-    functions mapped over the coefficients for negation and scaling.
+    kernel: the generated product, sum, difference, scaling and exact
+    division (whose failure reruns a divmod loop that names the first
+    coefficient n does not divide), a power that squares under that
+    product, `not any(x)` for the zero test, and the ground's `operator`
+    function mapped over the coefficients for negation.
   * Over Z[S^-1] with S nonempty (Z[1/p], Q) a product lifts each
     operand to integer numerators over the lcm of its denominators,
     multiplies them by the same int product, and builds a Fraction per
@@ -117,29 +120,41 @@ def _unlift(nums, d):
 # Truncations up to this one get generated kernels; the product's source
 # grows as N^2, and so does the time to compile it.
 _KERNEL_MAX_N = 32
-_KERNELS = {}  # N -> the straight-line (mul, add, sub) of N, built on first use
+_KERNELS = {}  # N -> the straight-line (mul, add, sub, scale, div) of N, built on first use
 
 
 def _straight_line(n):
     """The product, sum and difference of two sequences of n + 1 entries,
-    the product cut at degree n, as functions returning tuples: their
-    bodies are c_j = a0*bj + a1*b(j-1) + ... + aj*b0, aj + bj and aj - bj
-    written out in full for j = 0..n."""
-    a = ", ".join(f"a{i}" for i in range(n + 1))
-    b = ", ".join(f"b{i}" for i in range(n + 1))
+    the product cut at degree n, and the scaling of one by a number c and
+    its exact division by an int n', as functions returning tuples: their
+    bodies are c_j = a0*bj + a1*b(j-1) + ... + aj*b0, aj + bj, aj - bj,
+    aj*c and aj // n' written out in full for j = 0..n.  The division
+    first checks every aj % n'; if one is nonzero it returns
+    `_div_ints`, which raises for the first such aj."""
+    degrees = range(n + 1)
+    a = ", ".join(f"a{i}" for i in degrees)
+    b = ", ".join(f"b{i}" for i in degrees)
     bodies = {
         "mul": ", ".join(" + ".join(f"a{i}*b{j - i}" for i in range(j + 1))
-                         for j in range(n + 1)),
-        "add": ", ".join(f"a{j} + b{j}" for j in range(n + 1)),
-        "sub": ", ".join(f"a{j} - b{j}" for j in range(n + 1)),
+                         for j in degrees),
+        "add": ", ".join(f"a{j} + b{j}" for j in degrees),
+        "sub": ", ".join(f"a{j} - b{j}" for j in degrees),
     }
     source = "".join(f"def {name}(a, b):\n"
                      f"    {a}, = a\n"
                      f"    {b}, = b\n"
                      f"    return ({c},)\n" for name, c in bodies.items())
-    namespace = {}
+    source += (f"def scale(a, c):\n"
+               f"    {a}, = a\n"
+               f"    return ({', '.join(f'a{j}*c' for j in degrees)},)\n"
+               f"def div(a, n):\n"
+               f"    {a}, = a\n"
+               f"    if {' or '.join(f'a{j} % n' for j in degrees)}:\n"
+               f"        return _div_ints(a, n)\n"
+               f"    return ({', '.join(f'a{j} // n' for j in degrees)},)\n")
+    namespace = {"_div_ints": _div_ints}
     exec(compile(source, f"<series kernels N={n}>", "exec"), namespace)
-    return namespace["mul"], namespace["add"], namespace["sub"]
+    return tuple(namespace[name] for name in ("mul", "add", "sub", "scale", "div"))
 
 
 # Truncations up to this one compose through generated kernels.  Their source
@@ -200,8 +215,8 @@ def _compose_kernels(n):
 
 
 def _kernels(n):
-    """(mul, add, sub), the straight-line kernels of n, built on first use,
-    for n <= _KERNEL_MAX_N; None for larger n."""
+    """(mul, add, sub, scale, div), the straight-line kernels of n, built
+    on first use, for n <= _KERNEL_MAX_N; None for larger n."""
     if n > _KERNEL_MAX_N:
         return None
     kernels = _KERNELS.get(n)
@@ -621,7 +636,7 @@ def _payload_ops(ground, N):
     if ground.kind != DUAL:
         kernels = _kernels(N)
         if kernels:
-            add, sub = kernels[1:]
+            add, sub, scale = kernels[1:4]
         is_zero = _all_zero
     one = (ground._pfrom_int(1),) + (ground._pzero(),) * N
     if ground.kind == ZLOC:
@@ -629,7 +644,7 @@ def _payload_ops(ground, N):
         if ground != _Z:
             return (add, sub, neg, *_lifted(int_mul, one), scale, is_zero,
                     div_int)
-        mul, div_int = int_mul, _div_ints
+        mul, div_int = int_mul, kernels[4] if kernels else _div_ints
     else:
         mul = functools.partial(_mul_payloads, ground, n=N)
 

@@ -388,7 +388,8 @@ def lambda_values(S, n, r):
     n lambda^n(r) = sum_{i=1}^{n} (-1)^{i-1} lambda^{n-i}(r) psi^i(r): the
     Adams operations are the power sums of lambda_t(r), so the lift is
     `lambda_witt._from_power_sums` on the payloads of psi^1(r)..psi^n(r),
-    each computed only when the recursion reaches it.  The division by n
+    each computed only when the recursion reaches it (n is passed along,
+    so the straight-line form of n runs for n <= _NEWTON_MAX_M).  The division by n
     must be exact in the carrier (Wilkerson); a WilkersonError names the
     failing prime, degree and element as fields.
     """
@@ -396,7 +397,7 @@ def lambda_values(S, n, r):
     r = dom.coerce(r)
     psi = (dom._unwrap(adams_apply(S, k, r)) for k in range(1, n + 1))
     try:
-        lam = _from_power_sums(dom, psi)
+        lam = _from_power_sums(dom, psi, n)
     except IntegralityError as exc:
         k = exc.degree
         raise WilkersonError(

@@ -263,8 +263,8 @@ def hom_from_structure(S, depth=DEFAULT_DEPTH):
     Depth-0 values divide the Adams coefficients by p (shifting by 1 at
     the Frobenius slot); the Frobenius congruence makes these divisions
     land in R, and failures mean S violates the psi-ring congruence.  The
-    shift is taken on the series' payloads; each division goes through
-    `GroundRing.div_int`.
+    shift and each division are taken on the series' payloads, the
+    division by the ground's exact `_pdiv_int`.
     """
     carrier = S.carrier
     if carrier.kind != POWER_SERIES or not carrier.ring.between_Z_and_Q():
@@ -281,7 +281,7 @@ def hom_from_structure(S, depth=DEFAULT_DEPTH):
             if i == p:
                 r = R._psub(r, R._pfrom_int(1))
             try:
-                depth0[(p, i)] = R.div_int(R._wrap(r), p)
+                depth0[(p, i)] = R._wrap(R._pdiv_int(r, p))
             except ExactDivisionError as exc:
                 raise MembershipError(
                     f"structure violates the psi-ring congruence at "

@@ -14,18 +14,24 @@ ghost solve with its symbolic run over Q[a.., b..].
 """
 
 import functools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wittlam
 from wittlam.errors import BoundExceededError, InputError, IntegralityError
 from wittlam.ground import (DUAL, QPOLY, ZLOC, GroundRing, PrimeIdeal,
                            PrimeSet, XAdicIdeal)
-from wittlam.lambda_witt import (LambdaElem, WittVec, _from_power_sums,
-                                 _ghost_solve,
+from wittlam.lambda_witt import (_NEWTON_KERNELS, _NEWTON_MAX_M, _ROUTINES,
+                                 LambdaElem, WittVec, _from_power_sums,
+                                 _from_power_sums_loop, _ghost_solve,
                                  exp_iso, exp_iso_inv, filtration_member,
                                  ghost, lambda_adams, lambda_add, lambda_mul,
                                  lambda_neg, lambda_one, lambda_op,
@@ -290,6 +296,92 @@ def test_ghost_solve_reports_only_inexact_division():
     # a failure that is not an inexact division is not an integrality verdict
     with pytest.raises(ZeroDivisionError):
         _ghost_solve(BrokenDomain(ZLOC, inverted=PrimeSet.none()), [1])
+
+
+class _Counting:
+    """The items of a list, one by one, counting how many were read."""
+
+    def __init__(self, items):
+        self._items = iter(items)
+        self.read = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        item = next(self._items)
+        self.read += 1
+        return item
+
+
+class _Unreached(Exception):
+    """Raised by an iterator of power sums when its item is read."""
+
+
+def _raising_at(items, j):
+    """items[:j - 1], then _Unreached in place of item j."""
+    yield from items[:j - 1]
+    raise _Unreached(j)
+
+
+def test_newton_inversion_reads_each_power_sum_only_when_it_needs_it():
+    # the power sums of 1 + t are q_n = 1; raising q_k by 1 gives
+    # k c_k = +-1, so over Z the division at degree k is the first to fail
+    for M in range(2, _NEWTON_MAX_M + 2):
+        for k in range(2, M + 1):
+            q = [1] * M
+            q[k - 1] += 1
+            with pytest.raises(IntegralityError) as loop:
+                _from_power_sums_loop(Z, q)
+            sums = _Counting(q)
+            with pytest.raises(IntegralityError) as info:
+                _from_power_sums(Z, sums, M)
+            # nothing past q_k is read, and the error is the loop's
+            assert sums.read == k, (M, k)
+            assert (str(info.value), info.value.degree, info.value.prime) == \
+                (str(loop.value), k, loop.value.prime), (M, k)
+            assert repr(info.value.__cause__) == repr(loop.value.__cause__)
+            # q_j is read only once c_(j-1) is known: a failure at degree
+            # k < j wins over reading q_j, and reading q_j <= k wins over it
+            for j in range(1, M + 1):
+                expect = IntegralityError if k < j else _Unreached
+                with pytest.raises(expect):
+                    _from_power_sums(Z, _raising_at(q, j), M)
+                with pytest.raises(expect):
+                    _from_power_sums_loop(Z, _raising_at(q, j))
+
+
+def test_newton_kernel_table_is_lazy_and_bounded():
+    # in a fresh interpreter: importing the library builds no form, the
+    # Newton lift of lambda-eval's set-up builds the one it runs, and
+    # degrees past the limit build none
+    env = dict(os.environ, PYTHONPATH=str(Path(wittlam.__file__).parents[1]))
+    code = (
+        "import wittlam\n"
+        "from wittlam import lambda_witt as lw, structures\n"
+        "from wittlam.ground import GroundRing\n"
+        "print(len(lw._NEWTON_KERNELS))\n"
+        "Z = GroundRing.integers()\n"
+        "structures.lambda_values(structures.make_binomial_structure(Z), 8,"
+        " Z.from_int(5))\n"
+        "print(sorted(lw._NEWTON_KERNELS))\n"
+        "N = lw._NEWTON_MAX_M + 1\n"
+        "f, w = lw.LambdaElem(Z, range(1, N + 1)), lw.WittVec(Z, range(N))\n"
+        "lw.lambda_mul(f, f), lw.lambda_adams(1, f), lw.ghosts(w), lw.witt_mul(w, w)\n"
+        "print(sorted(lw._NEWTON_KERNELS))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    lift = "[('from_power_sums', 8, True)]"
+    assert (done.returncode, done.stdout) == (0, f"0\n{lift}\n{lift}\n"), done.stderr
+    # in this process: the table holds only degrees 1.._NEWTON_MAX_M, at
+    # most one form per routine, degree and spelling
+    for N in range(2 * _NEWTON_MAX_M):
+        for dom in (Z, GroundRing.dual(Z)):
+            f = LambdaElem(dom, [1, -2, 3], N)
+            lambda_mul(f, f), lambda_op(2, f), witt_mul(exp_iso_inv(f), exp_iso_inv(f))
+    assert set(_NEWTON_KERNELS) <= {
+        (routine, M, inline) for routine in _ROUTINES
+        for M in range(1, _NEWTON_MAX_M + 1) for inline in (True, False)}
 
 
 _small = st.integers(-4, 4)

@@ -9,19 +9,29 @@ inputs over Z, Z[1/2], Q, dual(Z), dual(Z[1/2]), Q[y1], Z[x]/x^3,
 Z[x]/x^5, Z[1/2][x]/x^4 (whose products run through `series._lift`'s
 denominators) and dual(Z)[x]/x^3 (through the convolution on ring
 payload ops) at N in {1, 2, 8, 12}.
+
+The generated straight-line forms of Newton's identities, the ghost map
+and the ghost solve are checked against the loops they unroll, which
+stay in the module as their oracles: on every degree M from 0 to one
+past the limit over the same ten domains, and on integers up to 2^256.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wittlam.errors import ExactDivisionError, IntegralityError
 from wittlam.ground import DUAL, QPOLY, GroundRing
-from wittlam.lambda_witt import (LambdaElem, WittVec, _from_power_sums,
-                                 _ghost_solve, _power_sums, exp_iso,
-                                 exp_iso_inv, ghost, lambda_add, lambda_mul,
-                                 lambda_neg, lambda_op, witt_add, witt_mul)
+from wittlam.lambda_witt import (_NEWTON_MAX_M, LambdaElem, WittVec,
+                                 _from_power_sums, _from_power_sums_loop,
+                                 _ghost_solve, _ghost_solve_loop, _ghosts,
+                                 _ghosts_loop, _power_sums, _power_sums_loop,
+                                 exp_iso, exp_iso_inv, ghost, lambda_add,
+                                 lambda_mul, lambda_neg, lambda_op, witt_add,
+                                 witt_mul)
 from wittlam.series import SeriesRing
 from wittlam.sympoly import MPoly
 
@@ -256,3 +266,76 @@ def test_exp_iso_and_peel_match_oracles(dom, N, coords):
     assert exp_iso(w) == oracle_exp_iso(w)
     assert exp_iso_inv(f) == partition_exp_iso_inv(f)
     assert exp_iso_inv(exp_iso(w)) == w
+
+
+# -- the straight-line forms against the loops they unroll -------------------------
+
+
+def _shape(payload):
+    """The payload with each scalar replaced by its type, so that equal
+    payloads of different types (1 and Fraction(1), say) differ."""
+    if isinstance(payload, tuple):
+        return tuple(map(_shape, payload))
+    return type(payload)
+
+
+def _outcome(routine, *args):
+    """What routine returns, with the shape of each payload, or the text,
+    degree, prime and cause of the IntegralityError it raises."""
+    try:
+        got = routine(*args)
+    except IntegralityError as exc:
+        return ("error", str(exc), exc.degree, exc.prime, repr(exc.__cause__))
+    return ("value", type(got), got, [_shape(x) for x in got])
+
+
+def _all_int(payloads, dom):
+    """Over Z every scalar of a result is an int, also inside a series."""
+    if isinstance(dom, SeriesRing):
+        return all(type(c) is int for x in payloads for c in x)
+    return all(type(x) is int for x in payloads)
+
+
+def _kernels_match_loops(dom, a, M):
+    """Each routine at M, through its straight-line form when M is within
+    the limit, equals its loop on the payloads a (at least M of them): on
+    power sums and ghosts, whose inversions are exact, and on a itself
+    taken as power sums and ghosts, whose inversions may fail."""
+    p = _power_sums(dom, a, M)
+    assert _outcome(_power_sums, dom, a, M) == _outcome(_power_sums_loop, dom, a, M)
+    w = _ghosts(dom, a, M)
+    assert _outcome(_ghosts, dom, a, M) == _outcome(_ghosts_loop, dom, a, M)
+    for q in (p, list(a[:M])):
+        expect = _outcome(_from_power_sums_loop, dom, q)
+        assert _outcome(_from_power_sums, dom, q) == expect
+        assert _outcome(_from_power_sums, dom, tuple(q)) == expect
+        assert _outcome(_from_power_sums, dom, iter(q), M) == expect
+    for targets in (w, list(a[:M])):
+        assert _outcome(_ghost_solve, dom, targets) == \
+            _outcome(_ghost_solve_loop, dom, targets)
+    assert _from_power_sums(dom, p) == _ghost_solve(dom, w) == list(a[:M])
+    if dom == Z or isinstance(dom, SeriesRing) and dom.ground == Z:
+        assert _all_int(p, dom) and _all_int(w, dom)
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=str)
+def test_straight_line_forms_match_the_loops_at_every_degree(dom):
+    rng = random.Random(f"straight-line:{dom}")
+    for M in range(_NEWTON_MAX_M + 2):
+        # one payload more than M: the routines read a prefix
+        _kernels_match_loops(dom, [_scalar(rng, dom).payload for _ in range(M + 1)], M)
+
+
+_WORDS = st.one_of(st.just(0), st.sampled_from([1, -1]),
+                   st.integers(-2 ** 256, 2 ** 256))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_straight_line_forms_match_the_loops_on_large_integers(data):
+    M = data.draw(st.integers(0, _NEWTON_MAX_M + 1), label="M")
+    a = data.draw(st.lists(_WORDS, min_size=M, max_size=M), label="a")
+    _kernels_match_loops(Z, a, M)
+    dom = SeriesRing(Z, 2)
+    padded = a + [0, 0]
+    _kernels_match_loops(dom, [tuple(padded[i:i + 3]) for i in range(M)], M)

@@ -469,6 +469,16 @@ def test_kernel_table_is_lazy_and_bounded():
         assert compose(f, S([0, 1, 1], N)) == compose_oracle(f, S([0, 1, 1], N))
     # at most one composition kernel per 1 <= N <= _COMPOSE_MAX_N
     assert set(_COMPOSE_KERNELS) <= set(range(1, _COMPOSE_MAX_N + 1))
+    # over Z the scaling and the exact division come with the product
+    # kernels, for N <= _KERNEL_MAX_N only
+    for N in (0, 4, _KERNEL_MAX_N):
+        dom = SeriesRing(Z, N)
+        assert (dom._pscale, dom._pdiv_int) == _KERNELS[N][3:]
+    for N in (_KERNEL_MAX_N + 1, 40):
+        dom = SeriesRing(Z, N)
+        assert dom._pdiv_int is series._div_ints
+        assert dom._pscale.__code__.co_filename == series.__file__
+    assert set(_KERNELS) <= set(range(_KERNEL_MAX_N + 1))
 
 
 def test_compose_of_localized_series_keeps_its_denominators():
@@ -683,6 +693,23 @@ def test_compose_matches_the_oracle_across_the_kernel_limit(data):
             assert _power_table(g.payload) == (_grown_table(g.payload), 1)
 
 
+@pytest.mark.parametrize("N", range(1, _COMPOSE_MAX_N + 2))
+def test_compose_matches_the_oracle_at_each_truncation_to_the_kernel_limit(N):
+    # one fixed case per N, so that a fault at a single N cannot pass
+    rng = random.Random(f"compose:{N}")
+    words = [0, 0, 1, -1, 3, 2 ** 64, -(2 ** 64) + 1]
+    fs = [rng.choice(words) for _ in range(N + 1)]
+    gs = [0] + [rng.choice(words) for _ in range(N)]
+    for ring, dens in [(Z, [1]), (Z2, [1, 2, 4, 8])]:
+        dom = SeriesRing(ring, N)
+        f = dom.coerce([Fraction(x, rng.choice(dens)) for x in fs])
+        g = dom.coerce([Fraction(x, rng.choice(dens)) for x in gs])
+        h = compose(f, g)
+        assert h == compose_oracle(f, g), (ring, N)
+        if ring == Z:
+            assert all(type(c) is int for c in h.payload)
+
+
 # ---------------------------------------------------------------------------
 # the payload ops bound by SeriesRing, against loops on Python numbers
 # ---------------------------------------------------------------------------
@@ -742,6 +769,7 @@ def test_bound_payload_ops_match_loops_on_numbers(data):
                 for _ in range(2))
         assert dom._padd(a, b) == tuple(map(ring._padd, a, b))
         assert dom._psub(a, b) == tuple(map(ring._psub, a, b))
+        assert dom._pscale(a, c) == tuple(ring._pscale(x, c) for x in a)
 
 
 def test_integer_series_ops_never_lift(monkeypatch):

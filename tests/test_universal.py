@@ -202,13 +202,15 @@ def test_hom_rejects_congruence_violation():
 
 
 def test_hom_reports_only_inexact_division(monkeypatch):
-    def broken(self, elem, n):
+    def broken(self, x, n):
         raise ZeroDivisionError("division bug in the ring")
 
-    monkeypatch.setattr(GroundRing, "div_int", broken)
+    S = standard_structure("mult", trunc=4)
+    # hom_from_structure divides on payloads, by the ground's _pdiv_int
+    monkeypatch.setattr(GroundRing, "_pdiv_int", broken)
     # not turned into a verdict on the structure
-    with pytest.raises(ZeroDivisionError):
-        hom_from_structure(standard_structure("mult", trunc=4))
+    with pytest.raises(ZeroDivisionError, match="division bug in the ring"):
+        hom_from_structure(S)
 
 
 def test_structure_from_hom_zero_and_roundtrips():
