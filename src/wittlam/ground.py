@@ -23,8 +23,10 @@ element payloads directly.  `__init__` binds six of them per kind, as
 plain functions in instance slots: `_padd`, `_psub`, `_pneg`, `_pmul`,
 `_pscale` (by an int or a Fraction) and `_pis_zero` are `operator.add`,
 `sub`, `neg`, `mul`, `mul` and `not_` on Z[S^-1] and Q[y..], and the
-`_dual_*` pair functions on dual numbers.  `_ppow`, `_pdiv_int` and the
-constants `_pzero`, `_pfrom_int` need ring data and stay methods.
+`_dual_*` pair functions on dual numbers; the flag `_inline_ops` says
+which, so generated code may write the `operator` ones as `+ - *`.
+`_ppow`, `_pdiv_int` and the constants `_pzero`, `_pfrom_int` need ring
+data and stay methods.
 `int / n` would be a float, so code divides only through `_pdiv_int`,
 which returns an int for an integral quotient.  `_unwrap` reads an
 element's payload and `_wrap` builds one around a payload.  SeriesRing
@@ -229,15 +231,18 @@ class GroundRing:
     """Descriptor of a coefficient ring; also its element factory."""
 
     __slots__ = ("kind", "inverted", "variables", "base",
-                 "_padd", "_psub", "_pneg", "_pmul", "_pscale", "_pis_zero")
+                 "_padd", "_psub", "_pneg", "_pmul", "_pscale", "_pis_zero",
+                 "_inline_ops")
 
     def __init__(self, kind, inverted=None, variables=None, base=None):
         self.kind = kind
         self.inverted = inverted
         self.variables = tuple(variables) if variables is not None else None
         self.base = base
+        ops = _DUAL_KERNEL if kind == DUAL else _SCALAR_KERNEL
         (self._padd, self._psub, self._pneg, self._pmul, self._pscale,
-         self._pis_zero) = _DUAL_KERNEL if kind == DUAL else _SCALAR_KERNEL
+         self._pis_zero) = ops
+        self._inline_ops = ops is _SCALAR_KERNEL
         if kind == DUAL:
             if base is None or base.kind == DUAL:
                 raise ValueError("dual numbers need a non-dual base ring")

@@ -40,8 +40,9 @@ solve each have a loop (`_power_sums_loop`, ...), and for degrees
 function per routine, M and spelling, generated from the int M alone on
 first use and kept in `_NEWTON_KERNELS`.  It takes the domain's payload
 ops as arguments and writes one statement per term.  On domains whose
-ops are the `operator` builtins (Z[S^-1], Q[y..]) the ops are written as
-`+ - *`; on dual numbers and every SeriesRing they are calls.  The forms
+ops are the `operator` builtins (Z[S^-1], Q[y..]), which each domain
+states once in its flag `_inline_ops`, the ops are written as `+ - *`;
+on dual numbers and every SeriesRing they are calls.  The forms
 make the loops' divisions in the same order, skip a zero a_d in the
 ghost map as the loop does, and read q_n in the Newton inversion only
 once c_{n-1} is known.  They leave out scalings by 1.  Their source grows
@@ -49,8 +50,6 @@ as M^2, and so does the time to compile it (about 0.3-0.7 ms per form at
 M = 8 and 0.5-2 ms at M = 16), so above M = 16 the loops run.  E and
 E^-1 stay loops.
 """
-
-import operator
 
 from .errors import (BoundExceededError, ExactDivisionError, IntegralityError,
                      RingMismatchError)
@@ -180,11 +179,6 @@ def lambda_neg(f):
 _NEWTON_MAX_M = 16
 _NEWTON_KERNELS = {}  # (routine, M, inline) -> its straight-line form, built on first use
 
-# The payload ops (_padd, _psub, _pneg, _pmul, _pscale, _pis_zero) of a
-# domain whose payloads take + - * in place of calls: Z[S^-1] and Q[y..].
-_OPERATORS = (operator.add, operator.sub, operator.neg, operator.mul,
-              operator.mul, operator.not_)
-
 # How each payload op is written: inline, or as a call to the kernel's
 # argument of that name.
 _SPELLINGS = {
@@ -304,8 +298,7 @@ def _kernel(routine, dom, M):
     built on first use, for 1 <= M <= _NEWTON_MAX_M; None for other M."""
     if M is None or not 1 <= M <= _NEWTON_MAX_M:
         return None
-    key = (routine, M, (dom._padd, dom._psub, dom._pneg, dom._pmul,
-                        dom._pscale, dom._pis_zero) == _OPERATORS)
+    key = (routine, M, dom._inline_ops)
     kernel = _NEWTON_KERNELS.get(key)
     if kernel is None:
         kernel = _NEWTON_KERNELS[key] = _straight_line(*key)

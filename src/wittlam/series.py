@@ -665,11 +665,13 @@ class SeriesRing:
     `_payload_ops`: int kernels over Z, the lifted product over Z[S^-1]
     with S nonempty, the row loop `_mul_payloads` over Q[y..] and dual
     numbers (see the module docstring).  `_pzero` and `_pfrom_int` stay
-    methods.
+    methods.  None of the ops is an `operator` function, so `_inline_ops`
+    is False.
     """
 
     __slots__ = ("ground", "trunc", "_padd", "_psub", "_pneg", "_pmul", "_ppow",
                  "_pscale", "_pis_zero", "_pdiv_int")
+    _inline_ops = False
 
     def __init__(self, ground, trunc):
         check_int("N", trunc, 0)

@@ -32,6 +32,27 @@ exponent tuples once, just before `MPoly._integral`.  `MPoly`'s own
 product stays on tuples, because its operands are not isobaric and its
 terms do not collapse, so packing and unpacking them costs more than
 the packed product saves.
+
+A packed key depends only on the field width B, not on K, so every
+builder at one width shares three module tables of intermediate
+results, each a dict keyed by B whose value maps an index to a packed
+term dict:
+
+  * `_DETS[B][lam]`, the Jacobi-Trudi determinant D(lam) (`universal_P`);
+  * `_PSUMS[B][k]`, the power sum p_k in the e's (`universal_Pcomp`);
+  * `_PLETHYSMS[B][(i, j)]`, e_j[p_i], e_j of the alphabet {x^i}
+    (`universal_Pcomp`).
+
+So P_9 reads every D(lam) that P_8 built, and P_(1,9), P_(3,3) and
+P_(9,1) share p_1..p_9.  Each entry is built once from lower entries,
+with the same checks as a cold build (each Newton division is tested
+for a remainder), and inserted with dict.setdefault.  It is never
+changed after that, and no entry is aliased into a returned MPoly, so
+the argument of `GLOBAL_CACHE` below covers the tables too.  Nothing is
+built at import.  Every entry at width B has weight below 2^B, so
+`_DETS[B]` holds at most the partitions of such weights, `_PSUMS[B]` at
+most 2^B - 1 power sums and `_PLETHYSMS[B]` the pairs with ij < 2^B,
+and each table grows only as far as the largest polynomial built at B.
 """
 
 from fractions import Fraction
@@ -414,6 +435,12 @@ def parse_poly(text, variables):
 # build one polynomial the first insert wins and every caller gets that object.
 GLOBAL_CACHE = SimpleNamespace(P={}, Pcomp={})
 
+# The builders' shared intermediate results, each keyed by packing width
+# (see the module docstring): D(lam), p_k and e_j[p_i].
+_DETS = {}
+_PSUMS = {}
+_PLETHYSMS = {}
+
 
 def _avars(n):
     return tuple(f"a{i}" for i in range(1, n + 1))
@@ -435,8 +462,14 @@ def _partitions(n, largest=None):
 
 
 def _conjugate(lam):
-    """The conjugate partition lam', whose parts are the column lengths."""
-    return tuple(sum(1 for part in lam if part > j) for j in range(lam[0]))
+    """The conjugate partition lam', whose parts are the column lengths.
+
+    One pass from the last row up: the columns j with lam_{l+1} <= j < lam_l
+    (0-based, lam_{len+1} = 0) have length l."""
+    columns = []
+    for length in range(len(lam), 0, -1):
+        columns += [length] * (lam[length - 1] - len(columns))
+    return tuple(columns)
 
 
 # -- packed monomials (the builders only; see the module docstring) ----------
@@ -487,8 +520,8 @@ def _mul_packed(a, b):
 
 def _jacobi_trudi(nvars):
     """The map lam -> D(lam) = det(e_{lam_i - i + j}) over e_1..e_nvars, as
-    packed term dicts, memoised on the partition for the life of the returned
-    function.
+    packed term dicts, for partitions of weight <= nvars, memoised in
+    `_DETS` at the packing width of nvars.
 
     By dual Jacobi-Trudi D(lam) is the Schur function of the partition
     conjugate to lam.  Deleting row i and column 1 of the matrix of lam
@@ -502,13 +535,13 @@ def _jacobi_trudi(nvars):
     weight <= nvars need no e_k beyond e_nvars.
     """
     units = _units(nvars)
-    memo = {(): {units[0]: 1}}
+    memo = _DETS.setdefault(_width(nvars), {})
 
     def det(lam):
         got = memo.get(lam)
         if got is not None:
             return got
-        out = {}
+        out = {} if lam else {units[0]: 1}
         raised = ()
         for i, part in enumerate(lam):
             k = part - i
@@ -518,8 +551,7 @@ def _jacobi_trudi(nvars):
             sign = -1 if i % 2 else 1
             _add_into(out, minor, sign, units[k])
             raised += (part + 1,)
-        memo[lam] = out
-        return out
+        return memo.setdefault(lam, out)
 
     return det
 
@@ -535,8 +567,11 @@ def universal_P(n):
         P_n = sum_{lambda |- n} D(lambda')(a) * D(lambda)(b).
 
     Each D is expanded once per partition along its first column (see
-    `_jacobi_trudi`), so lambda and lambda' and all their minors share
-    one memo for the call.
+    `_jacobi_trudi`).  lambda, lambda' and all their minors are read from
+    and added to `_DETS[B]`, the table of determinants at this packing
+    width B = n.bit_length(), which every P_k with k.bit_length() = B
+    shares: it holds only partitions of weight below 2^B, and P_n adds
+    at most those of weight <= n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -560,44 +595,76 @@ def universal_P(n):
 
 
 def _power_sums(K):
-    """p_1..p_K in a_k = e_k (k <= K) as packed term dicts, index 0 unused.
+    """p_1..p_K in a_k = e_k (k <= K) as packed term dicts, index 0 unused,
+    each read from or added to `_PSUMS` at the packing width of K.
 
     Newton's identities (Macdonald I (2.11')):
     p_k = sum_{r<k} (-1)^{r-1} e_r p_{k-r} + (-1)^{k-1} k e_k.
     """
     units = _units(K)
+    memo = _PSUMS.setdefault(_width(K), {})
     p = [None]
     for k in range(1, K + 1):
-        pk = {units[k]: k if k % 2 else -k}
-        for r in range(1, k):
-            _add_into(pk, p[k - r], 1 if r % 2 else -1, units[r])
+        pk = memo.get(k)
+        if pk is None:
+            pk = {units[k]: k if k % 2 else -k}
+            for r in range(1, k):
+                _add_into(pk, p[k - r], 1 if r % 2 else -1, units[r])
+            pk = memo.setdefault(k, pk)
         p.append(pk)
     return p
 
 
+def _newton_step(e, p, j):
+    """e_j from e_0..e_{j-1} and the power sums p_1..p_j (packed term
+    dicts, p[0] unused) by Newton's identity (Macdonald I (2.11'))
+    j*e_j = sum_{r=1}^{j} (-1)^(r-1) e_{j-r} p_r, divided exactly by j in
+    integers.  A nonzero remainder means e_j is not integral and raises
+    IntegralityError with `degree` j and the `prime` p whose power p^e
+    exactly dividing j fails to divide it."""
+    acc = {}
+    for r in range(1, j + 1):
+        _add_into(acc, _mul_packed(e[j - r], p[r]), 1 if r % 2 else -1)
+    ej = {}
+    for expo, c in acc.items():
+        q, rem = divmod(c, j)
+        if rem:
+            from .ground import factorize  # ground imports this module
+
+            err = IntegralityError(
+                f"e_{j} from power sums has a non-integer coefficient"
+            )
+            err.degree = j
+            err.prime = next(prime for prime, k in factorize(j).items()
+                             if c % prime ** k)
+            raise err
+        ej[expo] = q
+    return ej
+
+
 def _newton_e(p, top):
     """e_0..e_top of an alphabet from its power sums p_1..p_top, packed
-    term dicts with p[0] unused.
-
-    Newton's identity (Macdonald I (2.11')) j*e_j = sum_{r=1}^{j}
-    (-1)^(r-1) e_{j-r} p_r, divided exactly by j in integers: a nonzero
-    remainder means e_j is not integral and raises IntegralityError.
-    """
+    term dicts with p[0] unused, one `_newton_step` per degree."""
     e = [{0: 1}]
     for j in range(1, top + 1):
-        acc = {}
-        for r in range(1, j + 1):
-            _add_into(acc, _mul_packed(e[j - r], p[r]), 1 if r % 2 else -1)
-        ej = {}
-        for expo, c in acc.items():
-            q, rem = divmod(c, j)
-            if rem:
-                raise IntegralityError(
-                    f"e_{j} from power sums has a non-integer coefficient"
-                )
-            ej[expo] = q
-        e.append(ej)
+        e.append(_newton_step(e, p, j))
     return e
+
+
+def _plethysm_e(K, p, i, n):
+    """e_n[p_i], e_n of the alphabet {x^i}, in a_k = e_k(x) (k <= K, with
+    ni <= K), as a packed term dict; p is `_power_sums(K)`.  The power sums
+    of {x^i} are p_i, p_2i, ..., and e_1[p_i]..e_n[p_i] are each read from
+    or added to `_PLETHYSMS` at the packing width of K, keyed by (i, j)."""
+    p = [None] + p[i::i]
+    memo = _PLETHYSMS.setdefault(_width(K), {})
+    e = [{0: 1}]
+    for j in range(1, n + 1):
+        ej = memo.get((i, j))
+        if ej is None:
+            ej = memo.setdefault((i, j), _newton_step(e, p, j))
+        e.append(ej)
+    return e[n]
 
 
 def universal_Pcomp(m, n, bound=DEFAULT_PCOMP_BOUND):
@@ -612,7 +679,10 @@ def universal_Pcomp(m, n, bound=DEFAULT_PCOMP_BOUND):
         (themselves Newton's identities in the a's, `_power_sums`);
       * P_{m,n} is e_m of the alphabet whose power sums are those p_i[e_n].
 
-    Every step stays in packed integer term dicts over Z[a_1..a_K].
+    Every step stays in packed integer term dicts over Z[a_1..a_K].  The
+    power sums and the e_j[p_i] of the first level are shared with every
+    build at this packing width (`_PSUMS`, `_PLETHYSMS`); the second
+    level is built for this call only.
     """
     if m < 1 or n < 1:
         raise ValueError("m, n must be >= 1")
@@ -626,10 +696,7 @@ def universal_Pcomp(m, n, bound=DEFAULT_PCOMP_BOUND):
         return got
 
     p = _power_sums(K)
-    # p[i::i][:n] is p_i, p_2i, ..., p_ni: the power sums of {x^i}
-    psums = [None] + [
-        _newton_e([None] + p[i::i][:n], n)[n] for i in range(1, m + 1)
-    ]
+    psums = [None] + [_plethysm_e(K, p, i, n) for i in range(1, m + 1)]
     unpack = _unpacker(K)
     terms = {unpack(e): c for e, c in _newton_e(psums, m)[m].items()}
     av = _avars(K)

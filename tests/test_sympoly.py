@@ -15,14 +15,21 @@ products over Fractions for P_(m,n).  The library's partition
 recursions must reproduce them all exactly.
 """
 
+import os
 import random
+import subprocess
+import sys
 import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
+
+import wittlam
+from wittlam import sympoly
 
 from wittlam.errors import BoundExceededError, IntegralityError
 from wittlam.ground import binom_fraction
@@ -461,6 +468,22 @@ def test_newton_e_recovers_elementary_and_rejects_inexact_division():
         _newton_e([None, {1: 1}, {2: 2, 0: 1}], 2)
 
 
+def test_newton_e_integrality_error_names_degree_and_prime():
+    # the failing inputs above: 2*e_2 = 1 and 2*e_2 = -t^2 - 1
+    for p in ([None, {0: 1}, {}], [None, {1: 1}, {2: 2, 0: 1}]):
+        with pytest.raises(IntegralityError) as raised:
+            _newton_e(p, 2)
+        assert (raised.value.degree, raised.value.prime) == (2, 2)
+    # p_1 = p_2 = 1, p_3 = 2 gives 3*e_3 = 1; p_1..p_5 = 0, p_6 = 2 gives
+    # 6*e_6 = -2, which 2 divides and 3 does not
+    with pytest.raises(IntegralityError) as raised:
+        _newton_e([None, {0: 1}, {0: 1}, {0: 2}], 3)
+    assert (raised.value.degree, raised.value.prime) == (3, 3)
+    with pytest.raises(IntegralityError) as raised:
+        _newton_e([None] + [{}] * 5 + [{0: 2}], 6)
+    assert (raised.value.degree, raised.value.prime) == (6, 3)
+
+
 def test_universal_polys_at_integer_roots():
     # a_k = e_k(x), b_k = e_k(y): P_n gives e_n of the n^2 products x_i*y_j
     # and P_(m,n) gives e_m of the C(mn, n) products over n-subsets of x
@@ -551,6 +574,121 @@ def test_cache_is_thread_safe():
     # the first insert wins: every thread returns the memo's one object
     assert all(r is GLOBAL_CACHE.P[5] for r in results)
     assert results[0].terms == row_expanded_universal_P(5).terms
+
+
+# -- the builders' shared tables ------------------------------------------------
+
+TABLES = ("_DETS", "_PSUMS", "_PLETHYSMS")
+NORTH_STAR = [("P", n) for n in range(1, 13)] + [
+    ("Pcomp", (m, n)) for m in range(1, 17) for n in range(1, 16 // m + 1)]
+
+
+@lru_cache(maxsize=None)
+def oracle(rung):
+    """The term dict of a rung from the row-expanded or class-sum route."""
+    kind, index = rung
+    if kind == "P":
+        return row_expanded_universal_P(index).terms
+    return class_sum_universal_Pcomp(*index).terms
+
+
+def build(rung):
+    kind, index = rung
+    if kind == "P":
+        return universal_P(index)
+    return universal_Pcomp(*index, bound=16)
+
+
+def memo_of(rung):
+    kind, index = rung
+    return GLOBAL_CACHE.P[index] if kind == "P" else GLOBAL_CACHE.Pcomp[index]
+
+
+def clear_tables():
+    GLOBAL_CACHE.P.clear()
+    GLOBAL_CACHE.Pcomp.clear()
+    for name in TABLES:
+        getattr(sympoly, name).clear()
+
+
+def test_tables_start_empty_and_fill_one_width():
+    # in a fresh interpreter: the import builds nothing, and P_9, whose
+    # packing width is 4, adds determinants at width 4 only
+    env = dict(os.environ, PYTHONPATH=str(Path(wittlam.__file__).parents[1]))
+    code = (
+        "import wittlam\n"
+        "from wittlam import sympoly\n"
+        f"tables = {TABLES!r}\n"
+        "print([len(getattr(sympoly, name)) for name in tables])\n"
+        "sympoly.universal_P(9)\n"
+        "print([sorted(getattr(sympoly, name)) for name in tables])\n"
+        "print(len(sympoly._DETS[4]) > 0, sorted(sympoly.GLOBAL_CACHE.P))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (
+        0, "[0, 0, 0]\n[[4], [], []]\nTrue [9]\n"), done.stderr
+
+
+def test_shuffled_builds_from_empty_tables_match_the_oracles():
+    clear_tables()
+    rungs = list(NORTH_STAR)
+    random.Random(30).shuffle(rungs)
+    for rung in rungs:
+        assert build(rung).terms == oracle(rung), rung
+
+
+def test_mutating_a_result_leaves_later_builds_unchanged():
+    clear_tables()
+    rungs = [("P", 9), ("Pcomp", (3, 3)), ("Pcomp", (1, 9)), ("Pcomp", (9, 1))]
+    for rung in rungs:
+        terms = build(rung).terms
+        for e in terms:
+            terms[e] += 1
+        terms[(7,) * len(e)] = 5
+    # drop the results but keep the tables their builds filled
+    GLOBAL_CACHE.P.clear()
+    GLOBAL_CACHE.Pcomp.clear()
+    for rung in rungs + [("P", 8), ("Pcomp", (2, 4)), ("Pcomp", (4, 2))]:
+        assert build(rung).terms == oracle(rung), rung
+
+
+def test_threads_share_the_tables_from_empty():
+    rungs = [("P", n) for n in range(6, 13)] + [
+        ("Pcomp", (m, n)) for m in range(1, 13) for n in range(1, 12 // m + 1)]
+    clear_tables()
+    results = [None] * 8
+    start = threading.Barrier(8)
+
+    def worker(k):
+        order = list(rungs)
+        random.Random(k).shuffle(order)
+        start.wait()
+        results[k] = {rung: build(rung) for rung in order}
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the builds
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        for rung in rungs:
+            assert got[rung] is memo_of(rung), rung
+            assert got[rung].terms == oracle(rung), rung
+
+
+def test_conjugate_matches_the_column_count():
+    for n in range(1, 17):
+        for lam in _partitions(n):
+            columns = tuple(sum(1 for part in lam if part > j)
+                            for j in range(lam[0]))
+            assert _conjugate(lam) == columns, lam
+            assert _conjugate(columns) == lam
 
 
 def test_integral_constructor_rejects_non_integer_coefficient():
