@@ -30,7 +30,6 @@ import pytest
 
 import wittlam
 from wittlam import sympoly
-
 from wittlam.errors import BoundExceededError, IntegralityError
 from wittlam.ground import binom_fraction
 from wittlam.sympoly import (GLOBAL_CACHE, MPoly, _add_into, _avars, _bvars,
