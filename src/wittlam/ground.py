@@ -19,21 +19,22 @@ MPoly; dual payloads are (a, b) pairs of base payloads standing for
 a + b*eps.  Elements are immutable and freely shareable.
 
 Payload kernel.  The `_p*` operations of a GroundRing compute on
-element payloads directly.  `__init__` binds six of them per kind, as
-plain functions in instance slots: `_padd`, `_psub`, `_pneg`, `_pmul`,
-`_pscale` (by an int or a Fraction) and `_pis_zero` are `operator.add`,
-`sub`, `neg`, `mul`, `mul` and `not_` on Z[S^-1] and Q[y..], and the
-`_dual_*` pair functions on dual numbers; the flag `_inline_ops` says
-which, so generated code may write the `operator` ones as `+ - *`.
-`_ppow`, `_pdiv_int` and the constants `_pzero`, `_pfrom_int` need ring
-data and stay methods.
-`int / n` would be a float, so code divides only through `_pdiv_int`,
-which returns an int for an integral quotient.  `_unwrap` reads an
-element's payload and `_wrap` builds one around a payload.  SeriesRing
-(`series`) implements the same protocol and binds its own `_p*` ops once
-per ring too, `_ppow` and `_pdiv_int` among them (int kernels over Z), so
-`lambda_witt` and `structures` run one routine over every coefficient
-domain.
+element payloads directly, and `__init__` binds them per kind into
+instance slots.  On Z[S^-1] and Q[y..], whose payloads are scalars (the
+flag `_inline_ops`, so generated code may write `+ - *`), `_padd`,
+`_psub`, `_pneg`, `_pmul`, `_pscale` (by an int or a Fraction),
+`_pis_zero` and `_ppow` are `operator.add`, `sub`, `neg`, `mul`, `mul`,
+`not_` and `pow`.  dual(B) holds `SeriesRing(B, 1)`, whose series
+a + b*x are its a + b*eps, and takes all seven from it; so `_ppow(x, 0)`
+is that ring's one, over Z[S^-1] (1, 0) in ints even for a Fraction x,
+equal in value and hash to the Fraction pair.  `_pdiv_int` divides by a
+nonzero int, through the pair ring on dual numbers, and raises
+ExactDivisionError when the quotient leaves the ring; `int / n` would be
+a float, so code divides only through it, and an integral quotient is
+an int.  `_pzero` and `_pfrom_int` stay
+methods; `_unwrap` reads an element's payload and `_wrap` builds one
+around a payload.  SeriesRing (`series`) implements the same protocol,
+so `lambda_witt` and `structures` run one routine over every domain.
 """
 
 import math
@@ -190,62 +191,43 @@ class PrimeSet:
 ZLOC, QPOLY, DUAL = "localized_integers", "rational_poly", "dual_numbers"
 
 
-# The payload ops of dual numbers a + b*eps on (a, b) pairs.  A dual base
-# is never dual itself, so its payloads take +, - and * directly.
-
-def _dual_add(x, y):
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def _dual_sub(x, y):
-    return (x[0] - y[0], x[1] - y[1])
-
-
-def _dual_neg(x):
-    return (-x[0], -x[1])
-
-
-def _dual_mul(x, y):
-    # eps^2 = 0: the cross term is dropped by construction
-    a, b = x
-    c, d = y
-    return (a * c, a * d + b * c)
-
-
-def _dual_scale(x, c):
-    return (x[0] * c, x[1] * c)
-
-
-def _dual_is_zero(x):
-    return not x[0] and not x[1]
-
-
-# (_padd, _psub, _pneg, _pmul, _pscale, _pis_zero) of each kind
+# (_padd, _psub, _pneg, _pmul, _pscale, _pis_zero, _ppow) of Z[S^-1] and
+# Q[y..]; dual numbers take theirs from SeriesRing(base, 1)
 _SCALAR_KERNEL = (operator.add, operator.sub, operator.neg, operator.mul,
-                  operator.mul, operator.not_)
-_DUAL_KERNEL = (_dual_add, _dual_sub, _dual_neg, _dual_mul, _dual_scale,
-                _dual_is_zero)
+                  operator.mul, operator.not_, operator.pow)
+
+
+def _div_poly(x, n):
+    """x / n on Q[y..], where every nonzero int is a unit."""
+    return x * Fraction(1, n)
 
 
 class GroundRing:
     """Descriptor of a coefficient ring; also its element factory."""
 
-    __slots__ = ("kind", "inverted", "variables", "base",
+    __slots__ = ("kind", "inverted", "variables", "base", "_pairs",
                  "_padd", "_psub", "_pneg", "_pmul", "_pscale", "_pis_zero",
-                 "_inline_ops")
+                 "_ppow", "_pdiv_int", "_inline_ops")
 
     def __init__(self, kind, inverted=None, variables=None, base=None):
         self.kind = kind
         self.inverted = inverted
         self.variables = tuple(variables) if variables is not None else None
         self.base = base
-        ops = _DUAL_KERNEL if kind == DUAL else _SCALAR_KERNEL
-        (self._padd, self._psub, self._pneg, self._pmul, self._pscale,
-         self._pis_zero) = ops
-        self._inline_ops = ops is _SCALAR_KERNEL
         if kind == DUAL:
             if base is None or base.kind == DUAL:
                 raise ValueError("dual numbers need a non-dual base ring")
+            from .series import SeriesRing  # series imports this module
+            pairs = self._pairs = SeriesRing(base, 1)
+            ops = (pairs._padd, pairs._psub, pairs._pneg, pairs._pmul,
+                   pairs._pscale, pairs._pis_zero, pairs._ppow)
+            _bind_pdiv_int(self, self._div_dual)
+        else:
+            self._pairs, ops = None, _SCALAR_KERNEL
+            _bind_pdiv_int(self, self._div_zloc if kind == ZLOC else _div_poly)
+        (self._padd, self._psub, self._pneg, self._pmul, self._pscale,
+         self._pis_zero, self._ppow) = ops
+        self._inline_ops = ops is _SCALAR_KERNEL
         if kind == QPOLY and len(set(self.variables)) != len(self.variables):
             raise InputError(f"repeated variable in {self}")
 
@@ -339,12 +321,8 @@ class GroundRing:
                     and not isinstance(payload, bool))
         if self.kind == QPOLY:
             return isinstance(payload, MPoly) and payload.vars == self.variables
-        return (
-            isinstance(payload, tuple)
-            and len(payload) == 2
-            and self.base._payload_ok(payload[0])
-            and self.base._payload_ok(payload[1])
-        )
+        return (isinstance(payload, tuple) and len(payload) == 2
+                and all(map(self.base._payload_ok, payload)))
 
     def _den_ok(self, den):
         """True iff 1/den lies in Z[S^-1]: every prime factor of den is in S."""
@@ -364,9 +342,7 @@ class GroundRing:
             return self._den_ok(payload.denominator)
         if self.kind == QPOLY:
             return True
-        return self.base.contains_payload(payload[0]) and self.base.contains_payload(
-            payload[1]
-        )
+        return all(map(self.base.contains_payload, payload))
 
     # -- element factory ------------------------------------------------------
 
@@ -385,8 +361,7 @@ class GroundRing:
             return payload.numerator if payload.denominator == 1 else payload
         if self.kind == QPOLY:
             return payload
-        norm = self.base._int_if_integral
-        return (norm(payload[0]), norm(payload[1]))
+        return tuple(map(self.base._int_if_integral, payload))
 
     def zero(self):
         return self._wrap(self._pzero())
@@ -417,9 +392,8 @@ class GroundRing:
                 return self.element(value)
         if self.kind == DUAL:
             if isinstance(value, tuple) and len(value) == 2:
-                a = self.base.coerce(value[0])
-                b = self.base.coerce(value[1])
-                return self.element((a.payload, b.payload))
+                return self.element(tuple(self.base.coerce(v).payload
+                                          for v in value))
             if isinstance(value, Fraction):
                 return self.element((self.base.coerce(value).payload,
                                      self.base.zero().payload))
@@ -447,41 +421,28 @@ class GroundRing:
             return MPoly.const(self.variables, n)
         return (self.base._pfrom_int(n), self.base._pzero())
 
-    def _ppow(self, x, k):
-        """x**k for an integer k >= 0: the payload's own power on Z[S^-1]
-        and Q[y..]; (a + b eps)^k = a^k + k a^(k-1) b eps on dual pairs.
-        Both keep the payload's type, so k = 0 gives an int 1 on an int
-        and a Fraction 1 on a Fraction."""
-        if self.kind != DUAL:
-            return x ** k
-        a, b = x
-        if k == 0:
-            return (a ** 0, b * 0)
-        return (a ** k, a ** (k - 1) * b * k)
-
-    def _pdiv_int(self, x, n):
-        """x / n for a nonzero int n when the quotient stays in the ring;
-        ExactDivisionError otherwise.  An int numerator is divided with
-        divmod; anything else as a Fraction, then checked for membership.
-        An integral quotient is an int."""
-        if self.kind == ZLOC:
-            if type(x) is int:
-                q, r = divmod(x, n)
-                if not r:
-                    return q
-            q = Fraction(x, n)
-            if q.denominator == 1:
-                return q.numerator
-            if self._den_ok(q.denominator):
+    def _div_zloc(self, x, n):
+        """`_pdiv_int` on Z[S^-1]: divmod on an int, else a Fraction."""
+        if type(x) is int:
+            q, r = divmod(x, n)
+            if not r:
                 return q
-        elif self.kind == QPOLY:
-            return x * Fraction(1, n)
-        else:
-            try:
-                return (self.base._pdiv_int(x[0], n), self.base._pdiv_int(x[1], n))
-            except ExactDivisionError:
-                pass
-        raise ExactDivisionError(
+        q = Fraction(x, n)
+        if q.denominator == 1:
+            return q.numerator
+        if self._den_ok(q.denominator):
+            return q
+        raise self._not_divisible(x, n)
+
+    def _div_dual(self, x, n):
+        """`_pdiv_int` on dual numbers: the pair ring's, naming this ring."""
+        try:
+            return self._pairs._pdiv_int(x, n)
+        except ExactDivisionError:
+            raise self._not_divisible(x, n) from None
+
+    def _not_divisible(self, x, n):
+        return ExactDivisionError(
             f"{self.format_payload(x)} is not divisible by {n} in {self}"
         )
 
@@ -529,10 +490,7 @@ class GroundRing:
         if self.kind == QPOLY:
             # p is a unit in a Q-algebra, so divisibility is automatic
             return True
-        a, b = elem.payload
-        return self.base.is_p_divisible(
-            RingElement(self.base, a), p
-        ) and self.base.is_p_divisible(RingElement(self.base, b), p)
+        return self._pairs.is_p_divisible(self._pairs._wrap(elem.payload), p)
 
     def in_ideal(self, elem, ideal):
         if isinstance(ideal, PrimeIdeal):
@@ -621,6 +579,11 @@ class GroundRing:
         raise ValueError(f"unknown ring kind {kind!r}")
 
 
+# Writes the `_pdiv_int` slot past a subclass method or a patched class
+# attribute of that name, which then still takes precedence.
+_bind_pdiv_int = GroundRing._pdiv_int.__set__
+
+
 def format_fraction(q):
     if q.denominator == 1:
         return str(q.numerator)
@@ -631,6 +594,12 @@ def parse_ring(text):
     """Parse a ring name: Z, Q, Z[1/2,1/3], Z_(5), Q[y1,y2], dual(<ring>),
     or <ring>[x]/x^k (k >= 1), the truncation `series.SeriesRing(<ring>, k - 1)`."""
     text = text.strip()
+    if text.startswith("dual(") and text.endswith(")"):
+        base = parse_ring(text[5:-1])
+        if not isinstance(base, GroundRing):
+            raise InputError(f"cannot parse ring {text!r}: dual numbers need a "
+                             f"ground ring, not {base}")
+        return GroundRing.dual(base)
     head, sep, tail = text.rpartition("[x]/")
     if sep:
         from .series import SeriesRing  # series imports this module
@@ -647,8 +616,6 @@ def parse_ring(text):
         return GroundRing.integers()
     if text == "Q":
         return GroundRing.rationals()
-    if text.startswith("dual(") and text.endswith(")"):
-        return GroundRing.dual(parse_ring(text[5:-1]))
     if text.startswith("Z_(") and text.endswith(")"):
         return GroundRing.p_local(int(text[3:-1]))
     if text.startswith("Z[") and text.endswith("]"):

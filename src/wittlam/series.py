@@ -44,8 +44,9 @@ which ops:
     those of Z; division maps the ground's `_pdiv_int`.
   * Over Q[y..] products and powers run the row loop on the ground's own
     payload operations (_pmul, _padd, _pis_zero); the other ops are those
-    of Z[S^-1].  Over dual numbers products do the same, and the other
-    ops map the ground's pair functions over the coefficients.
+    of Z[S^-1].  A ground whose payloads are tuples (dual numbers, the
+    `GroundRing` without `_inline_ops`) gets the row loop too, and maps
+    the ground's own op over the coefficients for every other op.
 
 Powers start from the base at the lowest set bit of the exponent, so no
 product multiplies by 1.
@@ -84,14 +85,13 @@ a missing or mistyped field is an InputError.
 """
 
 import functools
-import itertools
 import math
 import operator
 from fractions import Fraction
 
 from .errors import (ExactDivisionError, InputError, RingMismatchError,
                      UnsupportedRingError)
-from .ground import (DUAL, QPOLY, ZLOC, GroundRing, PrimeIdeal, XAdicIdeal,
+from .ground import (QPOLY, ZLOC, GroundRing, PrimeIdeal, XAdicIdeal,
                      check_int, is_prime)
 
 
@@ -610,8 +610,9 @@ def _lifted(int_mul, one):
 
 def _payload_ops(ground, N):
     """(_padd, _psub, _pneg, _pmul, _ppow, _pscale, _pis_zero, _pdiv_int)
-    of SeriesRing(ground, N), which binds them once (see the module
-    docstring for which ring gets which)."""
+    of SeriesRing(ground, N), which binds them once: generated kernels on
+    scalar payloads (`_inline_ops`), the ground's ops mapped and the row
+    loop on tuple payloads (see the module docstring)."""
     padd, psub, pneg = ground._padd, ground._psub, ground._pneg
     pscale, pis_zero, pdiv_int = ground._pscale, ground._pis_zero, ground._pdiv_int
 
@@ -633,7 +634,7 @@ def _payload_ops(ground, N):
     def div_int(x, n):
         return tuple([pdiv_int(a, n) for a in x])
 
-    if ground.kind != DUAL:
+    if ground._inline_ops:
         kernels = _kernels(N)
         if kernels:
             add, sub, scale = kernels[1:4]
@@ -663,10 +664,11 @@ class SeriesRing:
     `__init__` binds `_padd`, `_psub`, `_pneg`, `_pmul`, `_ppow`,
     `_pscale`, `_pis_zero` and `_pdiv_int` into slots once, by
     `_payload_ops`: int kernels over Z, the lifted product over Z[S^-1]
-    with S nonempty, the row loop `_mul_payloads` over Q[y..] and dual
-    numbers (see the module docstring).  `_pzero` and `_pfrom_int` stay
-    methods.  None of the ops is an `operator` function, so `_inline_ops`
-    is False.
+    with S nonempty, the row loop `_mul_payloads` over Q[y..] and over a
+    ground with tuple payloads, which also gets the ground's ops mapped
+    over the coefficients (see the module docstring).  `_pzero` and
+    `_pfrom_int` stay methods.  None of the ops is an `operator`
+    function, so `_inline_ops` is False.
     """
 
     __slots__ = ("ground", "trunc", "_padd", "_psub", "_pneg", "_pmul", "_ppow",
@@ -747,16 +749,16 @@ class SeriesRing:
 
     def is_p_divisible(self, f, p):
         """True iff every coefficient of f is p-divisible in the ground
-        ring, read off the payloads as `GroundRing.is_p_divisible` reads
-        one."""
+        ring: read off scalar payloads as `GroundRing.is_p_divisible` reads
+        one, or asked of a ground with tuple payloads per coefficient."""
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        ring, payloads = self.ground, f.payload
-        if ring.kind == DUAL:
-            ring, payloads = ring.base, itertools.chain.from_iterable(payloads)
+        ring = self.ground
+        if not ring._inline_ops:
+            return all(ring.is_p_divisible(c, p) for c in f.coeffs)
         if ring.kind == QPOLY or ring.inverted.inverts(p):
             return True
-        return all(c.numerator % p == 0 for c in payloads)
+        return all(c.numerator % p == 0 for c in f.payload)
 
     def in_ideal(self, f, ideal):
         if isinstance(ideal, XAdicIdeal):

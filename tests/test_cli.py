@@ -101,6 +101,17 @@ def test_bad_truncated_ring_is_a_usage_error(capsys, ring):
     assert f"cannot parse ring {ring!r}" in err
 
 
+def test_dual_numbers_over_a_truncation_are_a_usage_error(capsys):
+    # x^3 is a valid ideal: the error names the base of the dual numbers
+    code, out, err = run(capsys, "lambda", "mul", "--ring", "dual(Z[x]/x^3)",
+                         "--f", "1,2", "--g", "1,2")
+    assert (code, out) == (2, "")
+    assert ("cannot parse ring 'dual(Z[x]/x^3)': dual numbers need a ground "
+            "ring, not Z[x]/x^3") in err
+    # a truncation over dual numbers is a series ring
+    assert parse_ring("dual(Z)[x]/x^3") == SeriesRing(GroundRing.dual(Z), 2)
+
+
 @pytest.mark.parametrize("argv", [
     ["dual", "make", "--a", "2=2"],
     ["family", "make", "--carrier", "trunc:3", "--a", "2=5"],

@@ -618,6 +618,7 @@ _Q_ORACLE = _ScalarOracle(Q, (1, 2, 3, 5, 6, 7, 12))
 KERNEL_ORACLES = [
     _Z_ORACLE, _Z2_ORACLE, _ScalarOracle(GroundRing.p_local(3), (1, 2, 4, 5, 7)),
     _Q_ORACLE, _PolyOracle(), _DualOracle(_Z_ORACLE), _DualOracle(_Q_ORACLE),
+    _DualOracle(_Z2_ORACLE), _DualOracle(_PolyOracle()),
     _SeriesOracle(_Z_ORACLE, 4), _SeriesOracle(_Z2_ORACLE, 3),
     _SeriesOracle(_Q_ORACLE, 3), _SeriesOracle(_DualOracle(_Z_ORACLE), 2),
 ]

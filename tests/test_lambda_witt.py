@@ -14,6 +14,7 @@ ghost solve with its symbolic run over Q[a.., b..].
 """
 
 import functools
+import operator
 import os
 import random
 import subprocess
@@ -32,11 +33,15 @@ from wittlam.ground import (DUAL, QPOLY, ZLOC, GroundRing, PrimeIdeal,
 from wittlam.lambda_witt import (_NEWTON_KERNELS, _NEWTON_MAX_M, _ROUTINES,
                                  LambdaElem, WittVec, _from_power_sums,
                                  _from_power_sums_loop, _ghost_solve,
-                                 exp_iso, exp_iso_inv, filtration_member,
-                                 ghost, lambda_adams, lambda_add, lambda_mul,
+                                 _ghost_solve_loop, _ghosts, _ghosts_loop,
+                                 _power_sums, _power_sums_loop, exp_iso,
+                                 exp_iso_inv, filtration_member, ghost,
+                                 lambda_adams, lambda_add, lambda_mul,
                                  lambda_neg, lambda_one, lambda_op,
                                  lambda_zero, witt_add, witt_mul, witt_zero)
-from wittlam.series import SeriesRing, TruncSeries, compose, revert
+from wittlam.series import (_COMPOSE_MAX_N, _KERNEL_MAX_N, SeriesRing,
+                            TruncSeries, _compose_kernels, _grow_powers,
+                            _kernels, _scalar_form, compose, revert)
 from wittlam.structures import adams_apply, lambda_values, standard_structure
 from wittlam.sympoly import MPoly, universal_P, universal_Pcomp
 
@@ -784,3 +789,76 @@ def test_ring_laws_over_mixed_kernel_scalars(case):
     assert witt_mul(a, witt_add(b, c)) == witt_add(witt_mul(a, b), witt_mul(a, c))
     assert exp_iso_inv(exp_iso(a)) == a
     assert exp_iso(exp_iso_inv(f)) == f
+
+
+# -- the generated kernels, proved at a generic point --------------------------
+#
+# A division-free straight-line form is a polynomial map of its inputs.  With
+# a distinct variable of Q[..] at each input, a form that agrees with its loop
+# agrees with it as a polynomial, so on every commutative ring; the dividing
+# forms (Newton inversion, ghost solve) then agree over every Q-algebra.
+
+
+def _variables(names):
+    """Q[names] and its variables, as MPoly payloads."""
+    ring = GroundRing.rational_poly(names)
+    return ring, [MPoly.gen(ring.variables, v) for v in ring.variables]
+
+
+def _prove_series_kernels(N):
+    """`_kernels(N)`'s mul, add, sub and scale (by a symbolic c) against
+    the schoolbook loops."""
+    _, xs = _variables([f"{s}{j}" for s in "ab" for j in range(N + 1)] + ["c"])
+    a, b, c = tuple(xs[:N + 1]), tuple(xs[N + 1:-1]), xs[-1]
+    mul, add, sub, scale, _ = _kernels(N)
+    assert mul(a, b) == tuple(
+        functools.reduce(operator.add, [a[i] * b[j - i] for i in range(j + 1)])
+        for j in range(N + 1))
+    assert add(a, b) == tuple(map(operator.add, a, b))
+    assert sub(a, b) == tuple(map(operator.sub, a, b))
+    assert scale(a, c) == tuple(x * c for x in a)
+
+
+def _prove_compose_kernels(N):
+    """`_compose_kernels(N)`'s table against `_grow_powers`, and its dot on
+    a table of independent variables against the dot-product loop."""
+    cells = [(j, k) for j in range(1, N + 1) for k in range(1, j + 1)]
+    ring, xs = _variables([f"F{k}" for k in range(N + 1)]
+                          + [f"g{j}" for j in range(1, N + 1)]
+                          + [f"t{j}_{k}" for j, k in cells])
+    F, G, t = xs[:N + 1], [ring._pzero()] + xs[N + 1:2 * N + 1], xs[2 * N + 1:]
+    table, dot = _compose_kernels(N)
+    total, mul = _scalar_form(ring)
+    rows = _grow_powers(list(G), total, mul)
+    assert table(G) == tuple(tuple(rows[k][j] for k in range(1, j + 1))
+                             for j in range(1, N + 1))
+    T = tuple(tuple(t[j * (j - 1) // 2:j * (j + 1) // 2])
+              for j in range(1, N + 1))
+    assert dot(F, T) == (F[0], *(total(map(mul, F[1:], col)) for col in T))
+
+
+def _prove_newton_kernels(M):
+    """The four forms of `_kernel` at M, in both spellings, against their
+    loops; the ghost map also with a zero a_d at each degree d >= 2."""
+    ring, a = _variables([f"a{n}" for n in range(1, M + 1)])
+    calls = GroundRing.rational_poly(ring.variables)
+    calls._inline_ops = False  # the op-call spelling, called with MPoly's ops
+    zeros = [a[:d - 1] + [ring._pzero()] + a[d:] for d in range(2, M + 1)]
+    expect = (_power_sums_loop(ring, a, M), _from_power_sums_loop(ring, a),
+              _ghost_solve_loop(ring, a),
+              [_ghosts_loop(ring, x, M) for x in [a] + zeros])
+    for dom in (ring, calls):
+        assert (_power_sums(dom, a, M), _from_power_sums(dom, a),
+                _ghost_solve(dom, a),
+                [_ghosts(dom, x, M) for x in [a] + zeros]) == expect
+    assert {(r, M, inline) for r in _ROUTINES for inline in (True, False)} \
+        <= set(_NEWTON_KERNELS)
+
+
+def test_generated_kernels_equal_their_loops_at_a_generic_point():
+    for N in range(_KERNEL_MAX_N + 1):
+        _prove_series_kernels(N)
+    for N in range(1, _COMPOSE_MAX_N + 1):
+        _prove_compose_kernels(N)
+    for M in range(1, _NEWTON_MAX_M + 1):
+        _prove_newton_kernels(M)
