@@ -217,6 +217,8 @@ class GroundRing:
         if kind == DUAL:
             if base is None or base.kind == DUAL:
                 raise ValueError("dual numbers need a non-dual base ring")
+            if any("eps" in v for v in base.variables or ()):
+                raise InputError(f"a variable of {base} clashes with the eps of {self}")
             from .series import SeriesRing  # series imports this module
             pairs = self._pairs = SeriesRing(base, 1)
             ops = (pairs._padd, pairs._psub, pairs._pneg, pairs._pmul,
@@ -230,6 +232,8 @@ class GroundRing:
         self._inline_ops = ops is _SCALAR_KERNEL
         if kind == QPOLY and len(set(self.variables)) != len(self.variables):
             raise InputError(f"repeated variable in {self}")
+        if kind == QPOLY and not all(v.isidentifier() for v in self.variables):
+            raise InputError(f"a variable of {self} is not an identifier")
 
     # -- constructors -----------------------------------------------------
 
@@ -592,44 +596,54 @@ def format_fraction(q):
 
 def parse_ring(text):
     """Parse a ring name: Z, Q, Z[1/2,1/3], Z_(5), Q[y1,y2], dual(<ring>),
-    or <ring>[x]/x^k (k >= 1), the truncation `series.SeriesRing(<ring>, k - 1)`."""
+    or <ring>[x]/x^k (k >= 1), the truncation `series.SeriesRing(<ring>, k - 1)`.
+    A name that does not parse raises InputError naming the whole text."""
     text = text.strip()
+    try:
+        return _parse_ring(text)
+    except ValueError as exc:
+        why = "" if str(exc) == f"unknown ring {text!r}" else f": {exc}"
+        raise InputError(f"cannot parse ring {text!r}{why}") from None
+
+
+def _parse_ring(text):
+    """`parse_ring` of stripped text; a ValueError gives only the reason."""
     if text.startswith("dual(") and text.endswith(")"):
-        base = parse_ring(text[5:-1])
+        base = _parse_ring(text[5:-1].strip())
         if not isinstance(base, GroundRing):
-            raise InputError(f"cannot parse ring {text!r}: dual numbers need a "
-                             f"ground ring, not {base}")
+            raise ValueError(f"dual numbers need a ground ring, not {base}")
         return GroundRing.dual(base)
     head, sep, tail = text.rpartition("[x]/")
     if sep:
         from .series import SeriesRing  # series imports this module
         k = tail[2:]
         if not (tail.startswith("x^") and k.isdecimal() and int(k) >= 1):
-            raise InputError(
-                f"cannot parse ring {text!r}: the ideal must be x^k with k >= 1"
-            )
-        ground = parse_ring(head)
+            raise ValueError("the ideal must be x^k with k >= 1")
+        ground = _parse_ring(head.strip())
         if not isinstance(ground, GroundRing):
-            raise InputError(f"cannot parse ring {text!r}: {head} is not a ground ring")
+            raise ValueError(f"{head} is not a ground ring")
         return SeriesRing(ground, int(k) - 1)
     if text == "Z":
         return GroundRing.integers()
     if text == "Q":
         return GroundRing.rationals()
     if text.startswith("Z_(") and text.endswith(")"):
-        return GroundRing.p_local(int(text[3:-1]))
+        p = text[3:-1].strip()
+        if not p.isdecimal():
+            raise ValueError(f"Z_(p) needs a prime p, not {p!r}")
+        return GroundRing.p_local(int(p))
     if text.startswith("Z[") and text.endswith("]"):
         primes = []
         for part in text[2:-1].split(","):
             part = part.strip()
-            if not part.startswith("1/"):
+            if not (part.startswith("1/") and part[2:].strip().isdecimal()):
                 raise ValueError(f"bad localization entry {part!r}")
             primes.append(int(part[2:]))
         return GroundRing.localized(primes)
     if text.startswith("Q[") and text.endswith("]"):
         names = tuple(v.strip() for v in text[2:-1].split(",") if v.strip())
         return GroundRing.rational_poly(names)
-    raise ValueError(f"cannot parse ring {text!r}")
+    raise ValueError(f"unknown ring {text!r}")
 
 
 class RingElement:

@@ -20,6 +20,11 @@ Both constructions run in integer term dicts, and each result is checked
 integral where it is built, before it enters the memo `GLOBAL_CACHE`.
 Polynomials are sparse dicts from exponent tuples to int/Fraction
 coefficients ("term dicts"); zero coefficients are never stored.
+`MPoly.evaluate` runs one algorithm for ints, Fractions and ring elements
+on a sparse form of the terms, built on a polynomial's first evaluation
+(not at construction) into a slot that == and hash ignore.  It is set by
+one assignment, so threads racing on a `GLOBAL_CACHE` entry at worst
+build it twice.
 
 Inside the builders a monomial is one packed int (Monagan and Pearce,
 CASC 2007): over e_1..e_K the exponent of e_k sits in bits
@@ -56,10 +61,7 @@ and each table grows only as far as the largest polynomial built at B.
 """
 
 from fractions import Fraction
-from itertools import repeat
-from math import prod
 from operator import add as _add
-from operator import mul
 from types import SimpleNamespace
 
 from .errors import BoundExceededError, InputError, IntegralityError
@@ -160,7 +162,7 @@ def _power(a, k, nvars):
 class MPoly:
     """Sparse multivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_sparse")
 
     def __init__(self, variables, terms=None):
         self.vars = tuple(variables)
@@ -298,45 +300,46 @@ class MPoly:
 
     # -- evaluation ------------------------------------------------------
 
-    def evaluate(self, values, one):
-        """Evaluate in any commutative ring.
+    def _sparse_form(self):
+        """(tops, rows): tops[i] is the top exponent of variable i, and a
+        row (c, first, rest) places a term's nonzero x_i^k in the table 1,
+        x_0..x_0^tops[0], x_1.. that `evaluate` builds (the constant at 0)."""
+        tops = [max(col) for col in zip(*self.terms)]
+        starts = [sum(tops[:i]) for i in range(len(tops))]
+        rows = []
+        for e, c in self.terms.items():
+            row = [s + k for s, k in zip(starts, e) if k] or [0]
+            rows.append((c, row[0], row[1:]))
+        return tops, rows
 
-        `values` maps every variable name to a ring element; `one` is the
-        ring's multiplicative identity (used for the constant term and as
-        base of the power cache).  When every value is an int or an
-        integral Fraction the sum runs in ints and is returned as
-        `one * <int>`.
-        """
+    def evaluate(self, values, one):
+        """Evaluate in any commutative ring, by one algorithm for every value
+        type: `values` maps each variable to an int, a Fraction or a ring
+        element, and `one` is the ring's identity.  An integral Fraction is
+        taken as its int, powers come from repeated multiplication, and the
+        terms are summed from the int 0; the result is `one * <sum>`, so
+        its type follows `one`."""
         missing = [v for v in self.vars if v not in values]
         if missing:
             raise ValueError(f"no values for variables {missing}")
-        vals = [values[v] for v in self.vars]
-        if all(isinstance(v, int) or (isinstance(v, Fraction) and v.denominator == 1)
-               for v in vals):
-            ints = [v.numerator for v in vals]
-            monomials = map(prod, map(map, repeat(pow), repeat(ints), self.terms))
-            return one * sum(map(mul, self.terms.values(), monomials))
-        powcache = {}
-
-        def vpow(i, k):
-            key = (i, k)
-            got = powcache.get(key)
-            if got is None:
-                got = values[self.vars[i]] ** k
-                powcache[key] = got
-            return got
-
-        total = None
-        for e, c in self.terms.items():
-            term = one
-            for i, k in enumerate(e):
-                if k:
-                    term = term * vpow(i, k)
-            term = term * c
-            total = term if total is None else total + term
-        if total is None:
-            return one * 0
-        return total
+        try:
+            tops, rows = self._sparse
+        except AttributeError:
+            tops, rows = self._sparse = self._sparse_form()
+        powers = [1]
+        for v, top in zip(self.vars, tops):
+            if top:
+                x = _norm_coeff(values[v])
+                powers.append(x)
+                for _ in range(1, top):
+                    powers.append(powers[-1] * x)
+        total = 0
+        for c, first, rest in rows:
+            term = powers[first]
+            for j in rest:
+                term = term * powers[j]
+            total = total + (term if c == 1 else term * c)
+        return one * total
 
     # -- text form ---------------------------------------------------------
 

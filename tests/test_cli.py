@@ -101,6 +101,42 @@ def test_bad_truncated_ring_is_a_usage_error(capsys, ring):
     assert f"cannot parse ring {ring!r}" in err
 
 
+
+@pytest.mark.parametrize("ring, why", [
+    ("dual()", "unknown ring ''"),
+    ("dual(foo)", "unknown ring 'foo'"),
+    ("Z_(x)", "Z_(p) needs a prime p, not 'x'"),
+    ("Z_()", "Z_(p) needs a prime p, not ''"),
+    ("Z[1/x]", "bad localization entry '1/x'"),
+    ("dual(Z_(x))", "Z_(p) needs a prime p, not 'x'"),
+    ("Z[1/4]", "4 is not prime"),
+    ("Z[x]/x^0", "the ideal must be x^k with k >= 1"),
+    ("foo", None),
+])
+def test_bad_ring_name_errors_name_the_whole_input(capsys, ring, why):
+    code, out, err = run(capsys, "lambda", "mul", "--ring", ring,
+                         "--f", "1,2", "--g", "1,2")
+    assert (code, out) == (2, "")
+    expect = f"cannot parse ring {ring!r}" + (f": {why}" if why else "")
+    assert err == f"error: {expect}"
+
+
+@pytest.mark.parametrize("ring, why", [
+    ("Q[1y]", "a variable of Q[1y] is not an identifier"),
+    ("dual(Q[eps])", "a variable of Q[eps] clashes with the eps of dual(Q[eps])"),
+    ("dual(Q[yeps])",
+     "a variable of Q[yeps] clashes with the eps of dual(Q[yeps])"),
+])
+def test_polynomial_variables_the_text_forms_cannot_read_are_a_usage_error(
+        capsys, ring, why):
+    # Q[1y] could not read `--f 1y` back, and under dual(Q[eps]) the text
+    # `eps` read as the dual eps, not the variable
+    var = ring.removeprefix("dual(Q[").removeprefix("Q[").rstrip("])")
+    code, out, err = run(capsys, "lambda", "mul", "--ring", ring,
+                         "--f", f"{var},1", "--g", "1,2")
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot parse ring {ring!r}: {why}"
+
 def test_dual_numbers_over_a_truncation_are_a_usage_error(capsys):
     # x^3 is a valid ideal: the error names the base of the dual numbers
     code, out, err = run(capsys, "lambda", "mul", "--ring", "dual(Z[x]/x^3)",

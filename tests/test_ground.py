@@ -4,6 +4,7 @@ the payload kernel against hand-written arithmetic."""
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -348,6 +349,33 @@ def test_repeated_polynomial_variables_rejected():
     with pytest.raises(InputError):
         GroundRing.from_json({"kind": "rational_poly", "variables": ["a", "b", "a"]})
 
+
+
+@pytest.mark.parametrize("names, why", [
+    (("1y",), "a variable of Q[1y] is not an identifier"),
+    (("y1", "y 2"), "a variable of Q[y1,y 2] is not an identifier"),
+    (("eps",), "a variable of Q[eps] clashes with the eps of dual(Q[eps])"),
+    (("y1", "yeps"),
+     "a variable of Q[y1,yeps] clashes with the eps of dual(Q[y1,yeps])"),
+])
+def test_polynomial_variables_the_text_forms_cannot_read_are_refused(names, why):
+    data = {"kind": "rational_poly", "variables": list(names)}
+    text = "Q[%s]" % ",".join(names)
+    if "dual" in why:
+        # fine alone, refused as the base of dual numbers
+        base = GroundRing.rational_poly(names)
+        assert GroundRing.from_json(data) == base == parse_ring(text)
+        data = {"kind": "dual_numbers", "base": data}
+        text = f"dual({text})"
+    builds = [lambda: GroundRing.from_json(data), lambda: parse_ring(text),
+              lambda: (GroundRing.dual(base) if "dual" in why
+                       else GroundRing.rational_poly(names))]
+    for build in builds:
+        with pytest.raises(InputError, match=re.escape(why)):
+            build()
+    # names the text forms read back are kept
+    assert str(parse_ring("dual(Q[y_1,e])")) == "dual(Q[y_1,e])"
+    assert str(parse_ring("Q[epsilon]")) == "Q[epsilon]"
 
 def test_parse_ring_names():
     assert parse_ring("Z") == Z

@@ -31,7 +31,8 @@ import pytest
 import wittlam
 from wittlam import sympoly
 from wittlam.errors import BoundExceededError, IntegralityError
-from wittlam.ground import binom_fraction
+from wittlam.ground import GroundRing, binom_fraction
+from wittlam.series import SeriesRing
 from wittlam.sympoly import (GLOBAL_CACHE, MPoly, _add_into, _avars, _bvars,
                              _conjugate, _mul, _newton_e, _partitions,
                              format_terms, parse_poly, universal_P,
@@ -745,8 +746,8 @@ def test_mpoly_evaluate_partial_and_full():
 
 
 def test_mpoly_evaluate_integer_path_matches_generic_path():
-    # integral values (ints or Fractions with denominator 1) run in ints;
-    # the result is `one * <int>`, so its type follows `one`
+    # integral values (ints or Fractions with denominator 1) are taken as
+    # ints; the result is `one * <sum>`, so its type follows `one`
     rng = random.Random(3)
     vs = ("x", "y", "z")
     for _ in range(20):
@@ -761,10 +762,120 @@ def test_mpoly_evaluate_integer_path_matches_generic_path():
         assert got == expect and isinstance(got, Fraction)
         got = f.evaluate(dict(zip(vs, point)), 1)
         assert got == expect and type(got) is int
-        # one non-integral value takes the generic path, still exact
+        # one non-integral value among integral ones, still exact
         half = dict(as_fractions, x=Fraction(point[0] * 2 + 1, 2))
         expect_half = sum(c * half["x"] ** e[0] * point[1] ** e[1]
                           * point[2] ** e[2] for e, c in f.terms.items())
         assert f.evaluate(half, Fraction(1)) == expect_half
     assert MPoly.zero(vs).evaluate(dict.fromkeys(vs, 2), Fraction(1)) == 0
     assert MPoly.const((), 7).evaluate({}, 1) == 7
+    # every other value type runs the same algorithm: ring elements, series,
+    # polynomials, and ints mixed with a non-integral Fraction
+    for name, values, one in _evaluation_points(rng):
+        point = dict(zip(vs, values))
+        for _ in range(6):
+            terms = {tuple(rng.randrange(4) for _ in vs): rng.randint(-5, 5)
+                     for _ in range(8)}
+            terms[(0, 0, 0)] = rng.choice((0, 1, -3))
+            f = MPoly(vs, terms)
+            got = f.evaluate(point, one)
+            assert got == _brute_force_value(f, point, one), name
+            assert type(got) is type(one), name
+        for f in (MPoly.zero(vs), MPoly.const(vs, 7), MPoly.const(vs, 1)):
+            got = f.evaluate(point, one)
+            assert got == one * f.constant() and type(got) is type(one), name
+
+
+def test_sparse_form_is_built_on_first_evaluation_only(monkeypatch):
+    # building P_n or P_(m,n) does no evaluation work; the first evaluation
+    # of a cached polynomial builds the sparse form, and later ones reuse it
+    monkeypatch.setattr(GLOBAL_CACHE, "P", {})
+    monkeypatch.setattr(GLOBAL_CACHE, "Pcomp", {})
+    built = [universal_P(n) for n in range(1, 7)]
+    built += [universal_Pcomp(m, n) for m in range(1, 4) for n in range(1, 7 // m)]
+    assert not any(hasattr(p, "_sparse") for p in built)
+    calls = []
+    form_of = MPoly._sparse_form
+    monkeypatch.setattr(MPoly, "_sparse_form",
+                        lambda self: calls.append(self) or form_of(self))
+    P4 = universal_P(4)
+    values = {v: 2 for v in P4.vars}
+    first = P4.evaluate(values, 1)
+    form = P4._sparse
+    assert P4.evaluate(values, 1) == first
+    assert calls == [P4] and P4._sparse is form
+    # equality and hashing ignore the form
+    twin = MPoly(P4.vars, P4.terms)
+    assert twin == P4 and hash(twin) == hash(P4)
+    assert universal_P(4) is P4 and not hasattr(universal_P(5), "_sparse")
+
+
+def test_threads_racing_on_a_first_evaluation_agree():
+    # threads that find no sparse form may each build one; every result is
+    # still the polynomial's value
+    polys = [MPoly(P.vars, P.terms)
+             for P in (universal_P(8), universal_Pcomp(2, 4, bound=8))]
+    points = [{v: Fraction(k % 5 - 2) for k, v in enumerate(p.vars)}
+              for p in polys]
+    expect = [_brute_force_value(p, x, 1) for p, x in zip(polys, points)]
+    results = [None] * 8
+    start = threading.Barrier(8)
+
+    def worker(k):
+        start.wait()
+        results[k] = [p.evaluate(x, 1) for p, x in list(zip(polys, points)) * 3]
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the first builds
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expect * 3] * 8
+    assert all(hasattr(p, "_sparse") for p in polys)
+
+
+def _brute_force_value(f, values, one):
+    """sum of c * prod v**k over the terms of f, term by term."""
+    total = one * 0
+    for e, c in f.terms.items():
+        term = one
+        for v, k in zip(f.vars, e):
+            term = term * values[v] ** k
+        total = total + term * c
+    return total
+
+
+def _evaluation_points(rng):
+    """(name, three values, one) for each value type `evaluate` takes."""
+    Z, Q = GroundRing.integers(), GroundRing.rationals()
+    Qy = GroundRing.rational_poly(("y1",))
+
+    def fractions(den):
+        return [Fraction(rng.randint(-9, 9), den) for _ in range(3)]
+
+    for ring, vals in [
+        (Z, [rng.randint(-4, 4) for _ in range(3)]),
+        (GroundRing.localized([2]), fractions(4)),
+        (GroundRing.p_local(5), fractions(3)),
+        (Q, fractions(7)),
+        (GroundRing.dual(Z), [(rng.randint(-3, 3), rng.randint(-3, 3))
+                              for _ in range(3)]),
+        (Qy, [f"{rng.randint(-3, 3)}*y1 + {rng.randint(-3, 3)}/2"
+              for _ in range(3)]),
+    ]:
+        yield str(ring), [ring.coerce(v) for v in vals], ring.one()
+    trunc = SeriesRing(Z, 4)
+    yield str(trunc), [trunc.coerce([rng.randint(-3, 3) for _ in range(5)])
+                       for _ in range(3)], trunc.one()
+    uv = ("u", "v")
+    polys = [MPoly(uv, {(rng.randrange(3), rng.randrange(3)): rng.randint(-3, 3),
+                        (0, 0): rng.randint(-3, 3)}) for _ in range(3)]
+    yield "MPoly", polys, MPoly.one(uv)
+    yield "mixed", [rng.randint(-4, 4), Fraction(rng.randint(-9, 9) * 2 + 1, 2),
+                    Fraction(rng.randint(-4, 4))], Fraction(1)
