@@ -87,20 +87,28 @@ def _ground_ring(args):
     return ring
 
 
+def _parse_int(option, text):
+    """The int that text spells; InputError naming option otherwise."""
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError(f"{option}: {text!r} is not an integer") from None
+
+
 def _parse_prime_map(text):
     out = {}
     for part in text.split(","):
         p, _, v = part.partition("=")
-        out[int(p.strip())] = v.strip()
+        out[_parse_int("--a", p.strip())] = v.strip()
     return out
 
 
 def _parse_carrier(text, ring):
     kind, _, arg = text.partition(":")
     if kind == "series":
-        return Carrier.power_series(ring, int(arg or 8))
+        return Carrier.power_series(ring, _parse_int("--carrier", arg or 8))
     if kind == "trunc":
-        return Carrier.trunc_poly(ring, int(arg or 3))
+        return Carrier.trunc_poly(ring, _parse_int("--carrier", arg or 3))
     if kind == "dual":
         return Carrier.dual_numbers(ring)
     if kind == "ground":
@@ -173,16 +181,9 @@ def cmd_coalgebra_check(args):
     return _emit_report(args, coalgebra_check(S, samples, M=args.M))
 
 
-def _parse_primes(text):
-    return tuple(int(p) for p in text.split(",")) if text else None
-
-
 def cmd_dual(args):
     if args.dual_op == "make":
-        ring = _ground_ring(args)
-        S = make_dual_structure(
-            ring, _parse_prime_map(args.a), primes=_parse_primes(args.primes)
-        )
+        S = make_dual_structure(_ground_ring(args), _parse_prime_map(args.a))
         _emit_json(args, S.to_json())
         return 0
     S1 = _load_structure(args.s1)
@@ -195,9 +196,7 @@ def cmd_dual(args):
 def cmd_family(args):
     ring = _ground_ring(args)
     carrier = _parse_carrier(args.carrier, ring)
-    S = make_family_structure(
-        carrier, _parse_prime_map(args.a), primes=_parse_primes(args.primes)
-    )
+    S = make_family_structure(carrier, _parse_prime_map(args.a))
     _emit_json(args, S.to_json())
     return 0
 
@@ -215,11 +214,7 @@ def cmd_universal(args):
         return 0
     if args.universal_op == "relations":
         if args.structure is not None:
-            depth = DEFAULT_DEPTH if args.depth is None else args.depth
-            h = hom_from_structure(_load_structure(args.structure), depth=depth)
-        elif args.depth is not None:
-            raise InputError("--depth applies only with --structure: an "
-                             "assignment has its own depth")
+            h = hom_from_structure(_load_structure(args.structure))
         else:
             h = HomAssignment.from_json(_load_json(args.assignment))
         lines = []
@@ -239,7 +234,7 @@ def cmd_universal(args):
         return 0 if all_zero else 1
     if args.universal_op == "roundtrip":
         S = _load_structure(args.structure)
-        ok = roundtrip_check(S, depth=args.depth)
+        ok = roundtrip_check(S)
         _emit(args, "roundtrip ok" if ok else "roundtrip FAILED")
         return 0 if ok else 1
     raise ValueError(f"unknown universal op {args.universal_op!r}")
@@ -265,7 +260,7 @@ def cmd_hasse(args):
 def cmd_selftest(args):
     numbers = None
     if args.suites:
-        numbers = {int(s) for s in args.suites.split(",")}
+        numbers = {_parse_int("--suites", s) for s in args.suites.split(",")}
     results = acceptance.run_all(seed=args.seed, numbers=numbers)
     print(f"selftest: seed={args.seed}")
     for report in results:
@@ -286,9 +281,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, ring=True, N=True, with_json=True):
-        """--ring, -N, --json and -o; a command that prints only text
-        takes with_json=False, so that --json is a usage error there."""
+    def common(p, ring=False, N=False, with_json=False):
+        """-o, and each of --ring, -N and --json that the command names:
+        an option is accepted only where it changes the output, so one
+        the command does not take (--json on a command that prints only
+        text or always JSON) is a usage error."""
         if ring:
             p.add_argument("--ring", default="Z", help="Z, Q, Z[1/2], Z_(5), Q[y1]")
         if N:
@@ -303,12 +300,12 @@ def build_parser():
         q = ws.add_parser(op)
         q.add_argument("--a", required=True, help="comma list a1,..,aN")
         q.add_argument("--b", required=True)
-        common(q)
+        common(q, ring=True, N=True, with_json=True)
         q.set_defaults(func=cmd_witt)
     q = ws.add_parser("ghost")
     q.add_argument("--a", required=True)
     q.add_argument("--n", type=int, default=None, help="single ghost index")
-    common(q, with_json=False)
+    common(q, ring=True, N=True)
     q.set_defaults(func=cmd_witt)
 
     p = sub.add_parser("lambda", help="universal lambda-ring operations")
@@ -317,35 +314,35 @@ def build_parser():
         q = ls.add_parser(op)
         q.add_argument("--f", required=True, help="comma list a1,..,aN")
         q.add_argument("--g", required=True)
-        common(q)
+        common(q, ring=True, N=True, with_json=True)
         q.set_defaults(func=cmd_lambda)
     q = ls.add_parser("op")
     q.add_argument("--i", type=int, required=True, help="which lambda^i")
     q.add_argument("--f", required=True)
     q.add_argument("--bound", type=int, default=DEFAULT_PCOMP_BOUND)
-    common(q)
+    common(q, ring=True, N=True, with_json=True)
     q.set_defaults(func=cmd_lambda)
 
     q = sub.add_parser("exp", help="exponential isomorphism W -> Lambda")
     q.add_argument("--a", required=True)
-    common(q)
+    common(q, ring=True, N=True, with_json=True)
     q.set_defaults(func=cmd_exp)
 
     q = sub.add_parser("unexp", help="inverse exponential isomorphism")
     q.add_argument("--f", required=True)
-    common(q)
+    common(q, ring=True, N=True, with_json=True)
     q.set_defaults(func=cmd_unexp)
 
     q = sub.add_parser("lift", help="lambda^n via the Newton recursion")
     q.add_argument("--structure", required=True)
     q.add_argument("--element", required=True)
     q.add_argument("-n", type=int, required=True)
-    common(q, ring=False, N=False, with_json=False)
+    common(q)
     q.set_defaults(func=cmd_lift)
 
     q = sub.add_parser("validate", help="psi-ring condition report")
     q.add_argument("--structure", required=True)
-    common(q, ring=False, N=False)
+    common(q, with_json=True)
     q.set_defaults(func=cmd_validate)
 
     q = sub.add_parser("axiom-check", help="lambda-ring axiom report")
@@ -354,57 +351,59 @@ def build_parser():
                    help="top product degree (default: min(3, window depth))")
     q.add_argument("--bound", type=int, default=None,
                    help="composition depth (default: derived from the window)")
-    common(q, ring=False, N=False)
+    common(q, with_json=True)
     q.set_defaults(func=cmd_axiom_check)
 
     q = sub.add_parser("coalgebra-check", help="counit/coassociativity report")
     q.add_argument("--structure", required=True)
     q.add_argument("-M", type=int, default=3, help="inner truncation")
     q.add_argument("--samples", default="2,3")
-    common(q, ring=False, N=False)
+    common(q, with_json=True)
     q.set_defaults(func=cmd_coalgebra_check)
 
     p = sub.add_parser("dual", help="dual-number structures")
     ds = p.add_subparsers(dest="dual_op", required=True)
     q = ds.add_parser("make")
-    q.add_argument("--a", required=True, help="p=a_p map, e.g. 2=2,3=6")
-    q.add_argument("--primes", default=None, help="window, e.g. 2,3,5,7")
-    common(q)
+    q.add_argument("--a", required=True,
+                   help="p=a_p map, e.g. 2=2,3=6; its primes are the window")
+    common(q, ring=True)
     q.set_defaults(func=cmd_dual)
     q = ds.add_parser("iso")
     q.add_argument("--s1", required=True)
     q.add_argument("--s2", required=True)
-    common(q, ring=False, N=False, with_json=False)
+    common(q)
     q.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("family", help="linear families over Q-algebras")
     fs = p.add_subparsers(dest="family_op", required=True)
     q = fs.add_parser("make")
     q.add_argument("--carrier", default="series:8", help="series:N | trunc:M")
-    q.add_argument("--a", required=True, help="p=a_p map of unit scalars")
-    q.add_argument("--primes", default=None, help="window, e.g. 2,3,5,7")
-    common(q)
+    q.add_argument("--a", required=True,
+                   help="p=a_p map of unit scalars; its primes are the window")
+    common(q, ring=True)
     q.set_defaults(func=cmd_family)
 
     p = sub.add_parser("universal", help="the co-representing correspondence")
     us = p.add_subparsers(dest="universal_op", required=True)
-    for op in ("to-hom", "roundtrip"):
-        q = us.add_parser(op)
-        q.add_argument("--structure", required=True)
-        q.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-        common(q, ring=False, N=False, with_json=op == "to-hom")
-        q.set_defaults(func=cmd_universal)
+    q = us.add_parser("to-hom")
+    q.add_argument("--structure", required=True)
+    q.add_argument("--depth", type=int, default=DEFAULT_DEPTH,
+                   help="longest generator tail written out")
+    common(q)
+    q.set_defaults(func=cmd_universal)
+    q = us.add_parser("roundtrip")
+    q.add_argument("--structure", required=True)
+    common(q)
+    q.set_defaults(func=cmd_universal)
     q = us.add_parser("from-hom")
     q.add_argument("--assignment", required=True)
-    common(q, ring=False, N=False)
+    common(q)
     q.set_defaults(func=cmd_universal)
     q = us.add_parser("relations")
     source = q.add_mutually_exclusive_group(required=True)
     source.add_argument("--structure")
     source.add_argument("--assignment")
-    q.add_argument("--depth", type=int, default=None,
-                   help=f"with --structure only (default {DEFAULT_DEPTH})")
-    common(q, ring=False, N=False, with_json=False)
+    common(q)
     q.set_defaults(func=cmd_universal)
 
     p = sub.add_parser("lubin", help="commuting power series solver")
@@ -413,7 +412,7 @@ def build_parser():
     q.add_argument("--f", required=True, help="comma list c0,c1,..")
     q.add_argument("--g", required=True)
     q.add_argument("--c", required=True, help="target linear coefficient")
-    common(q, with_json=False)
+    common(q, ring=True, N=True)
     q.set_defaults(func=cmd_lubin)
 
     p = sub.add_parser("hasse", help="one-prime-determines-all check")
@@ -423,7 +422,7 @@ def build_parser():
     q.add_argument("--s2", required=True)
     q.add_argument("--phi", required=True, help="comma list c0,c1,..")
     q.add_argument("--prime", type=int, required=True)
-    common(q, ring=False, N=False)
+    common(q, with_json=True)
     q.set_defaults(func=cmd_hasse)
 
     q = sub.add_parser("selftest", help="run the acceptance suites")

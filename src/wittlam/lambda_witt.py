@@ -644,7 +644,9 @@ def coalgebra_check(S, samples, M=3):
     lambda^j(lambda^i(a)) = P_{j,i}(lambda^1(a), ..., lambda^{ij}(a)),
     where the right side is lambda^i on Lambda applied via lambda_op.
     With no samples the report holds no check, so it is not passed.
+    M must be an int >= 1: at M = 0 no coassociativity line is checked.
     """
+    check_int("M", M, 1)
     report = Report()
     dom = S.carrier.domain
     K = M * M

@@ -30,7 +30,7 @@ which ops:
 
   * Over Z every payload is a tuple of ints, and every op is an int
     kernel: the generated product, sum, difference, scaling and exact
-    division (whose failure reruns a divmod loop that names the first
+    division (whose failure maps Z's `_pdiv_int`, which names the first
     coefficient n does not divide), a power that squares under that
     product, `not any(x)` for the zero test, and the ground's `operator`
     function mapped over the coefficients for negation.
@@ -129,8 +129,8 @@ def _straight_line(n):
     its exact division by an int n', as functions returning tuples: their
     bodies are c_j = a0*bj + a1*b(j-1) + ... + aj*b0, aj + bj, aj - bj,
     aj*c and aj // n' written out in full for j = 0..n.  The division
-    first checks every aj % n'; if one is nonzero it returns
-    `_div_ints`, which raises for the first such aj."""
+    first checks every aj % n'; if one is nonzero it maps Z's own
+    `_pdiv_int`, which raises for the first such aj."""
     degrees = range(n + 1)
     a = ", ".join(f"a{i}" for i in degrees)
     b = ", ".join(f"b{i}" for i in degrees)
@@ -150,9 +150,9 @@ def _straight_line(n):
                f"def div(a, n):\n"
                f"    {a}, = a\n"
                f"    if {' or '.join(f'a{j} % n' for j in degrees)}:\n"
-               f"        return _div_ints(a, n)\n"
+               f"        return tuple([_pdiv_int(c, n) for c in a])\n"
                f"    return ({', '.join(f'a{j} // n' for j in degrees)},)\n")
-    namespace = {"_div_ints": _div_ints}
+    namespace = {"_pdiv_int": _Z._pdiv_int}
     exec(compile(source, f"<series kernels N={n}>", "exec"), namespace)
     return tuple(namespace[name] for name in ("mul", "add", "sub", "scale", "div"))
 
@@ -578,19 +578,6 @@ def _all_zero(x):
     return not any(x)
 
 
-def _div_ints(x, n):
-    """x / n over Z by one divmod per coefficient; ExactDivisionError, with
-    the text of `GroundRing._pdiv_int`, for the first one n does not
-    divide."""
-    out = []
-    for a in x:
-        q, r = divmod(a, n)
-        if r:
-            raise ExactDivisionError(f"{a} is not divisible by {n} in {_Z}")
-        out.append(q)
-    return tuple(out)
-
-
 def _lifted(int_mul, one):
     """The product and power of payloads over Z[S^-1] run in the integer
     numerators by int_mul (see `_lift`), a power lifting its base once."""
@@ -645,7 +632,7 @@ def _payload_ops(ground, N):
         if ground != _Z:
             return (add, sub, neg, *_lifted(int_mul, one), scale, is_zero,
                     div_int)
-        mul, div_int = int_mul, kernels[4] if kernels else _div_ints
+        mul, div_int = int_mul, kernels[4] if kernels else div_int
     else:
         mul = functools.partial(_mul_payloads, ground, n=N)
 

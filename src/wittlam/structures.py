@@ -391,8 +391,9 @@ def lambda_values(S, n, r):
     each computed only when the recursion reaches it (n is passed along,
     so the straight-line form of n runs for n <= _NEWTON_MAX_M).  The division by n
     must be exact in the carrier (Wilkerson); a WilkersonError names the
-    failing prime, degree and element as fields.
+    failing prime, degree and element as fields.  n must be an int >= 0.
     """
+    check_int("n", n, 0)
     dom = S.carrier.domain
     r = dom.coerce(r)
     psi = (dom._unwrap(adams_apply(S, k, r)) for k in range(1, n + 1))
@@ -450,11 +451,13 @@ def axiom_check(S, samples=None, nmax=None, bound=None):
     and one commutation line per pair of window primes, as in `validate`:
     two orders of psi^p psi^q can differ first in a degree no sampled
     axiom reaches.
-    The default nmax is at least 2, so a window without 2, where no
-    check would reach past lambda^1 = id, raises PrimeWindowError.
+    nmax is at least 2, the default included, so a window without 2,
+    where no check would reach past lambda^1 = id, raises
+    PrimeWindowError, and an explicit nmax below 2 raises InputError.
     """
     if nmax is None:
         nmax = max(2, min(3, window_depth(S)))
+    check_int("nmax", nmax, 2)
     if bound is None:
         bound = window_depth(S)
     report = Report()
@@ -546,15 +549,15 @@ def make_binomial_structure(ring=None, primes=DEFAULT_PRIMES):
     return LambdaStructure(Carrier.ground(ring), primes)
 
 
-def make_dual_structure(base, multipliers, primes=None):
-    """The structure psi^p(a + b*eps) = a + b*a_p*eps on base[eps].
+def make_dual_structure(base, multipliers):
+    """The structure psi^p(a + b*eps) = a + b*a_p*eps on base[eps], on
+    the window of the primes p that have a multiplier a_p.
 
     Every a_p must be p-divisible in the base; violations are rejected
     here, at construction.
     """
-    primes = tuple(sorted(multipliers)) if primes is None else tuple(primes)
     carrier = Carrier.dual_numbers(base)
-    return LambdaStructure(carrier, primes, dict(multipliers), check=True)
+    return LambdaStructure(carrier, tuple(multipliers), dict(multipliers))
 
 
 def dual_iso_test(S1, S2):
@@ -574,8 +577,9 @@ def dual_iso_test(S1, S2):
                for p in S1.primes)
 
 
-def make_family_structure(carrier, multipliers, primes=None):
-    """Linear Adams data psi^p(x) = a_p * x over a Q-algebra carrier.
+def make_family_structure(carrier, multipliers):
+    """Linear Adams data psi^p(x) = a_p * x over a Q-algebra carrier, on
+    the window of the primes p that have a multiplier a_p.
 
     Each a_p must be a unit scalar; the Frobenius congruence is trivial
     (p is invertible) and linear maps commute, so validation passes.
@@ -586,7 +590,6 @@ def make_family_structure(carrier, multipliers, primes=None):
         raise UnsupportedRingError(
             f"{carrier.ring} is not a Q-algebra; the family needs one"
         )
-    primes = tuple(sorted(multipliers)) if primes is None else tuple(primes)
     dom = carrier.domain
     adams = {}
     for p, ap in multipliers.items():
@@ -594,7 +597,7 @@ def make_family_structure(carrier, multipliers, primes=None):
         if carrier.ring.try_invert(ap) is None:
             raise ValueError(f"a_{p} = {ap} is not a unit in {carrier.ring}")
         adams[p] = dom.x() * ap
-    return LambdaStructure(carrier, primes, adams)
+    return LambdaStructure(carrier, tuple(multipliers), adams)
 
 
 def make_series_structure(carrier, series_by_prime, primes=None):

@@ -310,11 +310,12 @@ def structure_from_hom(assignment):
     return S
 
 
-def roundtrip_check(S, depth=DEFAULT_DEPTH):
+def roundtrip_check(S):
     """structure -> assignment -> structure is the identity.
 
     The way back to the assignment needs no check of its own:
     hom_from_structure reads only the carrier, the window and the Adams
-    series, which is what == compares.
+    series, which is what == compares.  It takes no depth, because
+    structure_from_hom reads only the depth-0 values.
     """
-    return structure_from_hom(hom_from_structure(S, depth)) == S
+    return structure_from_hom(hom_from_structure(S)) == S

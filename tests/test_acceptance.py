@@ -32,10 +32,10 @@ def test_suite(number):
 def test_suite_5_expects_the_wilkerson_rejection(monkeypatch):
     real = acceptance.make_dual_structure
 
-    def crashing(base, multipliers, primes=None):
+    def crashing(base, multipliers):
         if multipliers[2] == 3:
             raise ZeroDivisionError("crash")
-        return real(base, multipliers, primes)
+        return real(base, multipliers)
 
     monkeypatch.setattr(acceptance, "make_dual_structure", crashing)
     report = acceptance.suite_5()

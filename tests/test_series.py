@@ -476,8 +476,12 @@ def test_kernel_table_is_lazy_and_bounded():
         assert (dom._pscale, dom._pdiv_int) == _KERNELS[N][3:]
     for N in (_KERNEL_MAX_N + 1, 40):
         dom = SeriesRing(Z, N)
-        assert dom._pdiv_int is series._div_ints
-        assert dom._pscale.__code__.co_filename == series.__file__
+        assert dom._pdiv_int(tuple(range(0, 3 * N + 3, 3)), 3) == tuple(range(N + 1))
+        with pytest.raises(ExactDivisionError,
+                           match="^7 is not divisible by 3 in Z$"):
+            dom._pdiv_int((3,) * N + (7,), 3)
+        for op in (dom._pscale, dom._pdiv_int):
+            assert op.__code__.co_filename == series.__file__
     assert set(_KERNELS) <= set(range(_KERNEL_MAX_N + 1))
 
 

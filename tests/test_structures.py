@@ -224,6 +224,22 @@ def test_coalgebra_counit_is_lambda1():
     assert any("counit" in name and ok for name, ok, _ in rep.checks)
 
 
+def test_degree_below_its_floor_is_an_input_error():
+    S = standard_structure("mult", trunc=4, primes=(2, 3))
+    x = S.carrier.x()
+    assert lambda_values(S, 0, x) == [S.carrier.domain.one()]
+    with pytest.raises(InputError, match="n must be an integer >= 0, got -1"):
+        lambda_values(S, -1, x)
+    for M in (-1, 0):
+        # at M = -1 the counit lines alone used to make a pass
+        with pytest.raises(InputError, match=f"M must be an integer >= 1, got {M}"):
+            coalgebra_check(S, [2], M=M)
+    for nmax in (-1, 0, 1):
+        with pytest.raises(InputError,
+                           match=f"nmax must be an integer >= 2, got {nmax}"):
+            axiom_check(S, nmax=nmax)
+
+
 def test_coalgebra_check_without_samples_is_not_a_pass():
     rep = coalgebra_check(make_binomial_structure(), [], M=3)
     assert rep.checks == []
