@@ -21,7 +21,7 @@ from .series import SeriesRing
 from .structures import (Carrier, LambdaStructure, axiom_check,
                          dual_iso_test, lambda_values, make_dual_structure,
                          make_family_structure, validate)
-from .sympoly import DEFAULT_PCOMP_BOUND, parse_fraction
+from .sympoly import parse_fraction
 from .universal import (DEFAULT_DEPTH, HomAssignment, hom_from_structure,
                         relation_w, roundtrip_check, structure_from_hom)
 
@@ -319,7 +319,7 @@ def build_parser():
     q = ls.add_parser("op")
     q.add_argument("--i", type=int, required=True, help="which lambda^i")
     q.add_argument("--f", required=True)
-    q.add_argument("--bound", type=int, default=DEFAULT_PCOMP_BOUND)
+    q.add_argument("--bound", type=int, default=None)
     common(q, ring=True, N=True, with_json=True)
     q.set_defaults(func=cmd_lambda)
 

@@ -402,7 +402,7 @@ def lambda_mul(f, g):
     return LambdaElem._from_payloads(dom, _from_power_sums(dom, q))
 
 
-def lambda_op(i, f, out_trunc=None, bound=DEFAULT_PCOMP_BOUND):
+def lambda_op(i, f, out_trunc=None, bound=None):
     """lambda^i on Lambda(A): coefficient j is P_{j,i}(a_1..a_{ij}).
 
     Computed in ghost coordinates: for f = prod (1 + x_k t),
@@ -415,11 +415,17 @@ def lambda_op(i, f, out_trunc=None, bound=DEFAULT_PCOMP_BOUND):
     (so ij <= N), and `bound` is a size budget on ij (ij <= bound).  No
     universal polynomial is built, so the budget only limits the size of
     the answer.  Coefficients beyond the cap are not computed; the
-    returned element's truncation says how far the result goes.
+    returned element's truncation says how far the result goes.  The
+    default budget is DEFAULT_PCOMP_BOUND; a given bound below i, which
+    leaves no coefficient, is an InputError.
     """
     if i < 1:
         raise ValueError("i must be >= 1")
-    cap = f.trunc if i == 1 else min(f.trunc // i, max(bound, 0) // i)
+    if bound is None:
+        bound = DEFAULT_PCOMP_BOUND
+    else:
+        check_int("bound", bound, i)
+    cap = f.trunc if i == 1 else min(f.trunc // i, bound // i)
     if out_trunc is not None:
         check_int("out_trunc", out_trunc, 0)
         if out_trunc > cap:

@@ -67,17 +67,20 @@ operands are first lifted to integer numerators (`revert` also rescales
 to linear coefficient 1), since the same loops on Fractions are 10-25x
 slower; the ring's own _padd and _pmul on Q[y..] and dual numbers.
 
-Composition over Z[S^-1] with 1 <= N <= 16 (`_COMPOSE_MAX_N`) runs the
-same algorithm as two more generated functions, compiled from the int N
-on first use and kept in `_COMPOSE_KERNELS[N]`: `table` writes the
-recurrence of `_grow_powers` out as one assignment per entry (G^k)_j of
-the lifted inner series, and `dot` writes out F_0 and the dot product of
-F with each column.  Their source grows as N^3 (measured: about 1 ms to
-compile at N = 8 and 4-7 ms at N = 16); at N = 12 a table takes about
-12 us in place of 85-90 and the dot products 3-5 us in place of 6-10.
-Above the limit, and over Q[y..] and dual numbers, composition runs
-`_grow_powers` and the loops above; `revert` and the Lubin solver always
-do, since each degree there waits on a solve.
+Composition and reversion over Z[S^-1] with 1 <= N <= 16
+(`_COMPOSE_MAX_N`) run the same algorithm as three more generated
+functions, compiled from the int N on first use and kept in
+`_COMPOSE_KERNELS[N]`: `table` writes the recurrence of `_grow_powers`
+out as one assignment per entry (G^k)_j of the lifted inner series, `dot`
+writes out F_0 and the dot product of F with each column, and `revert`
+writes the same recurrence with the entries of G read as the unknowns
+s, each column followed by the line that solves for s_j.  Their source
+grows as N^3 (measured: about 1 ms to compile at N = 8 and 5 ms at
+N = 16); at N = 12 a table takes about 12 us in place of 85-90, the dot
+products 3-5 us in place of 6-10, and the reversion solve 8 us in place
+of 50.  Above the limit, and over Q[y..] and dual numbers, composition
+and reversion run `_grow_powers` and the loops above; the Lubin solver
+always does, since each of its solves divides in the fraction field.
 
 Over Z every coefficient payload of a result is an int.  The JSON form
 keeps the field "x_filtration": 1; reading accepts that or no field, and
@@ -162,16 +165,20 @@ def _straight_line(n):
 # compile it: at N = 32 one compile costs what 70-100 power tables save, and
 # the generated dot products are no faster than the loop.
 _COMPOSE_MAX_N = 16
-_COMPOSE_KERNELS = {}  # N -> the straight-line (table, dot) of N, built on first use
+_COMPOSE_KERNELS = {}  # N -> the straight-line (table, dot, revert) of N, built on first use
 
 
 def _straight_line_compose(n):
-    """The power table and the dot products of a composition at truncation
-    n, as functions on integer sequences of n + 1 entries.  table(G), for
-    G_0 = 0, returns the columns ((G^k)_j for k = 1..j) for j = 1..n, with
-    (G^k)_j = G_1 (G^(k-1))_(j-1) + ... + G_(j-k+1) (G^(k-1))_(k-1) written
-    out in full; dot(F, T) returns F_0 followed by the dot product of
-    F_1.. with each column of such a table."""
+    """The power table, the dot products and the reversion of a composition
+    at truncation n, as functions on integer sequences.  table(G), for
+    G_0 = 0 and n + 1 entries, returns the columns ((G^k)_j for k = 1..j)
+    for j = 1..n, with (G^k)_j = G_1 (G^(k-1))_(j-1) + ... +
+    G_(j-k+1) (G^(k-1))_(k-1) written out in full; dot(F, T) returns F_0
+    followed by the dot product of F_1.. with each column of such a table.
+    revert(c), for c = (c_2, .., c_n), returns the s with s_0 = 0, s_1 = 1
+    and s_j = c_2 (s^2)_j + ... + c_j (s^j)_j: the same recurrence lines
+    with the names of G read as the unknowns s, and after column j one line
+    that solves for s_j."""
     def power(k, j):  # the name of (G^k)_j
         return f"g{j}" if k == 1 else f"p{k}_{j}"
 
@@ -181,31 +188,40 @@ def _straight_line_compose(n):
     degrees = range(1, n + 1)
     columns = [[power(k, j) for k in range(1, j + 1)] for j in degrees]
     cells = [[f"t{j}_{k}" for k in range(1, j + 1)] for j in degrees]
-    steps = [
-        f"{power(k, j)} = "
-        + " + ".join(f"g{i}*{power(k - 1, j - i)}" for i in range(1, j - k + 2))
-        for j in range(2, n + 1) for k in range(2, j + 1)]
+    steps = [[f"{power(k, j)} = "
+              + " + ".join(f"g{i}*{power(k - 1, j - i)}" for i in range(1, j - k + 2))
+              for k in range(2, j + 1)] for j in range(2, n + 1)]
+    solves = [f"g{j} = "
+              + " + ".join(f"c{k}*{power(k, j)}" for k in range(2, j + 1))
+              for j in range(2, n + 1)]
     dots = [" + ".join(f"F{k}*{t}" for k, t in enumerate(col, 1))
             for col in cells]
+    g = ", ".join(f"g{j}" for j in degrees)
     lines = [
         "def table(g):",
-        "    _, " + ", ".join(f"g{j}" for j in degrees) + ", = g",
-        *("    " + step for step in steps),
+        "    _, " + g + ", = g",
+        *("    " + step for column in steps for step in column),
         "    return (" + nested(columns) + ")",
         "def dot(F, T):",
         "    " + ", ".join(f"F{k}" for k in range(n + 1)) + ", = F",
         "    " + nested(cells) + "= T",
         "    return (F0, " + ", ".join(dots) + ",)",
+        "def revert(c):",
+        "    (" + "".join(f"c{k}, " for k in range(2, n + 1)) + ") = c",
+        "    g1 = 1",
+        *("    " + line for column, solve in zip(steps, solves)
+          for line in column + [solve]),
+        "    return (0, " + g + ",)",
     ]
     namespace = {}
     exec(compile("\n".join(lines) + "\n", f"<compose kernels N={n}>", "exec"),
          namespace)
-    return namespace["table"], namespace["dot"]
+    return namespace["table"], namespace["dot"], namespace["revert"]
 
 
 def _compose_kernels(n):
-    """(table, dot), the straight-line composition kernels of n, built on
-    first use, for 1 <= n <= _COMPOSE_MAX_N; None for other n."""
+    """(table, dot, revert), the straight-line composition kernels of n,
+    built on first use, for 1 <= n <= _COMPOSE_MAX_N; None for other n."""
     if not 1 <= n <= _COMPOSE_MAX_N:
         return None
     kernels = _COMPOSE_KERNELS.get(n)
@@ -529,7 +545,9 @@ def revert(f):
     Over Z[S^-1] the series is first made integral with linear
     coefficient 1: with f = F/d and a = F_1, f(x) = (a^2/d) t(x/a) for
     t = x + sum_{k >= 2} F_k a^(k-2) x^k, so g_k = s_k d^k / a^(2k-1) for
-    the inverse s of t, which is integral and solved in ints.
+    the inverse s of t, which is integral and solved in ints; for
+    N <= _COMPOSE_MAX_N by the generated revert of N, and with a = d = 1
+    (f integral with f_1 = 1) g is s.
     """
     if not f.constant_term().is_zero():
         raise ValueError("reversion requires f(0) = 0")
@@ -549,10 +567,14 @@ def revert(f):
     else:
         c = [ring._pneg(mul(u.payload, x)) for x in f.payload[2:]]
         s = [ring._pzero(), u.payload] + [None] * (N - 1)
+    kernels = _compose_kernels(N) if ring.kind == ZLOC else None
     # s_j = sum_{k >= 2} c_k (s^k)_j with c_k = -f_k / f_1
-    _grow_powers(s, total, mul, lambda j, rows: total(
-        map(mul, c, [row[j] for row in rows[2 : j + 1]])))
-    if ring.kind == ZLOC:
+    if kernels:
+        s = kernels[2](c)
+    else:
+        _grow_powers(s, total, mul, lambda j, rows: total(
+            map(mul, c, [row[j] for row in rows[2 : j + 1]])))
+    if ring.kind == ZLOC and (a, d) != (1, 1):
         s = [0, u.payload] + [ring._pdiv_int(s[j] * d ** j, a ** (2 * j - 1))
                               for j in range(2, N + 1)]
     return dom._wrap(tuple(s))

@@ -453,13 +453,16 @@ def axiom_check(S, samples=None, nmax=None, bound=None):
     axiom reaches.
     nmax is at least 2, the default included, so a window without 2,
     where no check would reach past lambda^1 = id, raises
-    PrimeWindowError, and an explicit nmax below 2 raises InputError.
+    PrimeWindowError, and an explicit nmax below 2 raises InputError, as
+    does an explicit bound below 2, which would reach no composition.
     """
     if nmax is None:
         nmax = max(2, min(3, window_depth(S)))
     check_int("nmax", nmax, 2)
     if bound is None:
         bound = window_depth(S)
+    else:
+        check_int("bound", bound, 2)
     report = Report()
     dom = S.carrier.domain
     samples = [dom.coerce(s) for s in (samples or default_samples(S.carrier))]

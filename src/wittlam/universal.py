@@ -50,7 +50,10 @@ class HomAssignment:
 
     The window is every index (p, i, q_1..q_n) with p and the q_k in
     `primes`, 1 <= i <= N and tail length n <= D.  Only the depth-0 values
-    v_{(p,i)} are stored: the tail recursion  v_{..., q} = (v_...^q - v_...)/q
+    v_{(p,i)} are stored, as one payload row per prime: `rows[p]` is the
+    tuple of N + 1 target payloads (0, v_{(p,1)}, .., v_{(p,N)}), a series
+    payload of `series` = SeriesRing(target, N), which is built once per
+    assignment.  The tail recursion  v_{..., q} = (v_...^q - v_...)/q
     defines the deeper generators' images, so `get` derives a tail value
     from its depth-0 value, and `values` and `to_json` derive the whole
     window level by level.  Over a ring between Z and Q, or a Q-algebra,
@@ -60,7 +63,7 @@ class HomAssignment:
     target ring.
     """
 
-    __slots__ = ("target", "primes", "trunc", "depth", "depth0")
+    __slots__ = ("target", "primes", "trunc", "depth", "rows", "series")
 
     def __init__(self, target, primes, trunc, depth, depth0):
         """`depth0` maps each (p, i) of the window to its value."""
@@ -70,8 +73,26 @@ class HomAssignment:
         self.primes = tuple(sorted(primes))
         self.trunc = trunc
         self.depth = depth
-        self.depth0 = dict(depth0)
-        self._verify()
+        depth0 = dict(depth0)
+        self._verify(depth0)
+        self.series = SeriesRing(target, trunc)
+        zero = target._pzero()
+        self.rows = {p: (zero, *(depth0[(p, i)].payload
+                                 for i in range(1, trunc + 1)))
+                     for p in self.primes}
+        if depth and not (target.between_Z_and_Q() or target.is_q_algebra()):
+            self.values  # derives every quotient; raises where one does not exist
+
+    @classmethod
+    def _from_rows(cls, series, primes, depth, rows):
+        """The assignment with these payload rows (see the class docstring)
+        over the ground of `series`, keyed by the sorted `primes`.  Nothing
+        is verified: the caller computed every row in that ground."""
+        _check_window(primes, series.trunc, depth)
+        h = cls.__new__(cls)
+        h.target, h.trunc, h.series = series.ground, series.trunc, series
+        h.primes, h.depth, h.rows = tuple(sorted(primes)), depth, rows
+        return h
 
     @classmethod
     def from_depth0(cls, target, depth0, primes=DEFAULT_PRIMES, trunc=8,
@@ -95,26 +116,24 @@ class HomAssignment:
             for key, name in zip(keys, names)
         })
 
-    def _verify(self):
+    def _verify(self, depth0):
+        """The keys of depth0 are exactly the window's (p, i), and every
+        value lies in the target."""
         window = {(p, i) for p in self.primes for i in range(1, self.trunc + 1)}
-        extra = self.depth0.keys() - window
+        extra = depth0.keys() - window
         if extra:
             raise InputError(
                 f"{GeneratorIndex(*min(extra, key=repr)).label()} is outside "
                 f"the window (primes {list(self.primes)}, i <= {self.trunc})"
             )
-        missing = window - self.depth0.keys()
+        missing = window - depth0.keys()
         if missing:
             raise InputError(f"no value for {GeneratorIndex(*min(missing)).label()}")
-        for key, val in self.depth0.items():
+        for key, val in depth0.items():
             if val.ring != self.target:
                 raise MembershipError(
                     f"value at {GeneratorIndex(*key).label()} not in target"
                 )
-        if self.depth and not (
-            self.target.between_Z_and_Q() or self.target.is_q_algebra()
-        ):
-            self.values  # derives every quotient; raises where one does not exist
 
     def get(self, p, i, tail=()):
         """The image of v_{(p,i,tail)}: the depth-0 value, then one Fermat
@@ -122,7 +141,9 @@ class HomAssignment:
         tail = tuple(tail)
         if len(tail) > self.depth or not set(tail) <= set(self.primes):
             raise KeyError(GeneratorIndex(p, i, tail))
-        v = self.depth0[(p, i)]
+        if p not in self.rows or not 1 <= i <= self.trunc:
+            raise KeyError((p, i))
+        v = self.target._wrap(self.rows[p][i])
         for q in tail:
             v = _fermat_quotient(self.target, v, q)
         return v
@@ -131,7 +152,10 @@ class HomAssignment:
     def values(self):
         """Every window value, {GeneratorIndex: element}: depth 0 first, then
         each level's tails extended by each window prime."""
-        level = {GeneratorIndex(p, i): v for (p, i), v in self.depth0.items()}
+        wrap = self.target._wrap
+        level = {GeneratorIndex(p, i): wrap(row[i])
+                 for p, row in self.rows.items()
+                 for i in range(1, self.trunc + 1)}
         out = dict(level)
         for _ in range(self.depth):
             level = {
@@ -150,7 +174,7 @@ class HomAssignment:
             and self.primes == other.primes
             and self.trunc == other.trunc
             and self.depth == other.depth
-            and self.depth0 == other.depth0
+            and self.rows == other.rows
         )
 
     def to_json(self):
@@ -231,16 +255,14 @@ def relation_V(index, q_next, assignment):
 def universal_adams(p, assignment):
     """The universal Adams series psi^p(x) = sum_{i<=N} u_{(p,i)} x^i,
     evaluated under an assignment: a series over its target ring, with
-    u_{(p,i)} = p v_{(p,i)}, plus 1 at the Frobenius slot i = p.  The
-    coefficients are computed on payloads, by the target's _pscale and
-    _padd, and the series is wrapped once."""
-    target, depth0 = assignment.target, assignment.depth0
-    scale, add = target._pscale, target._padd
-    coeffs = [target._pzero()]
-    for i in range(1, assignment.trunc + 1):
-        u = scale(depth0[(p, i)].payload, p)
-        coeffs.append(add(u, target._pfrom_int(1)) if i == p else u)
-    return SeriesRing(target, assignment.trunc)._wrap(tuple(coeffs))
+    u_{(p,i)} = p v_{(p,i)}, plus 1 at the Frobenius slot i = p.  It is one
+    `_pscale` of the payload row of p by p on the assignment's series ring,
+    then one `_padd` at slot p."""
+    series, target = assignment.series, assignment.target
+    u = list(series._pscale(assignment.rows[p], p))
+    if p <= assignment.trunc:
+        u[p] = target._padd(u[p], target._pfrom_int(1))
+    return series._wrap(tuple(u))
 
 
 def relation_w(p, q, assignment):
@@ -262,9 +284,11 @@ def hom_from_structure(S, depth=DEFAULT_DEPTH):
 
     Depth-0 values divide the Adams coefficients by p (shifting by 1 at
     the Frobenius slot); the Frobenius congruence makes these divisions
-    land in R, and failures mean S violates the psi-ring congruence.  The
-    shift and each division are taken on the series' payloads, the
-    division by the ground's exact `_pdiv_int`.
+    land in R, and failures mean S violates the psi-ring congruence.  Each
+    prime's payload row is one exact division of the shifted Adams payload
+    (slot 0 set to 0) by p, the carrier series ring's `_pdiv_int` (over Z
+    the generated division); only when it fails is the first slot that R's
+    `_pdiv_int` cannot divide looked for, to name it.
     """
     carrier = S.carrier
     if carrier.kind != POWER_SERIES or not carrier.ring.between_Z_and_Q():
@@ -272,22 +296,26 @@ def hom_from_structure(S, depth=DEFAULT_DEPTH):
             "the correspondence needs a power series carrier over a ring "
             "between Z and Q"
         )
-    R = carrier.ring
-    depth0 = {}
+    R, series, N = carrier.ring, carrier.series, carrier.trunc
+    rows = {}
     for p in S.primes:
-        psi = S.adams_series(p).payload
-        for i in range(1, carrier.trunc + 1):
-            r = psi[i]
-            if i == p:
-                r = R._psub(r, R._pfrom_int(1))
-            try:
-                depth0[(p, i)] = R._wrap(R._pdiv_int(r, p))
-            except ExactDivisionError as exc:
-                raise MembershipError(
-                    f"structure violates the psi-ring congruence at "
-                    f"(p={p}, i={i}): {exc}"
-                ) from exc
-    return HomAssignment.from_depth0(R, depth0, S.primes, carrier.trunc, depth)
+        r = list(S.adams_series(p).payload)
+        r[0] = R._pzero()
+        if p <= N:
+            r[p] = R._psub(r[p], R._pfrom_int(1))
+        try:
+            rows[p] = series._pdiv_int(r, p)
+        except ExactDivisionError:
+            for i in range(1, N + 1):
+                try:
+                    R._pdiv_int(r[i], p)
+                except ExactDivisionError as exc:
+                    raise MembershipError(
+                        f"structure violates the psi-ring congruence at "
+                        f"(p={p}, i={i}): {exc}"
+                    ) from exc
+            raise
+    return HomAssignment._from_rows(series, S.primes, depth, rows)
 
 
 def structure_from_hom(assignment):

@@ -93,6 +93,26 @@ def test_lambda_and_witt_over_truncated_polynomials(capsys):
     assert (code, out) == (0, str(witt_mul(a, b)))
 
 
+def test_lambda_op_bound_below_i_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "lambda", "op", "--i", "2", "--f", "1,2",
+                         "--bound", "-3")
+    assert (code, out, err) == (
+        2, "", "error: bound must be an integer >= 2, got -3")
+
+
+def test_axiom_check_bound_below_2_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(
+        standard_structure("mult", trunc=4, primes=(2, 3)).to_json()))
+    code, out, err = run(capsys, "axiom-check", "--structure", str(path),
+                         "--bound", "1")
+    assert (code, out, err) == (
+        2, "", "error: bound must be an integer >= 2, got 1")
+    code, out, _ = run(capsys, "axiom-check", "--structure", str(path),
+                       "--bound", "2")
+    assert code == 0 and "composition" in out
+
+
 @pytest.mark.parametrize("ring", ["Z[x]/x^0", "Z[x]/y^3", "Z[x]/x^"])
 def test_bad_truncated_ring_is_a_usage_error(capsys, ring):
     code, out, err = run(capsys, "lambda", "mul", "--ring", ring,

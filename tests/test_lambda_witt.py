@@ -224,6 +224,13 @@ def test_negative_truncations_are_input_errors():
                            match="out_trunc must be an integer >= 0, got -2"):
             lambda_op(i, f, out_trunc=-2)
     assert lambda_op(2, f, out_trunc=0).trunc == 0
+    # a given bound below i leaves no coefficient: a usage error, not an
+    # empty answer
+    for i, bound in ((2, 1), (2, -3), (3, 2)):
+        with pytest.raises(InputError, match=f"bound must be an integer "
+                           f">= {i}, got {bound}"):
+            lambda_op(i, f, bound=bound)
+    assert lambda_op(2, f, bound=2).trunc == 1
 
 
 def _random_scalar(rng, dom):
@@ -820,14 +827,18 @@ def _prove_series_kernels(N):
 
 
 def _prove_compose_kernels(N):
-    """`_compose_kernels(N)`'s table against `_grow_powers`, and its dot on
-    a table of independent variables against the dot-product loop."""
+    """`_compose_kernels(N)`'s table against `_grow_powers`, its dot on a
+    table of independent variables against the dot-product loop, and its
+    revert at independent c_2..c_N against `_grow_powers` with the solve
+    callback of `revert`."""
     cells = [(j, k) for j in range(1, N + 1) for k in range(1, j + 1)]
     ring, xs = _variables([f"F{k}" for k in range(N + 1)]
                           + [f"g{j}" for j in range(1, N + 1)]
-                          + [f"t{j}_{k}" for j, k in cells])
-    F, G, t = xs[:N + 1], [ring._pzero()] + xs[N + 1:2 * N + 1], xs[2 * N + 1:]
-    table, dot = _compose_kernels(N)
+                          + [f"t{j}_{k}" for j, k in cells]
+                          + [f"c{k}" for k in range(2, N + 1)])
+    F, G = xs[:N + 1], [ring._pzero()] + xs[N + 1:2 * N + 1]
+    t, c = xs[2 * N + 1:2 * N + 1 + len(cells)], xs[2 * N + 1 + len(cells):]
+    table, dot, revert_kernel = _compose_kernels(N)
     total, mul = _scalar_form(ring)
     rows = _grow_powers(list(G), total, mul)
     assert table(G) == tuple(tuple(rows[k][j] for k in range(1, j + 1))
@@ -835,6 +846,10 @@ def _prove_compose_kernels(N):
     T = tuple(tuple(t[j * (j - 1) // 2:j * (j + 1) // 2])
               for j in range(1, N + 1))
     assert dot(F, T) == (F[0], *(total(map(mul, F[1:], col)) for col in T))
+    s = [ring._pzero(), ring._pfrom_int(1)] + [None] * (N - 1)
+    _grow_powers(s, total, mul, lambda j, rows: total(
+        map(mul, c, [row[j] for row in rows[2:j + 1]])))
+    assert revert_kernel(c) == tuple(s)
 
 
 def _prove_newton_kernels(M):

@@ -201,13 +201,34 @@ def test_hom_rejects_congruence_violation():
                                "(p=2, i=1): 1 is not divisible by 2 in Z")
 
 
+@pytest.mark.parametrize("ring, adams, message", [
+    # p = 2 holds; for p = 3 slots 1 and 3 divide and slot 4 is the first
+    # that does not
+    (Z, {2: [0, 0, 1], 3: [0, 3, 0, 1, 2, 1]},
+     "(p=3, i=4): 2 is not divisible by 3 in Z"),
+    # over Z_(5) only p = 5 can fail: 1/2 = 5 * (1/10) is not in Z_(5)
+    (GroundRing.p_local(5),
+     {2: [0, 0, 1], 5: [0, 5, 0, Fraction(1, 2), 0, 2]},
+     "(p=5, i=3): 1/2 is not divisible by 5 in Z_(5)"),
+], ids=["Z", "Z_(5)"])
+def test_hom_names_the_first_failing_slot(ring, adams, message):
+    from wittlam.structures import make_series_structure
+
+    bad = make_series_structure(Carrier.power_series(ring, 5), adams)
+    with pytest.raises(MembershipError) as info:
+        hom_from_structure(bad)
+    assert str(info.value) == ("structure violates the psi-ring congruence "
+                               "at " + message)
+
+
 def test_hom_reports_only_inexact_division(monkeypatch):
-    def broken(self, x, n):
+    def broken(x, n):
         raise ZeroDivisionError("division bug in the ring")
 
     S = standard_structure("mult", trunc=4)
-    # hom_from_structure divides on payloads, by the ground's _pdiv_int
-    monkeypatch.setattr(GroundRing, "_pdiv_int", broken)
+    # hom_from_structure divides each payload row by the carrier series
+    # ring's _pdiv_int
+    monkeypatch.setattr(S.carrier.series, "_pdiv_int", broken)
     # not turned into a verdict on the structure
     with pytest.raises(ZeroDivisionError, match="division bug in the ring"):
         hom_from_structure(S)
